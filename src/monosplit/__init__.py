@@ -5,15 +5,14 @@ proximal iterations certified by a relative-error criterion, and exposes
 closed-form complexity bounds that every run is checked against.
 """
 
-from .bounds import (BoundInputs, assert_bounds, ergodic_bounds,
-                     iteration_budget, pointwise_bounds)
+from .bounds import (BoundInputs, Check, assert_bounds, audit,
+                     ergodic_bounds, iteration_budget, pointwise_bounds)
 from .ergodic import ErgodicState, transport
 from .errors import (CertificationError, ConfigError, DimensionMismatch,
                      MonosplitError, OracleError, ParameterError,
                      TheoremViolation)
 from .hpe_core import (Certificate, IterationTrace, SolverState, StoppingRule,
-                       certify, energy_check, extrapolate, fejer_check,
-                       relax_update, run, summability_check)
+                       certify, extrapolate, relax_update, run)
 from .instances import (INSTANCE_KINDS, InstanceConfig, fb_step,
                         make_inner_solver, ppm_step, solve, tseng_step)
 from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
@@ -28,16 +27,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineOperator", "AffineResolvent", "AlphaSchedule", "BoundInputs",
-    "BoxResolvent", "Certificate", "CertificationError", "ConfigError",
+    "BoxResolvent", "Certificate", "CertificationError", "Check",
+    "ConfigError",
     "DimensionMismatch", "ErgodicState", "ForwardMap", "HpeParams",
     "INSTANCE_KINDS", "InstanceConfig", "IterationTrace", "L1Resolvent",
     "MonosplitError", "OracleError", "ParameterError", "SolverState",
     "StoppingRule", "TestProblem", "TheoremViolation", "ZeroResolvent",
-    "assert_bounds", "beta_prime", "beta_prime_lower_bound", "beta_to_t",
-    "certify", "energy_check", "enlargement_infimum", "enlargement_member",
-    "ergodic_bounds", "eta_of", "extrapolate", "fb_step", "fejer_check",
-    "inverse_map", "iteration_budget", "make_inner_solver", "make_problem",
+    "assert_bounds", "audit", "beta_prime", "beta_prime_lower_bound",
+    "beta_to_t", "certify", "enlargement_infimum", "enlargement_member",
+    "ergodic_bounds", "eta_of", "extrapolate", "fb_step", "inverse_map",
+    "iteration_budget", "make_inner_solver", "make_problem",
     "pointwise_bounds", "ppm_step", "q_value", "relax_update", "resolve",
-    "run", "solve", "summability_check", "tau_of", "transport",
-    "tseng_step",
+    "run", "solve", "tau_of", "transport", "tseng_step",
 ]

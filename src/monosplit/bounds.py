@@ -1,29 +1,46 @@
-"""Closed-form rate-bound evaluators and trace assertion harnesses.
+"""Closed-form rate bounds and the audit of a recorded trace.
 
-All evaluators are exact closed forms in ``(d0, lambda_floor, params, k)``;
-:func:`assert_bounds` replays a recorded trace against them and fails loudly
-on any violation (which signals an implementation bug, not bad luck: the
-bounds are guaranteed).
+All evaluators are exact closed forms in ``(d0, lambda_floor, params, k)``.
+:func:`audit` replays a trace against every post-hoc inequality: the error
+criterion, the energy term, Fejer descent, step summability, the energy
+bound, the monotone ``mu`` sequence, the rate bounds (through
+:func:`assert_bounds`) and the sign of the aggregated error.  A failed
+check signals an implementation bug, not bad luck: the inequalities are
+guaranteed.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
-from .errors import ParameterError, TheoremViolation
+from . import hpe_core
+from .errors import CertificationError, ParameterError, TheoremViolation
+
+PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+# Round-off allowances of the audit.
+BOUND_RTOL = 1e-8        # relative slack on every closed-form upper bound
+ATOL = 1e-9              # absolute slack on a sign condition
+DESCENT_RTOL = 1e-12     # descent slack per unit of squared distance
+ENERGY_TERM_RTOL = 1e-9  # recorded s_k against its definition
 
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything the closed forms need besides the iteration index."""
+    """Everything the closed forms need besides the iteration index.
+
+    ``d0`` is None when no solution is known; :func:`audit` then skips the
+    checks that need it.
+    """
 
     d0: float
     lambda_floor: float
     params: object
 
     def __post_init__(self):
-        if self.d0 < 0.0:
+        if self.d0 is not None and self.d0 < 0.0:
             raise ParameterError(f"d0 must be nonnegative, got {self.d0}")
         if self.lambda_floor <= 0.0:
             raise ParameterError(
@@ -32,37 +49,43 @@ class BoundInputs:
             raise ParameterError("q(alpha) <= 0")
 
 
+def _known_d0(inp):
+    if inp.d0 is None:
+        raise ParameterError("d0 is unknown: the problem has no known "
+                             "solution")
+    return inp.d0
+
+
 def pointwise_bounds(inp, k):
     """Best-iterate bounds: ``(v_bound, eps_bound)`` at index ``k``.
 
-    ``v_bound`` scales as 1/sqrt(k), ``eps_bound`` as 1/k (and is zero
-    when sigma = 0, where every step is exact).
+    ``k`` is an index or an array of indices.  ``v_bound`` scales as
+    1/sqrt(k), ``eps_bound`` as 1/k (and is zero when sigma = 0, where
+    every step is exact).
     """
-    p = inp.params
+    p, d0 = inp.params, _known_d0(inp)
     infl = p.energy_inflation()
     denom = inp.lambda_floor * p.tau
-    v_bound = inp.d0 / (denom * math.sqrt(k)) * math.sqrt(infl / p.eta)
-    if p.sigma == 0.0:
-        eps_bound = 0.0
-    else:
-        eps_bound = (p.sigma * inp.d0 ** 2 * infl
-                     / (2.0 * (1.0 - p.sigma ** 2) * denom * k))
+    v_bound = d0 / (denom * np.sqrt(k)) * math.sqrt(infl / p.eta)
+    eps_bound = (p.sigma * d0 ** 2 * infl
+                 / (2.0 * (1.0 - p.sigma ** 2) * denom * k))
     return v_bound, eps_bound
 
 
 def ergodic_bounds(inp, k):
     """Averaged-sequence bounds ``(v_a_bound, eps_a_bound)`` at index ``k``.
 
-    Valid for constant inertial schedules; both scale as 1/k.
+    ``k`` is an index or an array of indices.  Valid for constant inertial
+    schedules; both scale as 1/k.
     """
-    p = inp.params
+    p, d0 = inp.params, _known_d0(inp)
     infl = p.energy_inflation()
     denom = inp.lambda_floor * p.tau * k
-    v_a = 2.0 * (1.0 + p.alpha) * inp.d0 / denom * math.sqrt(infl)
+    v_a = 2.0 * (1.0 + p.alpha) * d0 / denom * math.sqrt(infl)
     spread = (1.0
               + p.sigma / math.sqrt((1.0 - p.sigma ** 2) * p.tau)
               + math.sqrt(4.0 + (1.0 - p.tau) ** 2 / (p.eta * p.tau ** 2)))
-    eps_a = 2.0 * math.sqrt(2.0) * inp.d0 ** 2 / denom * infl * spread
+    eps_a = 2.0 * math.sqrt(2.0) * d0 ** 2 / denom * infl * spread
     return v_a, eps_a
 
 
@@ -79,89 +102,213 @@ def iteration_budget(rho, eps_hat, inp):
     return int(k)
 
 
-def assert_bounds(trace, inp, tol=1e-8, eps_nonneg_tol=1e-9,
-                  check_ergodic=True, prefixes=None):
+def _peak(values, bound):
+    """Largest ``values / bound`` where the bound is positive, else 0."""
+    positive = bound > 0.0
+    if not positive.any():
+        return 0.0
+    return float(np.max(values[positive] / bound[positive]))
+
+
+def assert_bounds(trace, inp):
     """Verify a trace against every rate bound; return a utilization report.
 
     The pointwise theorems promise one witness index per prefix; the proof's
-    witness is the iterate minimizing the energy term ``s_k``, which is
-    tracked in a streaming pass (with an exhaustive fallback before any
-    violation is declared).
+    witness is the first iterate minimizing the energy term ``s_k`` so far.
+    A prefix whose witness misses the bounds falls back to a search of the
+    whole prefix before a violation is declared.  The ergodic bounds are
+    checked only under a constant inertial schedule, the case they cover.
 
     Raises
     ------
     TheoremViolation
         Naming the iteration and the violated bound.
+    ParameterError
+        When ``inp.d0`` is None: the bounds need a known solution.
     """
+    _known_d0(inp)
     n = len(trace)
+    worst = {}
     if n == 0:
-        return {"checked_prefixes": 0, "violations": []}
-    norm_v = trace.column("norm_v")
-    eps = trace.column("eps")
-    s_k = trace.column("s_k")
-    norm_v_a = trace.column("norm_v_a")
+        return {"checked_prefixes": 0, "worst_utilization": worst}
+    norm_v, eps, s_k = (trace.column(c) for c in ("norm_v", "eps", "s_k"))
+    ks = np.arange(1, n + 1)
+    slack = 1.0 + BOUND_RTOL
+
+    vb, eb = pointwise_bounds(inp, ks)
+    new_min = np.ones(n, dtype=bool)
+    new_min[1:] = s_k[1:] < np.minimum.accumulate(s_k)[:-1]
+    witness = np.maximum.accumulate(np.where(new_min, ks - 1, 0))
+    missed = ~((norm_v[witness] <= vb * slack) & (eps[witness] <= eb * slack))
+    for j in np.nonzero(missed)[0]:
+        meets = np.nonzero((norm_v[:j + 1] <= vb[j] * slack)
+                           & (eps[:j + 1] <= eb[j] * slack))[0]
+        if meets.size == 0:
+            raise TheoremViolation(
+                f"no iterate in 1..{j + 1} meets the pointwise bounds "
+                f"(v <= {vb[j]}, eps <= {eb[j]})", k=int(j + 1),
+                bound="pointwise")
+        witness[j] = meets[0]
+    worst["pointwise_v"] = _peak(norm_v[witness], vb)
+    worst["pointwise_eps"] = _peak(eps[witness], eb)
+
+    if inp.params.schedule.is_constant:
+        vab, eab = ergodic_bounds(inp, ks)
+        for name, values, bound in (
+                ("ergodic_v", trace.column("norm_v_a"), vab),
+                ("ergodic_eps", trace.column("eps_a"), eab)):
+            over = np.nonzero(~(values <= bound * slack))[0]
+            if over.size:
+                j = over[0]
+                raise TheoremViolation(
+                    f"{name} value {values[j]} exceeds bound {bound[j]} at "
+                    f"k={j + 1}", k=int(j + 1), bound=name)
+            worst[name] = _peak(values, bound)
+    return {"checked_prefixes": n, "worst_utilization": worst}
+
+
+# ---------------------------------------------------------------------------
+# The audit
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """Verdict of one audited inequality.
+
+    ``status`` is :data:`PASS`, :data:`FAIL` or :data:`SKIP`; ``detail``
+    says what was found, or why the check could not run.  ``utilization``
+    is the largest ratio of a quantity to its bound, for checks that have
+    one, else None.
+    """
+
+    name: str
+    status: str
+    detail: str
+    utilization: float = None
+
+
+def _first_failure(ok, what, passed):
+    """``(status, detail)`` from a per-step pass mask.
+
+    Masks are written as pass conditions, so a NaN in a column fails.
+    """
+    bad = np.nonzero(~ok)[0]
+    if bad.size:
+        return FAIL, f"{what} at k={bad[0] + 1}"
+    return PASS, passed
+
+
+def _error_criterion(trace, inp):
+    cols = trace.columns
+    dz_sq = (trace.column("norm_dz") ** 2).tolist()
+    try:
+        peak = max(map(hpe_core._error_ratio, cols["resid_sq"], dz_sq,
+                       cols["lam"], cols["eps"], repeat(inp.params.sigma),
+                       count(1)))
+    except CertificationError as exc:
+        return FAIL, str(exc)
+    return PASS, f"all {len(trace)} steps within tolerance", peak
+
+
+def _energy_term_consistency(trace, inp):
+    p = inp.params
+    relax_sq = (p.tau * trace.column("lam") * trace.column("norm_v")) ** 2
+    dz_sq = trace.column("norm_dz") ** 2
+    expected = np.fromiter(
+        map(hpe_core._energy_term, relax_sq.tolist(), dz_sq.tolist(),
+            repeat(p)), dtype=float, count=len(trace))
+    ok = (np.abs(trace.column("s_k") - expected)
+          <= ENERGY_TERM_RTOL * (1.0 + np.abs(expected)))
+    return _first_failure(ok, "s_k differs from its definition",
+                          "s_k matches its definition on every step")
+
+
+def _fejer_descent(trace, inp):
+    w_sq = trace.column("dist_w") ** 2
+    resid = (w_sq - trace.column("dist_to_solution") ** 2
+             - trace.column("s_k"))
+    return _first_failure(resid >= -np.maximum(ATOL, DESCENT_RTOL * w_sq),
+                          "||w-z*||^2 - ||z-z*||^2 < s_k",
+                          f"min residual {resid.min():.3e}")
+
+
+def _step_summability(trace, inp):
+    p = inp.params
+    total = float(np.sum(trace.column("step_norm") ** 2))
+    bound = 2.0 * inp.d0 ** 2 / ((1.0 - p.alpha) * p.q_alpha)
+    status = PASS if total <= bound * (1.0 + BOUND_RTOL) else FAIL
+    return (status, f"sum={total:.6e} bound={bound:.6e}",
+            total / bound if bound > 0.0 else None)
+
+
+def _energy_bound(trace, inp):
+    lhs = (trace.column("dist_to_solution") ** 2
+           + np.cumsum(trace.column("s_k")))
+    rhs = inp.params.energy_inflation() * inp.d0 ** 2
+    return (*_first_failure(lhs <= rhs * (1.0 + BOUND_RTOL),
+                            "||z-z*||^2 + sum s_j exceeds the bound",
+                            f"max {lhs.max():.6e} bound {rhs:.6e}"),
+            lhs.max() / rhs if rhs > 0.0 else None)
+
+
+def _mu_nonincreasing(trace, inp):
+    p = inp.params
+    if not p.schedule.is_constant:
+        return SKIP, "ramped inertial schedule; proved for constant alpha"
+    a = p.alpha
+    gamma = (1.0 - p.eta) * a * a + (1.0 + p.eta) * a
+    phi = np.concatenate(([inp.d0 ** 2],
+                          trace.column("dist_to_solution") ** 2))
+    mu = np.empty_like(phi)
+    mu[0] = (1.0 - a) * phi[0]
+    mu[1:] = phi[1:] - a * phi[:-1] + gamma * trace.column("step_norm") ** 2
+    rise = np.diff(mu)
+    return _first_failure(rise <= np.maximum(ATOL, DESCENT_RTOL * phi[:-1]),
+                          "mu increases", f"max increment {rise.max():.3e}")
+
+
+def _rate_bounds(trace, inp):
+    try:
+        worst = assert_bounds(trace, inp)["worst_utilization"]
+    except TheoremViolation as exc:
+        return FAIL, str(exc)
+    shown = ", ".join(f"{name}={value:.3g}" for name, value in worst.items())
+    detail = f"all {len(trace)} prefixes within bounds; utilization {shown}"
+    if "ergodic_v" not in worst:
+        detail += "; ergodic bounds skipped (ramped inertial schedule)"
+    return PASS, detail, max(worst.values())
+
+
+def _aggregated_error_nonneg(trace, inp):
     eps_a = trace.column("eps_a")
-    if prefixes is None:
-        ks = np.arange(1, n + 1)
-    else:
-        ks = np.asarray(sorted(set(int(k) for k in prefixes if 1 <= k <= n)))
+    return _first_failure(eps_a >= -ATOL, "eps_a < 0",
+                          f"min eps_a = {eps_a.min():.3e}")
 
-    # streaming witness: running argmin of the energy term s_j
-    witness_idx = np.zeros(n, dtype=int)
-    best = 0
-    for j in range(1, n):
-        if s_k[j] < s_k[best]:
-            best = j
-        witness_idx[j] = best
 
-    worst = {"pointwise_v": 0.0, "pointwise_eps": 0.0,
-             "ergodic_v": 0.0, "ergodic_eps": 0.0}
-    eps_a_min = float(eps_a.min())
-    if eps_a_min < -eps_nonneg_tol:
-        k_bad = int(np.argmin(eps_a)) + 1
-        raise TheoremViolation(
-            f"aggregated error {eps_a_min} < -{eps_nonneg_tol} at k={k_bad}",
-            k=k_bad, bound="eps_a >= 0")
+# (name, needs a known solution, check)
+_CHECKS = (
+    ("error_criterion", False, _error_criterion),
+    ("energy_term_consistency", False, _energy_term_consistency),
+    ("fejer_descent", True, _fejer_descent),
+    ("step_summability", True, _step_summability),
+    ("energy_bound", True, _energy_bound),
+    ("mu_nonincreasing", True, _mu_nonincreasing),
+    ("rate_bounds", True, _rate_bounds),
+    ("aggregated_error_nonneg", False, _aggregated_error_nonneg),
+)
 
-    for k in ks:
-        vb, eb = pointwise_bounds(inp, k)
-        i = witness_idx[k - 1]
-        ok = (norm_v[i] <= vb * (1.0 + tol)
-              and eps[i] <= eb * (1.0 + tol) + 1e-300)
-        if not ok:
-            # exhaustive fallback over the whole prefix
-            mask = ((norm_v[:k] <= vb * (1.0 + tol))
-                    & (eps[:k] <= eb * (1.0 + tol) + 1e-300))
-            if not mask.any():
-                raise TheoremViolation(
-                    f"no iterate in 1..{k} meets the pointwise bounds "
-                    f"(v <= {vb}, eps <= {eb})", k=int(k), bound="pointwise")
-            i = int(np.nonzero(mask)[0][0])
-        if vb > 0.0:
-            worst["pointwise_v"] = max(worst["pointwise_v"], norm_v[i] / vb)
-        if eb > 0.0:
-            worst["pointwise_eps"] = max(worst["pointwise_eps"], eps[i] / eb)
 
-        if check_ergodic:
-            vab, eab = ergodic_bounds(inp, k)
-            if norm_v_a[k - 1] > vab * (1.0 + tol):
-                raise TheoremViolation(
-                    f"ergodic residual {norm_v_a[k - 1]} exceeds bound "
-                    f"{vab}", k=int(k), bound="ergodic_v")
-            if eps_a[k - 1] > eab * (1.0 + tol) + 1e-300:
-                raise TheoremViolation(
-                    f"aggregated error {eps_a[k - 1]} exceeds bound {eab}",
-                    k=int(k), bound="ergodic_eps")
-            if vab > 0.0:
-                worst["ergodic_v"] = max(worst["ergodic_v"],
-                                         norm_v_a[k - 1] / vab)
-            if eab > 0.0:
-                worst["ergodic_eps"] = max(worst["ergodic_eps"],
-                                           eps_a[k - 1] / eab)
+def audit(trace, inp):
+    """Replay a trace against every post-hoc inequality.
 
-    return {
-        "checked_prefixes": int(ks.shape[0]),
-        "eps_a_min": eps_a_min,
-        "worst_utilization": worst,
-        "violations": [],
-    }
+    Returns one :class:`Check` per inequality, in a fixed order; a check
+    that cannot run on this trace is reported as skipped, with the reason.
+    """
+    if len(trace) == 0:
+        return [Check(name, SKIP, "empty trace: vacuous pass")
+                for name, _, _ in _CHECKS]
+    return [Check(name, SKIP, "no known solution: d0 and the distances to "
+                              "z* are unknown")
+            if needs_solution and inp.d0 is None else
+            Check(name, *check(trace, inp))
+            for name, needs_solution, check in _CHECKS]

@@ -6,6 +6,7 @@ are rejected so that golden fixtures stay unambiguous.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -15,8 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import bounds, hpe_core, instances, operators, params as params_mod
-from .errors import (CertificationError, ConfigError, MonosplitError,
-                     ParameterError, TheoremViolation)
+from .errors import ConfigError, MonosplitError
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -56,9 +56,10 @@ def load_config(path, seed_override=None):
 
     prob = _expect_keys(raw["problem"], "problem",
                         ("kind", "dimension", "seed"), ("matrix", "offset"))
-    seed = seed_override if seed_override is not None else prob["seed"]
+    if seed_override is not None:
+        prob["seed"] = seed_override  # so the trace meta names the seed run
     problem = operators.make_problem(
-        prob["kind"], prob["dimension"], seed,
+        prob["kind"], prob["dimension"], prob["seed"],
         matrix=prob.get("matrix"), offset=prob.get("offset"))
 
     inst = _expect_keys(raw["instance"], "instance", ("kind",),
@@ -71,12 +72,9 @@ def load_config(path, seed_override=None):
                        ("alpha", "sigma", "beta", "tau", "ramp_iters"))
     params = params_mod.HpeParams.from_dict(par)
 
-    stop_raw = _expect_keys(raw.get("stopping", {}), "stopping", (),
-                            ("rho", "eps_hat", "max_iters"))
-    stop = hpe_core.StoppingRule(
-        rho=stop_raw.get("rho", 1e-8),
-        eps_hat=stop_raw.get("eps_hat", 1e-10),
-        max_iters=stop_raw.get("max_iters", 10 ** 6))
+    stop = hpe_core.StoppingRule(**_expect_keys(
+        raw.get("stopping", {}), "stopping", (),
+        ("rho", "eps_hat", "max_iters")))
 
     sweep = raw.get("sweep")
     if sweep is not None:
@@ -129,13 +127,14 @@ def _run_config(cfg, record_vectors=False):
                            stop=cfg["stop"], record_vectors=record_vectors)
 
 
-def _bound_inputs(cfg, state):
-    problem = cfg["problem"]
-    if problem.known_solution is None:
-        return None
-    d0 = problem.d0(state.z0)
-    return bounds.BoundInputs(d0=d0, lambda_floor=state.lambda_floor,
-                              params=cfg["params"])
+def _audit(cfg, state):
+    return bounds.audit(state.trace, bounds.BoundInputs(
+        d0=cfg["problem"].d0(state.z0), lambda_floor=state.lambda_floor,
+        params=cfg["params"]))
+
+
+def _line(check):
+    return f"[{check.status.upper()}] {check.name}: {check.detail}"
 
 
 def cmd_solve(args):
@@ -157,18 +156,19 @@ def cmd_solve(args):
         "final_norm_v": state.trace.column("norm_v")[-1],
         "final_eps": state.trace.column("eps")[-1],
     }
-    inp = _bound_inputs(cfg, state)
-    if inp is not None:
-        report = bounds.assert_bounds(
-            state.trace, inp, tol=args.tol,
-            check_ergodic=cfg["params"].schedule.is_constant)
-        summary["bound_utilization"] = report["worst_utilization"]
+    checks = _audit(cfg, state)
+    summary["checks"] = [dataclasses.asdict(c) for c in checks]
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
 
     print(f"verdict={state.verdict} k={state.k} "
           f"norm_v={summary['final_norm_v']:.3e} "
           f"eps={summary['final_eps']:.3e}")
+    failed = [c for c in checks if c.status == bounds.FAIL]
+    for check in failed:
+        print(_line(check), file=sys.stderr)
+    if failed:
+        return 3
     return 0 if state.verdict == "solved" else 1
 
 
@@ -177,7 +177,7 @@ def cmd_solve(args):
 # ---------------------------------------------------------------------------
 
 def _bench_cell(payload):
-    config_path, seed, overrides, tol = payload
+    config_path, seed, overrides = payload
     label = {k: overrides[k] for k in sorted(overrides)}
     try:
         cfg = load_config(config_path, seed_override=seed)
@@ -187,18 +187,17 @@ def _bench_cell(payload):
             pdict.pop("beta", None)
         cfg["params"] = params_mod.HpeParams.from_dict(pdict)
         state = _run_config(cfg)
-        worst = math.nan
-        inp = _bound_inputs(cfg, state)
-        if inp is not None:
-            report = bounds.assert_bounds(
-                state.trace, inp, tol=tol,
-                check_ergodic=cfg["params"].schedule.is_constant)
-            worst = float(max(report["worst_utilization"].values()))
-        return (label, "ok", state.verdict, state.k,
-                float(state.trace.column("norm_v")[-1]),
-                float(state.trace.column("eps")[-1]), worst, "")
+        checks = _audit(cfg, state)
     except MonosplitError as exc:
         return (label, "error", "", 0, math.nan, math.nan, math.nan, str(exc))
+    failed = "; ".join(_line(c) for c in checks if c.status == bounds.FAIL)
+    if failed:
+        return (label, "error", "", 0, math.nan, math.nan, math.nan, failed)
+    worst = next(c.utilization for c in checks if c.name == "rate_bounds")
+    return (label, "ok", state.verdict, state.k,
+            float(state.trace.column("norm_v")[-1]),
+            float(state.trace.column("eps")[-1]),
+            math.nan if worst is None else worst, "")
 
 
 def cmd_bench(args):
@@ -212,8 +211,8 @@ def cmd_bench(args):
     for name, values in axes:
         cells = [dict(c, **{name: v}) for c in cells for v in values]
     cells.sort(key=lambda c: tuple(sorted(c.items())))
-    seed = args.seed if args.seed is not None else cfg["raw"]["problem"]["seed"]
-    payloads = [(args.config, seed, cell, args.tol) for cell in cells]
+    seed = cfg["raw"]["problem"]["seed"]
+    payloads = [(args.config, seed, cell) for cell in cells]
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -240,87 +239,29 @@ def cmd_bench(args):
 # certify subcommand
 # ---------------------------------------------------------------------------
 
-def certify_trace(trace, cfg, tol=1e-8):
-    """Re-verify every recorded inequality from trace scalars + config data.
+def certify_trace(trace, cfg):
+    """Audit a recorded trace against the config it was recorded with.
 
-    Returns an ordered list of ``(check_name, passed, detail)``.
+    The inputs are those ``solve`` gives the audit: the run starts at the
+    origin, and the stepsize floor is the inner solver's own.
     """
-    p = cfg["params"]
-    problem = cfg["problem"]
-    results = []
-    n = len(trace)
-    if n == 0:
-        return [("non_empty", True, "empty trace: vacuous pass (warning)")]
-
-    # error criterion, recomputed from the stored squares
-    resid_sq = trace.column("resid_sq")
-    eps = trace.column("eps")
-    lam = trace.column("lam")
-    norm_dz = trace.column("norm_dz")
-    lhs = resid_sq + 2.0 * lam * eps
-    rhs = p.sigma ** 2 * norm_dz ** 2
-    slack = 1e-18 * (1.0 + norm_dz ** 2)
-    ok = (lhs <= slack) | ((rhs > 0) & (lhs <= rhs * (1.0 + 1e-9)))
-    bad = np.nonzero(~ok)[0]
-    results.append(("error_criterion", bad.size == 0,
-                    f"violated at k={bad[0] + 1}" if bad.size else
-                    f"all {n} steps within tolerance"))
-
-    # s_k consistency against its defining max
-    s_rec = trace.column("s_k")
-    step_sq = (p.tau * lam * trace.column("norm_v")) ** 2
-    s_exp = np.maximum(p.eta * step_sq,
-                       (1.0 - p.sigma ** 2) * p.tau * norm_dz ** 2)
-    ok = np.abs(s_rec - s_exp) <= 1e-9 * (1.0 + np.abs(s_exp))
-    bad = np.nonzero(~ok)[0]
-    results.append(("energy_term_consistency", bad.size == 0,
-                    f"mismatch at k={bad[0] + 1}" if bad.size else "exact"))
-
-    dist = trace.column("dist_to_solution")
-    dist_w = trace.column("dist_w")
-    have_dist = not np.any(np.isnan(dist))
-    if have_dist:
-        resid = dist_w ** 2 - dist ** 2 - s_rec
-        floor = -np.maximum(1e-9, 1e-12 * dist_w ** 2)
-        bad = np.nonzero(resid < floor)[0]
-        results.append(("fejer_descent", bad.size == 0,
-                        f"violated at k={bad[0] + 1}" if bad.size else
-                        f"min residual {resid.min():.3e}"))
-
-    if problem.known_solution is not None:
-        z0 = np.zeros(problem.dim)
-        d0 = problem.d0(z0)
-        lhs_sum = np.cumsum(trace.column("step_norm") ** 2)
-        bound = 2.0 * d0 ** 2 / ((1.0 - p.alpha) * p.q_alpha)
-        passed = bool(lhs_sum[-1] <= bound * (1.0 + tol))
-        results.append(("step_summability", passed,
-                        f"sum={lhs_sum[-1]:.6e} bound={bound:.6e}"))
-
-        floor_lam = float(lam.min())
-        inp = bounds.BoundInputs(d0=d0, lambda_floor=floor_lam, params=p)
-        try:
-            bounds.assert_bounds(trace, inp, tol=tol,
-                                 check_ergodic=p.schedule.is_constant)
-            results.append(("rate_bounds", True, "all prefixes within bounds"))
-        except TheoremViolation as exc:
-            results.append(("rate_bounds", False, str(exc)))
-
-    eps_a = trace.column("eps_a")
-    results.append(("aggregated_error_nonneg", bool(eps_a.min() >= -1e-9),
-                    f"min eps_a = {eps_a.min():.3e}"))
-    return results
+    problem, params = cfg["problem"], cfg["params"]
+    _, floor = instances.make_inner_solver(problem, cfg["instance"], params)
+    return bounds.audit(trace, bounds.BoundInputs(
+        d0=problem.d0(np.zeros(problem.dim)), lambda_floor=floor,
+        params=params))
 
 
 def cmd_certify(args):
     cfg = load_config(args.config)
-    trace, _meta = hpe_core.IterationTrace.read_jsonl(args.trace)
-    results = certify_trace(trace, cfg, tol=args.tol)
-    all_ok = True
-    for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        all_ok &= passed
-        print(f"[{status}] {name}: {detail}")
-    return 0 if all_ok else 3
+    trace, meta = hpe_core.IterationTrace.read_jsonl(args.trace)
+    if meta.get("config", cfg["raw"]) != cfg["raw"]:
+        raise ConfigError(f"trace {args.trace} was recorded with another "
+                          f"config than {args.config}")
+    checks = certify_trace(trace, cfg)
+    for check in checks:
+        print(_line(check))
+    return 3 if any(c.status == bounds.FAIL for c in checks) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +288,18 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a parameter sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("certify", help="re-verify a recorded trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_certify)
     return parser
 
@@ -374,7 +312,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, CertificationError, TheoremViolation) as exc:
+    except MonosplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

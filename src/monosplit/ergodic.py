@@ -9,7 +9,7 @@ which lets the state advance in O(1) memory per step; the direct O(k)
 summation stays in the test suite as the oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class ErgodicState:
     v_sum: np.ndarray = None
     eps_sum: float = 0.0
     cross_sum: float = 0.0
-    count: int = 0
 
     def __post_init__(self):
         if self.z_sum is None:
@@ -43,7 +42,6 @@ class ErgodicState:
         self.v_sum += lam * cert.v
         self.eps_sum += lam * cert.eps
         self.cross_sum += lam * linalg.inner(cert.z_tilde, cert.v)
-        self.count += 1
 
     @property
     def z_avg(self):

@@ -7,14 +7,14 @@ criterion
     ||lam v + z~ - w||^2 + 2 lam eps <= sigma^2 ||z~ - w||^2,
 
 then take the relaxed step ``z_next = w - tau lam v``.  Every iteration is
-recorded in a columnar trace; descent/summability/energy inequalities can
-be re-checked from the trace alone.
+recorded in a columnar trace, which :func:`monosplit.bounds.audit` replays
+against every post-hoc inequality.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .errors import CertificationError, ParameterError
 # Round-off allowance for exactly-zero residuals (inner solvers that
 # reconstruct v = (w - z~)/lam reassemble lam*v with a few ulp of error).
 _ZERO_SLACK = 1e-18
+# Relative round-off allowance on the criterion ratio lhs / rhs <= 1.
+CRITERION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,10 @@ class IterationTrace:
             if header:
                 meta.update(header)
             fh.write(json.dumps({"meta": meta}) + "\n")
+            # NaN (no known solution) is written as null: strict JSON
             for row in self.rows():
-                fh.write(json.dumps(row) + "\n")
+                fh.write(json.dumps({name: None if value != value else value
+                                     for name, value in row.items()}) + "\n")
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -122,7 +126,8 @@ class IterationTrace:
                 if missing:
                     raise ParameterError(
                         f"trace line {lineno} missing columns {missing}")
-                trace.append(**{name: row[name] for name in trace.columns})
+                trace.append(**{name: math.nan if row[name] is None
+                                else row[name] for name in trace.columns})
         return trace, meta
 
 
@@ -138,7 +143,6 @@ class SolverState:
     verdict: str
     params: object
     lambda_floor: float
-    z_star: np.ndarray
     ergodic: ErgodicState
     trace: IterationTrace
     z_history: list = None
@@ -159,7 +163,17 @@ def extrapolate(z_curr, z_prev, alpha_k, alpha_max=None):
     return z_curr + alpha_k * (z_curr - z_prev)
 
 
-def _error_ratio(resid_sq, lam, eps, dz_sq, sigma, tol, k=None):
+def _criterion_terms(cert, w):
+    """``(||lam v + z~ - w||^2, ||z~ - w||^2)`` of one certificate.
+
+    ``z~ - w`` is formed first, so the residual does not cancel at the
+    scale of ``|w|``.
+    """
+    dz = cert.z_tilde - w
+    return linalg.norm_sq(cert.lam * cert.v + dz), linalg.norm_sq(dz)
+
+
+def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=None):
     lhs = resid_sq + 2.0 * lam * eps
     rhs = sigma * sigma * dz_sq
     slack = _ZERO_SLACK * (1.0 + dz_sq)
@@ -170,23 +184,32 @@ def _error_ratio(resid_sq, lam, eps, dz_sq, sigma, tol, k=None):
             f"criterion violated at k={k}: lhs={lhs} with sigma=0",
             k=k, ratio=math.inf)
     ratio = lhs / rhs
-    if ratio > 1.0 + tol:
+    if not ratio <= 1.0 + CRITERION_TOL:  # so that a NaN ratio fails
         raise CertificationError(
             f"criterion violated at k={k}: ratio={ratio}", k=k, ratio=ratio)
     return ratio
 
 
-def certify(cert, w, sigma, tol=1e-9):
+def _energy_term(relax_sq, dz_sq, params):
+    """Energy term ``max(eta ||z_k - w||^2, (1-sigma^2) tau ||z~ - w||^2)``.
+
+    ``relax_sq`` is ``||z_k - w||^2`` and ``dz_sq`` is ``||z~ - w||^2``.
+    """
+    return max(params.eta * relax_sq,
+               (1.0 - params.sigma * params.sigma) * params.tau * dz_sq)
+
+
+def certify(cert, w, sigma):
     """Check the relative-error criterion; return the lhs/rhs ratio.
 
     The convention 0/0 -> 0 covers exact fixed points.  Raises
-    :class:`CertificationError` when the ratio exceeds ``1 + tol``.
+    :class:`CertificationError` when the ratio exceeds
+    ``1 + CRITERION_TOL``.
     """
     if not (0.0 <= sigma < 1.0):
         raise ParameterError(f"sigma must lie in [0, 1), got {sigma}")
-    resid = cert.lam * cert.v + cert.z_tilde - w
-    return _error_ratio(linalg.norm_sq(resid), cert.lam, cert.eps,
-                        linalg.norm_sq(cert.z_tilde - w), sigma, tol)
+    resid_sq, dz_sq = _criterion_terms(cert, w)
+    return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma)
 
 
 def relax_update(w, cert, tau):
@@ -201,7 +224,7 @@ def relax_update(w, cert, tau):
 # ---------------------------------------------------------------------------
 
 def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
-        record_vectors=False, certify_tol=1e-9, z_star=None):
+        record_vectors=False):
     """Iterate the framework until the stopping rule fires or the cap hits.
 
     Parameters
@@ -216,7 +239,6 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
     lambda_floor : enforced lower bound on every certificate stepsize.
     record_vectors : keep per-iteration vectors (needed by post-hoc checks
         that go beyond the scalar trace; memory grows with k * dim).
-    z_star : known solution override for the distance columns.
 
     Returns
     -------
@@ -228,11 +250,10 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
             raise ParameterError("need either a problem or an explicit z0")
         z0 = np.zeros(problem.dim)
     z0 = linalg.as_vector(z0)
-    if z_star is None and problem is not None:
-        z_star = problem.known_solution
-    params.validate(horizon=1)
+    z_star = None if problem is None else problem.known_solution
+    params.validate()
 
-    sigma, tau, eta = params.sigma, params.tau, params.eta
+    sigma, tau = params.sigma, params.tau
     z_prev = z0.copy()
     z = z0.copy()
     trace = IterationTrace()
@@ -255,19 +276,15 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
         if cert.eps < 0.0:
             raise CertificationError(f"negative eps {cert.eps} at k={k}", k=k)
 
-        resid = cert.lam * cert.v + cert.z_tilde - w
-        resid_sq = linalg.norm_sq(resid)
-        dz_sq = linalg.norm_sq(cert.z_tilde - w)
-        ratio = _error_ratio(resid_sq, cert.lam, cert.eps, dz_sq, sigma,
-                             certify_tol, k=k)
+        resid_sq, dz_sq = _criterion_terms(cert, w)
+        ratio = _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma, k=k)
 
         z_next = relax_update(w, cert, tau)
         if not np.all(np.isfinite(z_next)):
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
 
         step_sq = linalg.norm_sq(z_next - z)
-        s_k = max(eta * linalg.norm_sq(z_next - w),
-                  (1.0 - sigma * sigma) * tau * dz_sq)
+        s_k = _energy_term(linalg.norm_sq(z_next - w), dz_sq, params)
         erg.update(cert)
 
         norm_v = math.sqrt(linalg.norm_sq(cert.v))
@@ -296,94 +313,5 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
 
     return SolverState(
         k=k, z_curr=z, z_prev=z_prev, w=w, z0=z0, verdict=verdict,
-        params=params, lambda_floor=lambda_floor, z_star=z_star,
-        ergodic=erg, trace=trace, z_history=z_hist, w_history=w_hist,
-        certificates=certs)
-
-
-# ---------------------------------------------------------------------------
-# Post-hoc inequality checks (scalar-trace based)
-# ---------------------------------------------------------------------------
-
-def _check_tol(values, scale=1.0):
-    return np.maximum(1e-9, 1e-12 * np.abs(values) * scale)
-
-
-def fejer_check(state, z_star=None):
-    """Per-iteration descent residuals ``||w-z*||^2 - ||z-z*||^2 - s_k``.
-
-    All residuals are nonnegative (up to round-off) on certified runs.
-    """
-    if z_star is None:
-        dist_w = state.trace.column("dist_w")
-        dist_z = state.trace.column("dist_to_solution")
-        if np.any(np.isnan(dist_w)):
-            raise ParameterError(
-                "no solution recorded in the trace; pass z_star and run "
-                "with record_vectors=True")
-    else:
-        if state.w_history is None:
-            raise ParameterError(
-                "explicit z_star needs a run with record_vectors=True")
-        z_star = linalg.as_vector(z_star)
-        dist_w = np.array([math.sqrt(linalg.norm_sq(w - z_star))
-                           for w in state.w_history])
-        dist_z = np.array([math.sqrt(linalg.norm_sq(z - z_star))
-                           for z in state.z_history[1:]])
-    s = state.trace.column("s_k")
-    return dist_w ** 2 - dist_z ** 2 - s
-
-
-def summability_check(state):
-    """Step-sum bound, the monotone energy sequence and its diagnostics.
-
-    Returns a dict with the partial sums of ``||z_k - z_{k-1}||^2``, the
-    guaranteed bound ``2 d0^2 / ((1-alpha) q(alpha))``, the ``mu``
-    sequence (nonincreasing), and the partial sums of
-    ``alpha_k ||z_k - z_{k-1}||^2`` (the classical summability diagnostic).
-    """
-    p = state.params
-    if state.z_star is None:
-        raise ParameterError("summability check needs a known solution")
-    steps_sq = state.trace.column("step_norm") ** 2
-    k = steps_sq.shape[0]
-    phi = np.empty(k + 1)
-    phi[0] = linalg.norm_sq(state.z0 - state.z_star)
-    phi[1:] = state.trace.column("dist_to_solution") ** 2
-
-    lhs = np.cumsum(steps_sq)
-    rhs = 2.0 * phi[0] / ((1.0 - p.alpha) * p.q_alpha)
-
-    alphas = np.array([p.schedule.value(j) for j in range(1, k + 2)])
-    gamma = (1.0 - p.eta) * alphas ** 2 + (1.0 + p.eta) * alphas
-    mu = np.empty(k + 1)
-    mu[0] = (1.0 - alphas[0]) * phi[0]
-    for j in range(1, k + 1):
-        # gamma index j uses alpha_j = schedule value at iteration j+1
-        mu[j] = phi[j] - alphas[j - 1] * phi[j - 1] + gamma[j] * steps_sq[j - 1]
-
-    cond16 = np.cumsum(alphas[:k] * steps_sq)
-    return {
-        "partial_sums": lhs,
-        "bound": rhs,
-        "mu": mu,
-        "mu_increments": np.diff(mu),
-        "condition16_partial_sums": cond16,
-    }
-
-
-def energy_check(state):
-    """Telescoped prefix-energy inequality.
-
-    Returns ``(lhs, rhs)`` where for every prefix k
-
-        lhs_k = ||z_k - z*||^2 + sum_{j<=k} s_j  <=  rhs = inflation * d0^2.
-    """
-    p = state.params
-    if state.z_star is None:
-        raise ParameterError("energy check needs a known solution")
-    d0_sq = linalg.norm_sq(state.z0 - state.z_star)
-    dist_sq = state.trace.column("dist_to_solution") ** 2
-    lhs = dist_sq + np.cumsum(state.trace.column("s_k"))
-    rhs = p.energy_inflation() * d0_sq
-    return lhs, rhs
+        params=params, lambda_floor=lambda_floor, ergodic=erg, trace=trace,
+        z_history=z_hist, w_history=w_hist, certificates=certs)

@@ -61,14 +61,3 @@ def norm(a):
     """Induced norm ``sqrt(<a, a>)``."""
     return math.sqrt(norm_sq(a))
 
-
-def convex_combine(p, w, z):
-    """Affine combination ``p*w + (1 - p)*z`` (any real ``p``).
-
-    Satisfies ``||p w + (1-p) z||^2 =
-    p ||w||^2 + (1-p) ||z||^2 - p (1-p) ||w - z||^2`` for every real ``p``.
-    """
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    check_same_dim(w, z)
-    return p * w + (1.0 - p) * z

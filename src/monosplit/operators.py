@@ -303,7 +303,7 @@ class TestProblem:
     """
 
     def __init__(self, kind, dim, seed, resolvent, forward=None,
-                 affine_T=None, known_solution=None, box=None, data=None):
+                 affine_T=None, known_solution=None, data=None):
         self.kind = kind
         self.dim = dim
         self.seed = seed
@@ -311,7 +311,6 @@ class TestProblem:
         self.forward = forward
         self.affine_T = affine_T
         self.known_solution = known_solution
-        self.box = box
         self.data = data or {}
 
     @property
@@ -334,12 +333,6 @@ class TestProblem:
         else:
             z_next, _ = self.resolvent.resolve(1.0, z - self.forward(z))
         return linalg.norm(z - z_next)
-
-    def to_dict(self):
-        d = {"kind": self.kind, "dimension": self.dim, "seed": self.seed}
-        d.update({k: v.tolist() if isinstance(v, np.ndarray) else v
-                  for k, v in self.data.items()})
-        return d
 
 
 def _psd_plus_skew(rng, n, ridge):
@@ -364,6 +357,10 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         if matrix is not None:
             A = np.asarray(matrix, dtype=float)
             b = linalg.as_vector(offset)
+            if A.shape != (dimension, dimension) or b.shape != (dimension,):
+                raise ParameterError(
+                    f"matrix {A.shape} and offset {b.shape} do not match "
+                    f"dimension {dimension}")
         else:
             A = _psd_plus_skew(rng, dimension, 0.5)
             b = rng.standard_normal(dimension)
@@ -393,7 +390,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
             known = solve_box_qp_bruteforce(Q, c, lower, upper)
         return TestProblem(
             kind, dimension, seed, resolvent=box, forward=F,
-            known_solution=known, box=(lower, upper),
+            known_solution=known,
             data={"matrix": Q, "offset": c, "lower": lower, "upper": upper})
 
     if kind == "bilinear_saddle":

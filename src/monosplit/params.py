@@ -10,7 +10,7 @@ the admissibility condition ``alpha < beta``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
@@ -166,7 +166,7 @@ class HpeParams:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, horizon=1000, tol=1e-10):
+    def validate(self, tol=1e-10):
         """Assert every invariant of the bundle; return ``self``.
 
         Raises :class:`ParameterError` naming the violated condition.
@@ -194,15 +194,10 @@ class HpeParams:
                 f"q(beta') = {q_root} not zero within {tol}")
         if self.schedule is None or self.schedule.alpha != self.alpha:
             raise ParameterError("schedule upper bound differs from alpha")
-        prev = -1.0
-        for k in range(1, horizon + 1):
-            a_k = self.schedule.value(k)
-            if not (0.0 <= a_k <= self.alpha + 1e-15):
-                raise ParameterError(
-                    f"schedule value {a_k} at k={k} outside [0, alpha]")
-            if a_k < prev - 1e-15:
-                raise ParameterError(f"schedule decreasing at k={k}")
-            prev = a_k
+        # a linear ramp from 0 to alpha is monotone and stays in [0, alpha]
+        if self.schedule.ramp_iters < 0:
+            raise ParameterError(
+                f"ramp_iters must be >= 0, got {self.schedule.ramp_iters}")
         return self
 
     # -- derived quantities ----------------------------------------------
@@ -214,10 +209,6 @@ class HpeParams:
         """
         a = self.alpha
         return 1.0 + 2.0 * a * (1.0 + a) / ((1.0 - a) ** 2 * self.q_alpha)
-
-    def with_schedule(self, ramp_iters):
-        p = replace(self, schedule=AlphaSchedule(self.alpha, ramp_iters))
-        return p.validate()
 
     # -- serialization ----------------------------------------------------
 

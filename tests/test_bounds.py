@@ -110,6 +110,17 @@ def test_bound_inputs_validation():
         BoundInputs(d0=1.0, lambda_floor=0.0, params=PLAIN)
 
 
+def test_bounds_need_known_d0(certified_run):
+    state, _ = certified_run
+    inp = BoundInputs(d0=None, lambda_floor=1.0, params=PLAIN)
+    for call in (lambda: assert_bounds(state.trace, inp),
+                 lambda: iteration_budget(0.1, 1.0, inp),
+                 lambda: pointwise_bounds(inp, 1),
+                 lambda: ergodic_bounds(inp, 1)):
+        with pytest.raises(ParameterError, match="d0 is unknown"):
+            call()
+
+
 # -- trace assertion harness -------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -148,7 +159,26 @@ def test_assert_bounds_detects_understated_d0():
         assert_bounds(state.trace, bad)
 
 
-def test_assert_bounds_detects_negative_eps_a(certified_run):
+def test_assert_bounds_matches_prefix_loop(certified_run):
+    # reference: the streaming witness and per-prefix closed forms, one
+    # prefix at a time
+    state, inp = certified_run
+    norm_v, eps, s_k = (state.trace.column(c)
+                        for c in ("norm_v", "eps", "s_k"))
+    best, worst_v, worst_eps = 0, 0.0, 0.0
+    for k in range(1, len(state.trace) + 1):
+        if s_k[k - 1] < s_k[best]:
+            best = k - 1
+        vb, eb = pointwise_bounds(inp, k)
+        assert norm_v[best] <= vb and eps[best] <= eb
+        worst_v = max(worst_v, norm_v[best] / vb)
+        worst_eps = max(worst_eps, eps[best] / eb)
+    worst = assert_bounds(state.trace, inp)["worst_utilization"]
+    assert (worst["pointwise_v"], worst["pointwise_eps"]) == (
+        worst_v, worst_eps)
+
+
+def test_audit_detects_negative_eps_a(certified_run):
     state, inp = certified_run
     trace = hpe_core.IterationTrace()
     for row in state.trace.rows():
@@ -156,8 +186,9 @@ def test_assert_bounds_detects_negative_eps_a(certified_run):
         row.pop("k")
         trace.append(**row)
     trace.columns["eps_a"][5] = -1.0
-    with pytest.raises(TheoremViolation, match="k=6"):
-        assert_bounds(trace, inp)
+    checks = {c.name: c for c in bounds.audit(trace, inp)}
+    check = checks["aggregated_error_nonneg"]
+    assert (check.status, check.detail) == (bounds.FAIL, "eps_a < 0 at k=6")
 
 
 def test_assert_bounds_empty_trace_vacuous():
@@ -165,9 +196,3 @@ def test_assert_bounds_empty_trace_vacuous():
                            BoundInputs(d0=1.0, lambda_floor=1.0,
                                        params=PLAIN))
     assert report["checked_prefixes"] == 0
-
-
-def test_assert_bounds_prefix_subset(certified_run):
-    state, inp = certified_run
-    report = assert_bounds(state.trace, inp, prefixes=[1, 5, len(state.trace)])
-    assert report["checked_prefixes"] == 3

@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from monosplit import cli
+from monosplit import cli, hpe_core
 from monosplit.errors import ConfigError
 
 
@@ -37,18 +38,84 @@ FIXTURES = [
 ]
 
 
-@pytest.mark.parametrize("cfg", FIXTURES,
-                         ids=[c["problem"]["kind"] for c in FIXTURES])
-def test_solve_certify_roundtrip(tmp_path, cfg):
+def solve_and_certify(tmp_path, capsys, cfg):
+    """Solve, then certify the trace; return the summary and the
+    ``(name, status)`` pairs that each command reports."""
     path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
-    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
-    assert (out / "trace.jsonl").exists()
-    assert (out / "trace.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["verdict"] == "solved"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
     assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
                      "--config", path]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    printed = [line.split(":")[0].split("] ")
+               for line in capsys.readouterr().out.splitlines()]
+    certified = [(name, status[1:].lower()) for status, name in printed]
+    solved = [(c["name"], c["status"]) for c in summary["checks"]]
+    return summary, solved, certified
+
+
+@pytest.mark.parametrize("cfg", FIXTURES,
+                         ids=[c["problem"]["kind"] for c in FIXTURES])
+def test_solve_certify_roundtrip(tmp_path, capsys, cfg):
+    summary, solved, certified = solve_and_certify(tmp_path, capsys, cfg)
+    assert (tmp_path / "run" / "trace.csv").exists()
+    assert summary["verdict"] == "solved"
+    # the same audit, with the same inputs, behind both commands
+    assert solved == certified
+    assert {status for _, status in solved} == {"pass"}
+
+
+def no_solution_config():
+    # no exact solution is computed for box problems above n = 12
+    cfg = base_config(kind="box_constrained_quadratic",
+                      instance="forward_backward", dim=16, sigma=0.7,
+                      beta=0.4)
+    cfg["stopping"]["max_iters"] = 200
+    return cfg
+
+
+def test_certify_without_solution_reports_every_check(tmp_path, capsys):
+    summary, solved, certified = solve_and_certify(
+        tmp_path, capsys, no_solution_config())
+    assert solved == certified
+    assert [name for name, status in solved if status == "skip"] == [
+        "fejer_descent", "step_summability", "energy_bound",
+        "mu_nonincreasing", "rate_bounds"]
+    assert all(c["detail"] for c in summary["checks"])
+
+
+def test_trace_without_solution_is_strict_json(tmp_path):
+    path = write_config(tmp_path, no_solution_config())
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) in (0, 1)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (out / "trace.jsonl").read_text()
+    rows = [json.loads(line, parse_constant=reject)
+            for line in text.splitlines()]
+    assert rows[1]["dist_to_solution"] is None
+    trace, meta = hpe_core.IterationTrace.read_jsonl(out / "trace.jsonl")
+    assert np.isnan(trace.column("dist_w")).all()
+    trace.write_jsonl(tmp_path / "again.jsonl", header=meta)
+    assert (tmp_path / "again.jsonl").read_text() == text
+
+
+def test_certify_refuses_trace_of_another_config(tmp_path, capsys):
+    kw = dict(kind="box_constrained_quadratic", instance="forward_backward",
+              sigma=0.7, beta=0.4)
+    path = write_config(tmp_path, base_config(seed=3, **kw), "seed3.json")
+    other = write_config(tmp_path, base_config(seed=4, **kw), "seed4.json")
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
+                     "--config", other]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_solve_determinism_byte_identical(tmp_path):
@@ -75,6 +142,39 @@ def test_certify_detects_corrupted_eps(tmp_path):
     (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
     assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
                      "--config", path]) == 3
+
+
+# every column an audit check reads
+AUDITED_COLUMNS = ("norm_v", "eps", "lam", "step_norm", "s_k",
+                   "dist_to_solution", "resid_sq", "norm_dz", "dist_w",
+                   "norm_v_a", "eps_a")
+
+
+@pytest.fixture(scope="module")
+def solved_box(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("box")
+    cfg = base_config(kind="box_constrained_quadratic",
+                      instance="forward_backward", sigma=0.7, beta=0.4)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    return path, (out / "trace.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize("value", ["null", "NaN"])
+@pytest.mark.parametrize("column", AUDITED_COLUMNS)
+def test_certify_fails_non_finite_value(tmp_path, capsys, solved_box,
+                                        column, value):
+    path, lines = solved_box
+    row = json.loads(lines[5])
+    row[column] = None
+    lines = list(lines)
+    lines[5] = json.dumps(row).replace("null", value)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert cli.main(["certify", "--trace", str(trace),
+                     "--config", path]) == 3
+    assert "[FAIL]" in capsys.readouterr().out
 
 
 def test_certify_empty_trace_vacuous(tmp_path, capsys):
@@ -104,6 +204,31 @@ def test_config_rejects_wrong_schema_version(tmp_path):
 
 def test_config_invalid_params_reported(tmp_path):
     cfg = base_config(alpha=0.5, beta=1.0 / 3.0)  # alpha >= beta
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("problem", [
+    # singular: the solution oracle fails
+    {"kind": "affine_inclusion", "dimension": 2, "seed": 0,
+     "matrix": [[0.0, 0.0], [0.0, 0.0]], "offset": [1.0, 1.0]},
+    # data for n = 2 under a dimension of 3
+    {"kind": "affine_inclusion", "dimension": 3, "seed": 0,
+     "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [1.0, 1.0]},
+], ids=["singular", "wrong_dimension"])
+def test_config_bad_affine_data_reported(tmp_path, capsys, problem):
+    cfg = base_config()
+    cfg["problem"] = problem
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_negative_ramp_reported(tmp_path):
+    cfg = base_config()
+    cfg["params"]["ramp_iters"] = -5
     path = write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "o")]) == 3

@@ -46,15 +46,6 @@ def test_inner_compensated_path_matches_fsum_oracle():
     assert linalg.inner(a, b) == expected
 
 
-def test_convex_combine_endpoints_and_midpoint():
-    w = np.array([2.0, 0.0])
-    z = np.array([0.0, 2.0])
-    np.testing.assert_array_equal(linalg.convex_combine(1.0, w, z), w)
-    np.testing.assert_array_equal(linalg.convex_combine(0.0, w, z), z)
-    np.testing.assert_array_equal(linalg.convex_combine(0.5, w, z),
-                                  np.array([1.0, 1.0]))
-
-
 def test_combination_identity_randomized():
     # ||p w + (1-p) z||^2 = p||w||^2 + (1-p)||z||^2 - p(1-p)||w-z||^2
     rng = np.random.default_rng(2)
@@ -63,7 +54,7 @@ def test_combination_identity_randomized():
         p = float(rng.uniform(-2.0, 3.0))  # identity holds for all real p
         w = rng.standard_normal(n)
         z = rng.standard_normal(n)
-        lhs = linalg.norm_sq(linalg.convex_combine(p, w, z))
+        lhs = linalg.norm_sq(p * w + (1.0 - p) * z)
         rhs = (p * linalg.norm_sq(w) + (1.0 - p) * linalg.norm_sq(z)
                - p * (1.0 - p) * linalg.norm_sq(w - z))
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))

@@ -296,6 +296,9 @@ def test_make_problem_rejects_bad_inputs():
         make_problem("affine_inclusion", 0, 0)
     with pytest.raises(ParameterError):
         make_problem("bilinear_saddle", 5, 0)  # odd dimension
+    with pytest.raises(ParameterError):
+        make_problem("affine_inclusion", 3, 0, matrix=np.eye(2),
+                     offset=np.ones(2))
 
 
 def test_affine_zero_point_singular_raises():
