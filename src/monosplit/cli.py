@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,6 +38,47 @@ def _expect_keys(d, context, required, optional=()):
     return d
 
 
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _is_vector(x):
+    return isinstance(x, list) and all(_is_real(v) for v in x)
+
+
+def _is_matrix(x):
+    return (isinstance(x, list) and all(_is_vector(row) for row in x)
+            and len({len(row) for row in x}) <= 1)
+
+
+_INTEGER = ("an integer", _is_integer)
+_REAL = ("a finite real number", _is_real)
+# The value type of every numeric field outside "sweep", by field name.
+_FIELD_TYPES = {
+    "dimension": _INTEGER, "seed": _INTEGER, "max_iters": _INTEGER,
+    "ramp_iters": _INTEGER,
+    "alpha": _REAL, "sigma": _REAL, "beta": _REAL, "tau": _REAL,
+    "lambda": _REAL, "lambda_floor": _REAL, "rho": _REAL, "eps_hat": _REAL,
+    "matrix": ("a list of numeric rows of equal length", _is_matrix),
+    "offset": ("a list of numbers", _is_vector),
+}
+
+
+def _expect_types(d, context):
+    for key, value in d.items():
+        if key in _FIELD_TYPES:
+            kind, ok = _FIELD_TYPES[key]
+            if not ok(value):
+                raise ConfigError(f"{context}.{key} must be {kind}, "
+                                  f"got {json.dumps(value)}")
+    return d
+
+
 def load_config(path, seed_override=None):
     """Parse and validate an experiment config file."""
     try:
@@ -58,27 +98,33 @@ def load_config(path, seed_override=None):
                         ("kind", "dimension", "seed"), ("matrix", "offset"))
     if seed_override is not None:
         prob["seed"] = seed_override  # so the trace meta names the seed run
+    _expect_types(prob, "problem")
     problem = operators.make_problem(
         prob["kind"], prob["dimension"], prob["seed"],
         matrix=prob.get("matrix"), offset=prob.get("offset"))
 
-    inst = _expect_keys(raw["instance"], "instance", ("kind",),
-                        ("lambda", "lambda_floor"))
+    inst = _expect_types(_expect_keys(raw["instance"], "instance", ("kind",),
+                                      ("lambda", "lambda_floor")), "instance")
     config = instances.InstanceConfig(
         kind=inst["kind"], lam=inst.get("lambda"),
         lambda_floor=inst.get("lambda_floor"))
 
-    par = _expect_keys(raw["params"], "params", (),
-                       ("alpha", "sigma", "beta", "tau", "ramp_iters"))
+    par = _expect_types(_expect_keys(
+        raw["params"], "params", (),
+        ("alpha", "sigma", "beta", "tau", "ramp_iters")), "params")
     params = params_mod.HpeParams.from_dict(par)
 
-    stop = hpe_core.StoppingRule(**_expect_keys(
+    stop = hpe_core.StoppingRule(**_expect_types(_expect_keys(
         raw.get("stopping", {}), "stopping", (),
-        ("rho", "eps_hat", "max_iters")))
+        ("rho", "eps_hat", "max_iters")), "stopping"))
 
     sweep = raw.get("sweep")
     if sweep is not None:
         _expect_keys(sweep, "sweep", (), ("alpha", "sigma", "beta", "tau"))
+        for name, grid in sweep.items():
+            if not _is_vector(grid):
+                raise ConfigError(f"sweep.{name} must be a list of finite "
+                                  f"real numbers, got {json.dumps(grid)}")
         if not any(sweep.get(k) for k in ("alpha", "sigma", "beta", "tau")):
             raise ConfigError("sweep present but every grid is empty")
 
@@ -122,9 +168,9 @@ def cmd_params(args):
 # solve subcommand
 # ---------------------------------------------------------------------------
 
-def _run_config(cfg, record_vectors=False):
+def _run_config(cfg):
     return instances.solve(cfg["problem"], cfg["instance"], cfg["params"],
-                           stop=cfg["stop"], record_vectors=record_vectors)
+                           stop=cfg["stop"])
 
 
 def _audit(cfg, state):
@@ -176,28 +222,30 @@ def cmd_solve(args):
 # bench subcommand
 # ---------------------------------------------------------------------------
 
-def _bench_cell(payload):
-    config_path, seed, overrides = payload
-    label = {k: overrides[k] for k in sorted(overrides)}
+def _bench_cell(cfg, overrides):
+    """Solve one sweep cell on the sweep's shared problem; return its CSV row.
+
+    The cell's parameters go into a copy of ``cfg``; the problem, instance
+    and stopping rule are shared by every cell.
+    """
+    row = [repr(float(v)) for v in overrides.values()]
     try:
-        cfg = load_config(config_path, seed_override=seed)
-        pdict = cfg["params"].to_dict()
-        pdict.update(overrides)
+        pdict = dict(cfg["params"].to_dict(), **overrides)
         if "tau" in overrides:
             pdict.pop("beta", None)
-        cfg["params"] = params_mod.HpeParams.from_dict(pdict)
-        state = _run_config(cfg)
-        checks = _audit(cfg, state)
+        cell = dict(cfg, params=params_mod.HpeParams.from_dict(pdict))
+        state = _run_config(cell)
+        checks = _audit(cell, state)
     except MonosplitError as exc:
-        return (label, "error", "", 0, math.nan, math.nan, math.nan, str(exc))
+        return row + ["error", "", 0, "nan", "nan", "nan", str(exc)]
     failed = "; ".join(_line(c) for c in checks if c.status == bounds.FAIL)
     if failed:
-        return (label, "error", "", 0, math.nan, math.nan, math.nan, failed)
+        return row + ["error", "", 0, "nan", "nan", "nan", failed]
     worst = next(c.utilization for c in checks if c.name == "rate_bounds")
-    return (label, "ok", state.verdict, state.k,
-            float(state.trace.column("norm_v")[-1]),
-            float(state.trace.column("eps")[-1]),
-            math.nan if worst is None else worst, "")
+    return row + ["ok", state.verdict, state.k,
+                  repr(float(state.trace.column("norm_v")[-1])),
+                  repr(float(state.trace.column("eps")[-1])),
+                  repr(math.nan if worst is None else worst), ""]
 
 
 def cmd_bench(args):
@@ -205,33 +253,23 @@ def cmd_bench(args):
     sweep = cfg["sweep"]
     if not sweep:
         raise ConfigError("bench needs a nonempty 'sweep' section")
-    axes = [(name, sweep[name]) for name in ("alpha", "sigma", "beta", "tau")
-            if sweep.get(name)]
+    # each cell lists its overrides in grid order, the CSV's column order
+    grid_names = [name for name in ("alpha", "sigma", "beta", "tau")
+                  if sweep.get(name)]
     cells = [{}]
-    for name, values in axes:
-        cells = [dict(c, **{name: v}) for c in cells for v in values]
+    for name in grid_names:
+        cells = [dict(c, **{name: v}) for c in cells for v in sweep[name]]
     cells.sort(key=lambda c: tuple(sorted(c.items())))
-    seed = cfg["raw"]["problem"]["seed"]
-    payloads = [(args.config, seed, cell) for cell in cells]
-
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_cell, payloads))
-    else:
-        results = [_bench_cell(p) for p in payloads]
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    grid_names = [name for name, _ in axes]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(grid_names + ["status", "verdict", "iterations",
                                       "final_norm_v", "final_eps",
                                       "worst_bound_utilization", "error"])
-        for label, status, verdict, k, nv, eps, worst, err in results:
-            writer.writerow([repr(float(label[g])) for g in grid_names]
-                            + [status, verdict, k, repr(nv), repr(eps),
-                               repr(worst), err])
-    print(f"wrote {len(results)} rows to {args.out}")
+        for cell in cells:
+            writer.writerow(_bench_cell(cfg, cell))
+    print(f"wrote {len(cells)} rows to {args.out}")
     return 0
 
 
@@ -294,7 +332,9 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    # only 1, the value perfbench/run.py passes: every cell runs in this
+    # process, on the one problem the command builds
+    p.add_argument("--jobs", type=int, default=1, choices=[1])
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("certify", help="re-verify a recorded trace")

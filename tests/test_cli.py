@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from monosplit import cli, hpe_core
+from monosplit import cli, hpe_core, operators
 from monosplit.errors import ConfigError
 
 
@@ -226,6 +226,27 @@ def test_config_bad_affine_data_reported(tmp_path, capsys, problem):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("stopping", "max_iters", 1e5),
+    ("stopping", "max_iters", True),
+    ("problem", "dimension", "4"),
+    ("problem", "seed", "x"),
+    ("problem", "matrix", [[2.0, 0.0], [0.0]]),
+    ("params", "alpha", "0.1"),
+    ("stopping", "rho", "1e-6"),
+], ids=["max_iters_float", "max_iters_bool", "dimension_str", "seed_str",
+        "ragged_matrix", "alpha_str", "rho_str"])
+def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
+    cfg = base_config()
+    cfg[section][field] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert field in err[0]
+
+
 def test_config_negative_ramp_reported(tmp_path):
     cfg = base_config()
     cfg["params"]["ramp_iters"] = -5
@@ -243,17 +264,52 @@ def test_config_stepsize_over_cap_reported(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
-def test_bench_sweep_and_determinism(tmp_path):
+def test_bench_sweep_and_determinism(tmp_path, monkeypatch):
+    # affine ppm: the cells share the problem's LU cache
     cfg = base_config(sweep={"alpha": [0.0, 0.3]})
     path = write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
+    builds = []
+    make_problem = operators.make_problem
+
+    def counted(*args, **kwargs):
+        builds.append(args[:3])
+        return make_problem(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "make_problem", counted)
     assert cli.main(["bench", "--config", path, "--out", str(out1)]) == 0
+    assert len(builds) == 1
+    # the benchmark harness's fixed command line
+    assert cli.main(["bench", "--config", path, "--out", str(out2),
+                     "--jobs", "1"]) == 0
+    assert len(builds) == 2
+    assert out1.read_bytes() == out2.read_bytes()
+    monkeypatch.undo()
+
     with open(out1) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["alpha"] for r in rows] == ["0.0", "0.3"]
     assert all(r["status"] == "ok" and r["verdict"] == "solved" for r in rows)
-    assert cli.main(["bench", "--config", path, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # each row is the cell's own solve
+    for row in rows:
+        cell = base_config(alpha=float(row["alpha"]))
+        cell_path = write_config(tmp_path, cell, f"cell{row['alpha']}.json")
+        out = tmp_path / f"cell{row['alpha']}"
+        assert cli.main(["solve", "--config", cell_path,
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert int(row["iterations"]) == summary["iterations"]
+        assert float(row["final_norm_v"]) == summary["final_norm_v"]
+        assert float(row["final_eps"]) == summary["final_eps"]
+
+
+def test_bench_jobs_other_than_one_is_a_usage_error(tmp_path):
+    path = write_config(tmp_path, base_config(sweep={"alpha": [0.0]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--config", path, "--out",
+                  str(tmp_path / "g.csv"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_bench_cell_failure_is_recorded_not_fatal(tmp_path):
