@@ -67,6 +67,8 @@ _FIELD_TYPES = {
     "matrix": ("a list of numeric rows of equal length", _is_matrix),
     "offset": ("a list of numbers", _is_vector),
 }
+# The least value of an integer field, where the library needs one.
+_FIELD_MINIMA = {"seed": 0, "max_iters": 1}
 
 
 def _expect_types(d, context):
@@ -76,6 +78,9 @@ def _expect_types(d, context):
             if not ok(value):
                 raise ConfigError(f"{context}.{key} must be {kind}, "
                                   f"got {json.dumps(value)}")
+        if key in _FIELD_MINIMA and value < _FIELD_MINIMA[key]:
+            raise ConfigError(f"{context}.{key} must be >= "
+                              f"{_FIELD_MINIMA[key]}, got {value}")
     return d
 
 

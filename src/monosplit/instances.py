@@ -49,7 +49,8 @@ def tseng_step(F, B, w, lam, sigma):
 
     ``v = F(z~) - F(P(w)) + (w - z~)/lam`` lies in ``(F+B)(z~)`` exactly;
     the Lipschitz bound plus projection nonexpansiveness give the error
-    criterion with ``eps = 0``.
+    criterion with ``eps = 0``.  For an affine ``F`` the difference is its
+    linear part at ``z~ - P(w)``, which does not cancel near the solution.
     """
     if not (0.0 < sigma < 1.0):
         raise ParameterError(f"tseng needs sigma in (0, 1), got {sigma}")
@@ -60,7 +61,11 @@ def tseng_step(F, B, w, lam, sigma):
     w_proj = F.project_domain(w)
     f_w = F(w_proj)
     z_tilde, _ = B.resolve(lam, w - lam * f_w)
-    v = F(z_tilde) - f_w + (w - z_tilde) / lam
+    if F.linear is None:
+        diff = F(z_tilde) - f_w
+    else:
+        diff = F.linear(z_tilde - w_proj)
+    v = diff + (w - z_tilde) / lam
     return Certificate(z_tilde=z_tilde, v=v, eps=0.0, lam=lam)
 
 

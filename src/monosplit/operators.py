@@ -7,6 +7,7 @@ operators only; composite instances are certified through the additive
 decomposition of enlargements.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -39,8 +40,12 @@ class AffineOperator:
     def dim(self):
         return self.offset.shape[0]
 
+    def linear(self, d):
+        """The linear part ``d -> A d``."""
+        return self.matrix @ d
+
     def __call__(self, z):
-        return self.matrix @ z + self.offset
+        return self.linear(z) + self.offset
 
     def symmetric_part(self):
         return 0.5 * (self.matrix + self.matrix.T)
@@ -54,6 +59,37 @@ class AffineOperator:
             return np.linalg.solve(self.matrix, -self.offset)
         except np.linalg.LinAlgError as exc:
             raise OracleError(f"affine zero-point solve failed: {exc}")
+
+
+class SaddleOperator(AffineOperator):
+    """Skew affine map ``(x, y) -> (K y + c, -K^T x + d)`` of a saddle.
+
+    Its matrix ``S = [[0, K], [-K^T, 0]]`` is half zeros, so products read
+    only the blocks ``K`` and ``-K^T``, stacked into one ``(2, h, h)``
+    array and applied to the swapped halves in one batched product.
+    ``matrix`` builds the dense ``S`` on first use, for the enlargement
+    oracle and the symmetric-part checks.
+    """
+
+    def __init__(self, coupling, offset):
+        K = np.asarray(coupling, dtype=float)
+        self.half = K.shape[0]
+        self.blocks = np.stack([K, -K.T])
+        self.offset = linalg.as_vector(offset)
+        if self.dim != 2 * self.half:
+            raise ParameterError(
+                f"coupling shape {K.shape} does not match offset "
+                f"dimension {self.dim}")
+
+    @functools.cached_property
+    def matrix(self):
+        K, minus_KT = self.blocks
+        zero = np.zeros_like(K)
+        return np.block([[zero, K], [minus_KT, zero]])
+
+    def linear(self, d):
+        swapped = d.reshape(2, self.half, 1)[::-1]  # (y, x)
+        return np.matmul(self.blocks, swapped).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +187,20 @@ class ForwardMap:
     """Point-to-point monotone map with known Lipschitz/cocoercivity data.
 
     ``project_domain`` is the projection onto the set where the Lipschitz
-    bound holds (identity when that set is the whole space).
+    bound holds (identity when that set is the whole space).  An affine
+    map also carries its ``linear`` part ``d -> F(z + d) - F(z)``, so a
+    difference of two values can be formed without the cancellation of
+    subtracting them.
     """
 
     def __init__(self, fun, lipschitz_L, cocoercive=False,
-                 project_domain=None, affine=None):
+                 project_domain=None, affine=None, linear=None):
         self.fun = fun
         self.lipschitz_L = float(lipschitz_L)
         self.cocoercive = bool(cocoercive)
         self.project_domain = project_domain or (lambda z: z)
         self.affine = affine  # AffineOperator when the map is affine
+        self.linear = linear  # linear part of an affine map, or None
 
     def __call__(self, z):
         return self.fun(z)
@@ -382,9 +422,9 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         upper = np.ones(dimension)
         L = float(np.linalg.eigvalsh(Q)[-1])
         box = BoxResolvent(lower, upper)
-        F = ForwardMap(lambda z, Q=Q, c=c: Q @ z + c, L, cocoercive=True,
-                       project_domain=box.project,
-                       affine=AffineOperator(Q, c))
+        T = AffineOperator(Q, c)
+        F = ForwardMap(T, L, cocoercive=True, project_domain=box.project,
+                       affine=T, linear=T.linear)
         known = None
         if dimension <= 12:
             known = solve_box_qp_bruteforce(Q, c, lower, upper)
@@ -400,20 +440,17 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         K = np.eye(half) + 0.5 * rng.standard_normal((half, half)) / np.sqrt(half)
         c = rng.standard_normal(half)
         d = rng.standard_normal(half)
-        S = np.block([[np.zeros((half, half)), K],
-                      [-K.T, np.zeros((half, half))]])
         b = np.concatenate([c, d])
-        T = AffineOperator(S, b)
+        T = SaddleOperator(K, b)
         x_star = np.linalg.solve(K.T, d)
         y_star = np.linalg.solve(K, -c)
         L = float(np.linalg.svd(K, compute_uv=False)[0])
-        F = ForwardMap(lambda z, S=S, b=b: S @ z + b, L, cocoercive=False,
-                       affine=T)
+        F = ForwardMap(T, L, cocoercive=False, affine=T, linear=T.linear)
         return TestProblem(
             kind, dimension, seed,
             resolvent=ZeroResolvent(dimension), forward=F, affine_T=T,
             known_solution=np.concatenate([x_star, y_star]),
-            data={"coupling": K, "offset": b})
+            data={"coupling": T.blocks[0], "offset": b})
 
     if kind == "l1_composite":
         M = rng.standard_normal((dimension, dimension)) / np.sqrt(dimension)
@@ -426,7 +463,8 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         L = float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
         F = ForwardMap(lambda z, M=M, y=y: M.T @ (M @ z - y), L,
                        cocoercive=True,
-                       affine=AffineOperator(M.T @ M, -(M.T @ y)))
+                       affine=AffineOperator(M.T @ M, -(M.T @ y)),
+                       linear=lambda d, M=M: M.T @ (M @ d))
         known = None
         if dimension <= 14:
             known = solve_l1_bruteforce(M, y, weight)

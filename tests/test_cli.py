@@ -247,6 +247,33 @@ def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
     assert field in err[0]
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("problem", "seed", -1),
+    ("stopping", "max_iters", 0),
+    ("stopping", "max_iters", -3),
+], ids=["seed_negative", "max_iters_zero", "max_iters_negative"])
+def test_config_out_of_range_reported(tmp_path, capsys, section, field,
+                                      value):
+    cfg = base_config()
+    cfg[section][field] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert field in err[0]
+
+
+def test_seed_option_out_of_range_reported(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    for command in ("solve", "bench"):
+        assert cli.main([command, "--config", path, "--seed", "-1",
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "seed" in err[0]
+
+
 def test_config_negative_ramp_reported(tmp_path):
     cfg = base_config()
     cfg["params"]["ramp_iters"] = -5

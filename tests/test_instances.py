@@ -172,6 +172,18 @@ def test_fb_reduction_to_classical_iterates():
         np.testing.assert_allclose(state.z_history[k + 1], z, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha, steps", [(0.0, 402), (0.2, 319)])
+def test_tseng_difference_does_not_cancel_near_the_solution(alpha, steps):
+    # F(z~) - F(P(w)) as two forward values used to cancel and push the
+    # ratio past 1 + 1e-9 at k=373 (alpha 0) and k=302 (alpha 0.2)
+    prob = make_problem("box_constrained_quadratic", 5, 13)
+    p = params.HpeParams.from_beta(alpha=alpha, sigma=0.9, beta=0.4)
+    state = solve(prob, InstanceConfig(kind="tseng_fbf"), p,
+                  stop=hpe_core.StoppingRule(rho=1e-8, eps_hat=1e-12))
+    assert (state.verdict, state.k) == ("solved", steps)
+    assert state.trace.column("error_ratio").max() <= 1.0 + 1e-9
+
+
 def test_tseng_reduction_to_classical_iterates():
     # on B = 0 the scheme is z_k = z~_k - lam (F(z~_k) - F(z_{k-1}))
     prob = make_problem("bilinear_saddle", 6, seed=15)

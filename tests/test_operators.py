@@ -266,6 +266,36 @@ def test_bilinear_saddle_zero_offset_solution_is_origin():
     np.testing.assert_allclose(T0.zero_point(), np.zeros(6), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 6, 8, 2000])
+def test_bilinear_forward_matches_dense_product(n):
+    # n/2 = 1 and 3 are not multiples of 4, where BLAS may sum in
+    # another order than for the dense product
+    prob = make_problem("bilinear_saddle", n, seed=n)
+    K = prob.data["coupling"]
+    b = prob.data["offset"]
+    half = n // 2
+    S = np.block([[np.zeros((half, half)), K], [-K.T, np.zeros((half, half))]])
+    z = np.random.default_rng(n).standard_normal(n)
+    np.testing.assert_allclose(prob.forward(z), S @ z + b, rtol=1e-14,
+                               atol=1e-14 * np.abs(S @ z + b).max())
+    np.testing.assert_array_equal(prob.affine_T.matrix, S)
+
+
+@pytest.mark.parametrize("kind,dim", [
+    ("box_constrained_quadratic", 6),
+    ("bilinear_saddle", 6),
+    ("l1_composite", 7),
+])
+def test_forward_linear_part_is_the_difference(kind, dim):
+    F = make_problem(kind, dim, seed=5).forward
+    rng = np.random.default_rng(dim)
+    a, b = rng.standard_normal((2, dim))
+    diff = F(a) - F(b)
+    np.testing.assert_allclose(F.linear(a - b), diff, rtol=0,
+                               atol=1e-14 * (np.abs(F(a)).max()
+                                             + np.abs(F(b)).max()))
+
+
 @pytest.mark.parametrize("kind,dim", [
     ("affine_inclusion", 7),
     ("box_constrained_quadratic", 6),
