@@ -7,6 +7,7 @@ are rejected so that golden fixtures stay unambiguous.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -349,9 +350,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

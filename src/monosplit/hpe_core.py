@@ -11,16 +11,16 @@ recorded in a columnar trace, which :func:`monosplit.bounds.audit` replays
 against every post-hoc inequality.
 """
 
-import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .ergodic import ErgodicState
-from .errors import CertificationError, ParameterError
+from .errors import CertificationError, DimensionMismatch, ParameterError
 
 # Round-off allowance for exactly-zero residuals (inner solvers that
 # reconstruct v = (w - z~)/lam reassemble lam*v with a few ulp of error).
@@ -31,7 +31,11 @@ CRITERION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Certificate:
-    """One inner-solver output claimed to satisfy the error criterion."""
+    """One inner-solver output claimed to satisfy the error criterion.
+
+    ``z_tilde`` and ``v`` are arrays of the shape of the point ``w`` the
+    inner solver was given.
+    """
 
     z_tilde: np.ndarray
     v: np.ndarray
@@ -84,31 +88,48 @@ class IterationTrace:
     # -- export / import --------------------------------------------------
 
     def write_jsonl(self, path, header=None):
+        """Write a meta line, then one JSON object per row.
+
+        The bytes are those of ``json.dumps`` on each row dict, except
+        that NaN (no known solution) is written as null: strict JSON.
+        """
         with open(path, "w") as fh:
             meta = {"schema_version": TRACE_SCHEMA_VERSION}
             if header:
                 meta.update(header)
             fh.write(json.dumps({"meta": meta}) + "\n")
-            # NaN (no known solution) is written as null: strict JSON
-            for row in self.rows():
-                fh.write(json.dumps({name: None if value != value else value
-                                     for name, value in row.items()}) + "\n")
+            self._write_rows(fh, _JSON_ROW, TRACE_COLUMNS[1:],
+                             _JSON_NON_FINITE)
 
     def write_csv(self, path):
+        """Write the CSV columns as ``csv.writer`` writes each row."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in self.rows():
-                writer.writerow([
-                    row["k"], row["norm_v"], row["eps"], row["lam"],
-                    row["error_ratio"], row["step_norm"], row["s_k"],
-                    row["dist_to_solution"], row["aggregate_stepsize"],
-                    row["norm_v_a"], row["eps_a"]])
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+            self._write_rows(fh, _CSV_ROW, _CSV_SOURCES, {})
+
+    def _write_rows(self, fh, template, names, non_finite):
+        """Fill ``template`` with each row's ``k`` and ``names`` values.
+
+        Each value is formatted once, column by column, a bounded chunk of
+        rows at a time.
+        """
+        cols = [self.columns[name] for name in names]
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            texts = [map(int.__repr__, range(lo + 1, min(hi, len(self)) + 1))]
+            texts += [_texts(col[lo:hi], non_finite) for col in cols]
+            fh.write("".join(map(template.__mod__, zip(*texts))))
 
     @classmethod
     def read_jsonl(cls, path):
+        """Read a JSONL trace, line by line; return ``(trace, meta)``.
+
+        A null value reads as NaN.
+        """
         trace = cls()
         meta = {}
+        row_values = operator.itemgetter(*TRACE_COLUMNS)
+        rows = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -122,13 +143,62 @@ class IterationTrace:
                 if "meta" in row:
                     meta = row["meta"]
                     continue
-                missing = [c for c in TRACE_COLUMNS if c not in row]
-                if missing:
+                try:
+                    rows.append(row_values(row))
+                except (KeyError, TypeError):
+                    missing = [c for c in TRACE_COLUMNS if c not in row]
                     raise ParameterError(
                         f"trace line {lineno} missing columns {missing}")
-                trace.append(**{name: math.nan if row[name] is None
-                                else row[name] for name in trace.columns})
+                if len(rows) == _CHUNK_ROWS:
+                    trace._extend(rows)
+        trace._extend(rows)
         return trace, meta
+
+    def _extend(self, rows):
+        """Move rows of :data:`TRACE_COLUMNS` values into the columns.
+
+        A null value becomes NaN.
+        """
+        values = zip(*rows)
+        next(values, None)  # k
+        for col, column_values in zip(self.columns.values(), values):
+            if None in column_values:
+                column_values = [math.nan if value is None else value
+                                 for value in column_values]
+            col.extend(column_values)
+        rows.clear()
+
+
+# Rows are written, or read into the columns, this many at a time.
+_CHUNK_ROWS = 128
+_JSON_ROW = "{%s}\n" % ", ".join(f"{json.dumps(name)}: %s"
+                                 for name in TRACE_COLUMNS)
+# The trace column of each CSV column after k, in CSV order.
+_CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
+                "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\r\n"
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_text(value):
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"trace values must be ints or floats, got {value!r}")
+
+
+def _texts(values, non_finite):
+    """``repr`` of each int or float, with ``non_finite`` respelling the
+    reprs ``nan``, ``inf`` and ``-inf``."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # an int, e.g. lam from a config's "lambda": 1
+        texts = list(map(_number_text, values))
+    else:
+        if math.isfinite(sum(values)):  # then every value is finite
+            return texts
+    return [non_finite.get(text, text) for text in texts]
 
 
 @dataclass
@@ -163,14 +233,15 @@ def extrapolate(z_curr, z_prev, alpha_k, alpha_max=None):
     return z_curr + alpha_k * (z_curr - z_prev)
 
 
-def _criterion_terms(cert, w):
+def _criterion_terms(cert, w, dot):
     """``(||lam v + z~ - w||^2, ||z~ - w||^2)`` of one certificate.
 
-    ``z~ - w`` is formed first, so the residual does not cancel at the
-    scale of ``|w|``.
+    ``dot`` is the inner product.  ``z~ - w`` is formed first, so the
+    residual does not cancel at the scale of ``|w|``.
     """
     dz = cert.z_tilde - w
-    return linalg.norm_sq(cert.lam * cert.v + dz), linalg.norm_sq(dz)
+    resid = cert.lam * cert.v + dz
+    return dot(resid, resid), dot(dz, dz)
 
 
 def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=None):
@@ -208,7 +279,7 @@ def certify(cert, w, sigma):
     """
     if not (0.0 <= sigma < 1.0):
         raise ParameterError(f"sigma must lie in [0, 1), got {sigma}")
-    resid_sq, dz_sq = _criterion_terms(cert, w)
+    resid_sq, dz_sq = _criterion_terms(cert, w, linalg.inner)
     return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma)
 
 
@@ -240,6 +311,15 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
     record_vectors : keep per-iteration vectors (needed by post-hoc checks
         that go beyond the scalar trace; memory grows with k * dim).
 
+    The inputs are validated once, on entry: ``z0`` and the known solution
+    are finite vectors of one dimension, and the validated bundle keeps
+    every ``alpha_k`` of its schedule in ``[0, alpha]`` and ``tau`` in
+    ``(0, 1]``.  Each step then checks only its certificate: the shapes
+    of ``z~`` and ``v``, the stepsize floor, ``eps >= 0``, the error
+    criterion and a finite next iterate.  The step computes exactly what
+    :func:`extrapolate`, :func:`certify`, :func:`relax_update` and
+    :func:`linalg.inner` compute, in the same order.
+
     Returns
     -------
     SolverState with ``verdict`` in {"solved", "max_iters"}.
@@ -251,13 +331,23 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
         z0 = np.zeros(problem.dim)
     z0 = linalg.as_vector(z0)
     z_star = None if problem is None else problem.known_solution
+    if z_star is not None:
+        z_star = linalg.as_vector(z_star)
+        linalg.check_same_dim(z0, z_star)
     params.validate()
 
-    sigma, tau = params.sigma, params.tau
+    sigma, tau, alpha = params.sigma, params.tau, params.alpha
+    if not (0.0 < tau <= 1.0):
+        raise ParameterError(f"tau must lie in (0, 1], got {tau}")
+    ramp = None if params.schedule.is_constant else params.schedule.value
+    rho, eps_hat = stop.rho, stop.eps_hat
+    shape = z0.shape
+    dot = linalg.dot_kernel(shape[0])
+
     z_prev = z0.copy()
     z = z0.copy()
     trace = IterationTrace()
-    erg = ErgodicState(dim=z0.shape[0])
+    erg = ErgodicState(dim=shape[0])
     z_hist = [z0.copy()] if record_vectors else None
     w_hist = [] if record_vectors else None
     certs = [] if record_vectors else None
@@ -266,40 +356,51 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
     w = z.copy()
     k = 0
     for k in range(1, stop.max_iters + 1):
-        alpha_k = params.schedule.value(k)
-        w = extrapolate(z, z_prev, alpha_k, params.alpha)
+        alpha_k = alpha if ramp is None else ramp(k)
+        w = z + alpha_k * (z - z_prev)
 
         cert = inner_solver(w, k)
-        if cert.lam < lambda_floor - 1e-15 or cert.lam <= 0.0:
+        v, lam, eps = cert.v, cert.lam, cert.eps
+        if cert.z_tilde.shape != shape or v.shape != shape:
+            raise DimensionMismatch(
+                f"certificate at k={k} has z~ of shape {cert.z_tilde.shape} "
+                f"and v of shape {v.shape}, expected {shape}")
+        if lam < lambda_floor - 1e-15 or lam <= 0.0:
             raise ParameterError(
-                f"stepsize {cert.lam} below the floor {lambda_floor} at k={k}")
-        if cert.eps < 0.0:
-            raise CertificationError(f"negative eps {cert.eps} at k={k}", k=k)
+                f"stepsize {lam} below the floor {lambda_floor} at k={k}")
+        if eps < 0.0:
+            raise CertificationError(f"negative eps {eps} at k={k}", k=k)
 
-        resid_sq, dz_sq = _criterion_terms(cert, w)
-        ratio = _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma, k=k)
+        resid_sq, dz_sq = _criterion_terms(cert, w, dot)
+        ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=k)
 
-        z_next = relax_update(w, cert, tau)
-        if not np.all(np.isfinite(z_next)):
+        z_next = w - tau * lam * v
+        relax = z_next - w
+        relax_sq = dot(relax, relax)
+        # ||z_next - w||^2 is finite only if every z_next coordinate is
+        if not math.isfinite(relax_sq) and not np.isfinite(z_next).all():
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
 
-        step_sq = linalg.norm_sq(z_next - z)
-        s_k = _energy_term(linalg.norm_sq(z_next - w), dz_sq, params)
+        step = z_next - z
+        step_sq = dot(step, step)
+        s_k = _energy_term(relax_sq, dz_sq, params)
         erg.update(cert)
 
-        norm_v = math.sqrt(linalg.norm_sq(cert.v))
+        norm_v = math.sqrt(dot(v, v))
         if z_star is not None:
-            dist = math.sqrt(linalg.norm_sq(z_next - z_star))
-            dist_w = math.sqrt(linalg.norm_sq(w - z_star))
+            gap = z_next - z_star
+            dist = math.sqrt(dot(gap, gap))
+            gap = w - z_star
+            dist_w = math.sqrt(dot(gap, gap))
         else:
             dist = dist_w = math.nan
+        v_avg_sq, eps_a = erg.scalars(dot)
         trace.append(
-            norm_v=norm_v, eps=cert.eps, lam=cert.lam, error_ratio=ratio,
+            norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
             step_norm=math.sqrt(step_sq), s_k=s_k, dist_to_solution=dist,
             resid_sq=resid_sq, norm_dz=math.sqrt(dz_sq), dist_w=dist_w,
             aggregate_stepsize=erg.aggregate_stepsize,
-            norm_v_a=math.sqrt(linalg.norm_sq(erg.v_avg)),
-            eps_a=erg.eps_avg_raw)
+            norm_v_a=math.sqrt(v_avg_sq), eps_a=eps_a)
 
         if record_vectors:
             z_hist.append(z_next.copy())
@@ -307,7 +408,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
             certs.append(cert)
 
         z_prev, z = z, z_next
-        if norm_v <= stop.rho and cert.eps <= stop.eps_hat:
+        if norm_v <= rho and eps <= eps_hat:
             verdict = "solved"
             break
 

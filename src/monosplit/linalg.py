@@ -42,14 +42,29 @@ def check_same_dim(a, b):
             f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _dot(a, b):
+    return float(a.dot(b))
+
+
+def _fsum_dot(a, b):
+    return math.fsum((a * b).tolist())
+
+
+def dot_kernel(n):
+    """The unchecked inner product :func:`inner` takes of two n-vectors.
+
+    For callers that validate their 1-d float operands once and then take
+    many products at one dimension; the results are those of ``inner``.
+    """
+    return _fsum_dot if n > _FSUM_THRESHOLD else _dot
+
+
 def inner(a, b):
     """Euclidean inner product ``<a, b>``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     check_same_dim(a, b)
-    if a.size > _FSUM_THRESHOLD:
-        return math.fsum((a * b).tolist())
-    return float(np.dot(a, b))
+    return dot_kernel(a.size)(a, b)
 
 
 def norm_sq(a):

@@ -339,6 +339,29 @@ def test_bench_jobs_other_than_one_is_a_usage_error(tmp_path):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for sigma in ("0.0", "0.5", "0.7"):
+            assert cli.main(["params", "--sigma", sigma]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["params", "--sigma", "x"])
+        assert exc.value.code == 2
+        assert cli.main(["params", "--sigma", "0.25"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out.count("sigma      = ") == 4
+
+
 def test_bench_cell_failure_is_recorded_not_fatal(tmp_path):
     cfg = base_config(sweep={"alpha": [0.0, 0.9]})  # 0.9 >= beta: invalid
     path = write_config(tmp_path, cfg)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from monosplit import bounds, hpe_core, instances, linalg, operators, params
-from monosplit.errors import CertificationError, ParameterError
+from monosplit.ergodic import ErgodicState
+from monosplit.errors import (CertificationError, DimensionMismatch,
+                              ParameterError)
 from monosplit.hpe_core import (Certificate, IterationTrace, StoppingRule,
                                 certify, extrapolate, relax_update, run)
 
@@ -260,3 +262,106 @@ def test_trace_read_reports_missing_columns(tmp_path):
     path.write_text(json.dumps({"k": 1, "norm_v": 0.1}) + "\n")
     with pytest.raises(ParameterError, match="missing columns"):
         IterationTrace.read_jsonl(path)
+
+
+# -- the driver against its single-step functions ----------------------------
+
+def replay(problem, solver, p, stop, z0):
+    """``run`` rebuilt from the public single-step functions: its trace."""
+    z_prev = z = z0
+    erg = ErgodicState(dim=z0.shape[0])
+    z_star = problem.known_solution
+    trace = IterationTrace()
+    for k in range(1, stop.max_iters + 1):
+        w = extrapolate(z, z_prev, p.schedule.value(k), p.alpha)
+        cert = solver(w, k)
+        ratio = certify(cert, w, p.sigma)
+        z_next = relax_update(w, cert, p.tau)
+        dz_sq = linalg.norm_sq(cert.z_tilde - w)
+        erg.update(cert)
+        norm_v = math.sqrt(linalg.norm_sq(cert.v))
+        trace.append(
+            norm_v=norm_v, eps=cert.eps, lam=cert.lam, error_ratio=ratio,
+            step_norm=linalg.norm(z_next - z),
+            s_k=max(p.eta * linalg.norm_sq(z_next - w),
+                    (1.0 - p.sigma * p.sigma) * p.tau * dz_sq),
+            dist_to_solution=linalg.norm(z_next - z_star),
+            resid_sq=linalg.norm_sq(cert.lam * cert.v
+                                    + (cert.z_tilde - w)),
+            norm_dz=math.sqrt(dz_sq), dist_w=linalg.norm(w - z_star),
+            aggregate_stepsize=erg.aggregate_stepsize,
+            norm_v_a=linalg.norm(erg.v_avg), eps_a=erg.eps_avg_raw)
+        z_prev, z = z, z_next
+        if norm_v <= stop.rho and cert.eps <= stop.eps_hat:
+            break
+    return trace
+
+
+def assert_same_bits(trace, expected):
+    assert len(trace) == len(expected)
+    for name in trace.columns:
+        assert (np.asarray(trace.columns[name], dtype=float).tobytes()
+                == np.asarray(expected.columns[name], dtype=float).tobytes()
+                ), name
+
+
+@pytest.mark.parametrize("kind, instance, sigma, ramp_iters", [
+    ("affine_inclusion", "ppm", 0.0, 0),
+    ("box_constrained_quadratic", "forward_backward", 0.5, 0),
+    ("bilinear_saddle", "tseng_fbf", 0.5, 0),
+    ("l1_composite", "forward_backward", 0.7, 0),
+    ("l1_composite", "tseng_fbf", 0.5, 25),
+])
+def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
+                                                        sigma, ramp_iters):
+    prob = operators.make_problem(kind, 6, seed=11)
+    p = params.HpeParams.from_beta(alpha=0.2, sigma=sigma, beta=0.4,
+                                   ramp_iters=ramp_iters)
+    solver, floor = instances.make_inner_solver(
+        prob, instances.InstanceConfig(kind=instance), p)
+    stop = StoppingRule(rho=1e-9, eps_hat=1e-12, max_iters=150)
+    state = run(prob, solver, p, stop=stop, lambda_floor=floor)
+    assert state.k > 30
+    assert_same_bits(state.trace,
+                     replay(prob, solver, p, stop, np.zeros(6)))
+
+
+def test_run_matches_its_replay_on_the_compensated_sum_path():
+    # a box projection plus a linear term: T(z) = z - c + N_box(z), whose
+    # resolvent is z~ = P_box((w + lam c) / (1 + lam)), v = (w - z~) / lam
+    n = linalg._FSUM_THRESHOLD + 1
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal(n) * 1e3
+    lo, hi = -np.ones(n) * 500.0, np.ones(n) * 500.0
+    prob = operators.TestProblem("box_projection", n, 12, resolvent=None,
+                                 known_solution=np.clip(c, lo, hi))
+
+    def solver(w, k):
+        z_tilde = np.clip((w + 0.7 * c) / 1.7, lo, hi)
+        return Certificate(z_tilde=z_tilde, v=(w - z_tilde) / 0.7, eps=0.0,
+                           lam=0.7)
+
+    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.0, beta=0.4)
+    stop = StoppingRule(rho=0.0, max_iters=12)
+    state = run(prob, solver, p, stop=stop, lambda_floor=0.7)
+    assert_same_bits(state.trace, replay(prob, solver, p, stop, np.zeros(n)))
+
+
+def test_run_refuses_a_certificate_of_another_dimension():
+    # shape-(1,) vectors used to broadcast through step 1 and end at k=2
+    # in a CertificationError about sigma=0
+    prob = operators.make_problem("affine_inclusion", 4, seed=9)
+
+    def short(w, k):
+        return Certificate(z_tilde=np.ones(1), v=-np.ones(1), eps=0.0,
+                           lam=1.0)
+
+    with pytest.raises(DimensionMismatch, match="k=1"):
+        run(prob, short, PLAIN, lambda_floor=1.0)
+
+    def short_v(w, k):
+        z, v = prob.resolvent.resolve(1.0, w)
+        return Certificate(z_tilde=z, v=v[:1], eps=0.0, lam=1.0)
+
+    with pytest.raises(DimensionMismatch, match="k=1"):
+        run(prob, short_v, PLAIN, lambda_floor=1.0)
