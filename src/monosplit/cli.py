@@ -44,8 +44,10 @@ def _is_integer(x):
 
 
 def _is_real(x):
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A finite int or float; an int beyond the float range is not one."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def _is_vector(x):

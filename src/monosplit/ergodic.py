@@ -56,17 +56,14 @@ class ErgodicState:
         """Aggregated error, unclamped (guaranteed >= 0 analytically)."""
         return self.scalars()[1]
 
-    def scalars(self, dot=None):
-        """``(||v_avg||^2, eps_avg_raw)``, the two a trace row records.
-
-        ``dot`` is the inner product, :func:`linalg.inner` by default.
-        """
-        dot = dot or linalg.inner
+    def scalars(self):
+        """``(||v_avg||^2, eps_avg_raw)``, the two a trace row records."""
         L = self.aggregate_stepsize
         z_avg = self.z_sum / L
         v_avg = self.v_sum / L
-        return (dot(v_avg, v_avg),
-                (self.eps_sum + self.cross_sum) / L - dot(z_avg, v_avg))
+        return (linalg.dot(v_avg, v_avg),
+                (self.eps_sum + self.cross_sum) / L
+                - linalg.dot(z_avg, v_avg))
 
     def eps_avg(self, tol=1e-9):
         """Aggregated error clamped to 0 when within ``-tol`` of zero."""

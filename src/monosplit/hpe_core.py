@@ -233,15 +233,15 @@ def extrapolate(z_curr, z_prev, alpha_k, alpha_max=None):
     return z_curr + alpha_k * (z_curr - z_prev)
 
 
-def _criterion_terms(cert, w, dot):
+def _criterion_terms(cert, w):
     """``(||lam v + z~ - w||^2, ||z~ - w||^2)`` of one certificate.
 
-    ``dot`` is the inner product.  ``z~ - w`` is formed first, so the
-    residual does not cancel at the scale of ``|w|``.
+    ``z~ - w`` is formed first, so the residual does not cancel at the
+    scale of ``|w|``.
     """
     dz = cert.z_tilde - w
     resid = cert.lam * cert.v + dz
-    return dot(resid, resid), dot(dz, dz)
+    return linalg.dot(resid, resid), linalg.dot(dz, dz)
 
 
 def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=None):
@@ -279,7 +279,7 @@ def certify(cert, w, sigma):
     """
     if not (0.0 <= sigma < 1.0):
         raise ParameterError(f"sigma must lie in [0, 1), got {sigma}")
-    resid_sq, dz_sq = _criterion_terms(cert, w, linalg.inner)
+    resid_sq, dz_sq = _criterion_terms(cert, w)
     return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma)
 
 
@@ -342,7 +342,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
     ramp = None if params.schedule.is_constant else params.schedule.value
     rho, eps_hat = stop.rho, stop.eps_hat
     shape = z0.shape
-    dot = linalg.dot_kernel(shape[0])
+    dot = linalg.dot
 
     z_prev = z0.copy()
     z = z0.copy()
@@ -371,7 +371,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
         if eps < 0.0:
             raise CertificationError(f"negative eps {eps} at k={k}", k=k)
 
-        resid_sq, dz_sq = _criterion_terms(cert, w, dot)
+        resid_sq, dz_sq = _criterion_terms(cert, w)
         ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=k)
 
         z_next = w - tau * lam * v
@@ -394,7 +394,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
             dist_w = math.sqrt(dot(gap, gap))
         else:
             dist = dist_w = math.nan
-        v_avg_sq, eps_a = erg.scalars(dot)
+        v_avg_sq, eps_a = erg.scalars()
         trace.append(
             norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
             step_norm=math.sqrt(step_sq), s_k=s_k, dist_to_solution=dist,

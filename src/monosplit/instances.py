@@ -44,20 +44,16 @@ def ppm_step(B, w, lam):
     return Certificate(z_tilde=z_tilde, v=v, eps=0.0, lam=lam)
 
 
-def tseng_step(F, B, w, lam, sigma):
+def tseng_step(F, B, w, lam):
     """One forward-backward-forward step.
 
     ``v = F(z~) - F(P(w)) + (w - z~)/lam`` lies in ``(F+B)(z~)`` exactly;
     the Lipschitz bound plus projection nonexpansiveness give the error
     criterion with ``eps = 0``.  For an affine ``F`` the difference is its
     linear part at ``z~ - P(w)``, which does not cancel near the solution.
+    :func:`make_inner_solver` checks the preconditions once; the driver's
+    criterion check certifies each step.
     """
-    if not (0.0 < sigma < 1.0):
-        raise ParameterError(f"tseng needs sigma in (0, 1), got {sigma}")
-    cap = sigma / F.lipschitz_L
-    if lam > cap * (1.0 + 1e-12):
-        raise ParameterError(
-            f"stepsize {lam} exceeds the cap sigma/L = {cap}")
     w_proj = F.project_domain(w)
     f_w = F(w_proj)
     z_tilde, _ = B.resolve(lam, w - lam * f_w)
@@ -69,27 +65,23 @@ def tseng_step(F, B, w, lam, sigma):
     return Certificate(z_tilde=z_tilde, v=v, eps=0.0, lam=lam)
 
 
-def fb_step(F, B, w, lam, sigma):
+def fb_step(F, B, w, lam):
     """One forward-backward step.
 
     The residual ``lam v + z~ - w`` vanishes identically; cocoercivity
     certifies ``F(w) in F^eps(z~)`` with ``eps = L ||z~ - w||^2 / 4``,
     and the stepsize cap makes ``2 lam eps <= sigma^2 ||z~ - w||^2``.
+    :func:`make_inner_solver` checks the preconditions once; the driver's
+    criterion check certifies each step.
     """
-    if not (0.0 < sigma < 1.0):
-        raise ParameterError(f"forward-backward needs sigma in (0, 1), "
-                             f"got {sigma}")
-    if not F.cocoercive:
-        raise ParameterError("forward-backward needs a cocoercive map")
-    L = F.lipschitz_L
-    cap = 2.0 * sigma * sigma / L
-    if lam > cap * (1.0 + 1e-12):
-        raise ParameterError(
-            f"stepsize {lam} exceeds the cap 2 sigma^2/L = {cap}")
     z_tilde, _ = B.resolve(lam, w - lam * F(w))
     v = (w - z_tilde) / lam
-    eps = L * linalg.norm_sq(z_tilde - w) / 4.0
+    eps = F.lipschitz_L * linalg.norm_sq(z_tilde - w) / 4.0
     return Certificate(z_tilde=z_tilde, v=v, eps=eps, lam=lam)
+
+
+# Relative round-off allowance on a given stepsize over its cap.
+_CAP_SLACK = 1e-12
 
 
 def default_stepsize(kind, problem, params):
@@ -105,37 +97,49 @@ def default_stepsize(kind, problem, params):
 
 
 def make_inner_solver(problem, config, params):
-    """Bind a step function to a problem; returns ``(solver, lambda_floor)``."""
+    """Bind a step function to a problem; returns ``(solver, lambda_floor)``.
+
+    Checks sigma, cocoercivity and the stepsize cap before any step runs.
+    """
+    kind = config.kind
     lam = config.lam
     if lam is None:
-        lam = default_stepsize(config.kind, problem, params)
+        lam = default_stepsize(kind, problem, params)
     if lam <= 0.0:
         raise ParameterError(f"stepsize must be positive, got {lam}")
     floor = config.lambda_floor if config.lambda_floor is not None else lam
 
-    if config.kind == "ppm":
+    if kind == "ppm":
         if params.sigma != 0.0:
             raise ParameterError("ppm is the sigma = 0 instance")
         B = problem.resolvent
 
         def solver(w, k):
             return ppm_step(B, w, lam)
-    elif config.kind == "tseng_fbf":
-        if problem.forward is None:
-            raise ParameterError("tseng_fbf needs a structured (F, B) problem")
+        return solver, floor
 
+    F, B = problem.forward, problem.resolvent
+    if F is None:
+        raise ParameterError(f"{kind} needs a structured (F, B) problem")
+    tseng = kind == "tseng_fbf"
+    name = "tseng" if tseng else "forward-backward"
+    if not (0.0 < params.sigma < 1.0):
+        raise ParameterError(
+            f"{name} needs sigma in (0, 1), got {params.sigma}")
+    if not (tseng or F.cocoercive):
+        raise ParameterError("forward-backward needs a cocoercive map")
+    cap = default_stepsize(kind, problem, params)
+    if lam > cap * (1.0 + _CAP_SLACK):
+        raise ParameterError(
+            f"stepsize {lam} exceeds the cap "
+            f"{'sigma/L' if tseng else '2 sigma^2/L'} = {cap}")
+
+    if tseng:
         def solver(w, k):
-            return tseng_step(problem.forward, problem.resolvent, w, lam,
-                              params.sigma)
+            return tseng_step(F, B, w, lam)
     else:
-        if problem.forward is None:
-            raise ParameterError(
-                "forward_backward needs a structured (F, B) problem")
-
         def solver(w, k):
-            return fb_step(problem.forward, problem.resolvent, w, lam,
-                           params.sigma)
-
+            return fb_step(F, B, w, lam)
     return solver, floor
 
 

@@ -1,9 +1,8 @@
 """Dense real vector arithmetic over the model Hilbert space.
 
-Vectors are plain 1-d float ndarrays.  All operations validate dimensions
-and finiteness; inner products switch to compensated summation above
-``_FSUM_THRESHOLD`` coordinates so that certificate inequalities can be
-checked at tight tolerances.
+Vectors are plain 1-d float ndarrays.  Every inner product is one
+``ndarray.dot``: :func:`inner` checks its operands' shapes first, and
+:func:`dot` is the same product for callers that validated them once.
 """
 
 import math
@@ -11,10 +10,6 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch
-
-# Above this dimension np.dot accumulation error can reach the certificate
-# tolerances, so fall back to exact compensated summation.
-_FSUM_THRESHOLD = 10_000
 
 
 def as_vector(x):
@@ -42,21 +37,9 @@ def check_same_dim(a, b):
             f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def _dot(a, b):
+def dot(a, b):
+    """``<a, b>`` of two 1-d float arrays of one shape, unchecked."""
     return float(a.dot(b))
-
-
-def _fsum_dot(a, b):
-    return math.fsum((a * b).tolist())
-
-
-def dot_kernel(n):
-    """The unchecked inner product :func:`inner` takes of two n-vectors.
-
-    For callers that validate their 1-d float operands once and then take
-    many products at one dimension; the results are those of ``inner``.
-    """
-    return _fsum_dot if n > _FSUM_THRESHOLD else _dot
 
 
 def inner(a, b):
@@ -64,7 +47,7 @@ def inner(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     check_same_dim(a, b)
-    return dot_kernel(a.size)(a, b)
+    return dot(a, b)
 
 
 def norm_sq(a):
@@ -75,4 +58,3 @@ def norm_sq(a):
 def norm(a):
     """Induced norm ``sqrt(<a, a>)``."""
     return math.sqrt(norm_sq(a))
-

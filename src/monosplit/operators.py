@@ -405,7 +405,8 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
             A = _psd_plus_skew(rng, dimension, 0.5)
             b = rng.standard_normal(dimension)
         T = AffineOperator(A, b)
-        if T.min_symmetric_eigenvalue() < -1e-10:
+        # a generated matrix is monotone by construction (sym part >= 0.5 I)
+        if matrix is not None and T.min_symmetric_eigenvalue() < -1e-10:
             raise ParameterError("affine operator is not monotone")
         return TestProblem(
             kind, dimension, seed,

@@ -195,7 +195,7 @@ def test_criterion_7_reduction_checks():
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
     state = hpe_core.run(
         prob, lambda w, k: instances.fb_step(prob.forward, prob.resolvent,
-                                             w, lam, sigma),
+                                             w, lam),
         p, lambda_floor=lam, record_vectors=True,
         stop=StoppingRule(rho=-1.0, max_iters=1000))
     z = np.zeros(6)
@@ -210,7 +210,7 @@ def test_criterion_7_reduction_checks():
     lam = sigma / prob.lipschitz_L
     state = hpe_core.run(
         prob, lambda w, k: instances.tseng_step(prob.forward, prob.resolvent,
-                                                w, lam, sigma),
+                                                w, lam),
         p, lambda_floor=lam, record_vectors=True,
         stop=StoppingRule(rho=-1.0, max_iters=1000))
     F = prob.forward

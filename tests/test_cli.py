@@ -209,21 +209,28 @@ def test_config_invalid_params_reported(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.parametrize("problem", [
+@pytest.mark.parametrize("problem, message", [
     # singular: the solution oracle fails
-    {"kind": "affine_inclusion", "dimension": 2, "seed": 0,
-     "matrix": [[0.0, 0.0], [0.0, 0.0]], "offset": [1.0, 1.0]},
+    ({"kind": "affine_inclusion", "dimension": 2, "seed": 0,
+      "matrix": [[0.0, 0.0], [0.0, 0.0]], "offset": [1.0, 1.0]},
+     "affine zero-point solve failed"),
     # data for n = 2 under a dimension of 3
-    {"kind": "affine_inclusion", "dimension": 3, "seed": 0,
-     "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [1.0, 1.0]},
-], ids=["singular", "wrong_dimension"])
-def test_config_bad_affine_data_reported(tmp_path, capsys, problem):
+    ({"kind": "affine_inclusion", "dimension": 3, "seed": 0,
+      "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [1.0, 1.0]},
+     "do not match dimension 3"),
+    # a symmetric part with a negative eigenvalue
+    ({"kind": "affine_inclusion", "dimension": 2, "seed": 0,
+      "matrix": [[-1.0, 0.0], [0.0, 1.0]], "offset": [1.0, 1.0]},
+     "affine operator is not monotone"),
+], ids=["singular", "wrong_dimension", "not_monotone"])
+def test_config_bad_affine_data_reported(tmp_path, capsys, problem, message):
     cfg = base_config()
     cfg["problem"] = problem
     path = write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("section,field,value", [
@@ -234,8 +241,9 @@ def test_config_bad_affine_data_reported(tmp_path, capsys, problem):
     ("problem", "matrix", [[2.0, 0.0], [0.0]]),
     ("params", "alpha", "0.1"),
     ("stopping", "rho", "1e-6"),
+    ("params", "alpha", 10 ** 400),
 ], ids=["max_iters_float", "max_iters_bool", "dimension_str", "seed_str",
-        "ragged_matrix", "alpha_str", "rho_str"])
+        "ragged_matrix", "alpha_str", "rho_str", "alpha_beyond_float"])
 def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
     cfg = base_config()
     cfg[section][field] = value
@@ -282,13 +290,23 @@ def test_config_negative_ramp_reported(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
-def test_config_stepsize_over_cap_reported(tmp_path):
-    cfg = base_config(kind="bilinear_saddle", instance="tseng_fbf",
-                      sigma=0.5, beta=0.4)
-    cfg["instance"]["lambda"] = 100.0
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 3
+def test_config_stepsize_over_cap_reported(tmp_path, capsys):
+    # refused when the inner solver is built: solve runs no step, and
+    # certify audits nothing
+    for kind, instance in [("bilinear_saddle", "tseng_fbf"),
+                           ("box_constrained_quadratic", "forward_backward")]:
+        cfg = base_config(kind=kind, instance=instance, sigma=0.5, beta=0.4)
+        cfg["instance"]["lambda"] = 100.0
+        path = write_config(tmp_path, cfg)
+        trace = tmp_path / "trace.jsonl"
+        hpe_core.IterationTrace().write_jsonl(trace, header={"config": cfg})
+        for argv in (["solve", "--config", path, "--out", str(tmp_path / "o")],
+                     ["certify", "--trace", str(trace), "--config", path]):
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert captured.out == "" and len(err) == 1
+            assert err[0].startswith("error: stepsize 100.0 exceeds the cap")
 
 
 def test_bench_sweep_and_determinism(tmp_path, monkeypatch):

@@ -326,25 +326,38 @@ def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
                      replay(prob, solver, p, stop, np.zeros(6)))
 
 
-def test_run_matches_its_replay_on_the_compensated_sum_path():
-    # a box projection plus a linear term: T(z) = z - c + N_box(z), whose
-    # resolvent is z~ = P_box((w + lam c) / (1 + lam)), v = (w - z~) / lam
-    n = linalg._FSUM_THRESHOLD + 1
-    rng = np.random.default_rng(12)
-    c = rng.standard_normal(n) * 1e3
-    lo, hi = -np.ones(n) * 500.0, np.ones(n) * 500.0
-    prob = operators.TestProblem("box_projection", n, 12, resolvent=None,
-                                 known_solution=np.clip(c, lo, hi))
+def separable_box_problem(n, seed):
+    """``F(z) = d * z + c`` on the box ``[0, 1]^n``: solution ``clip(-c/d)``."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n)
+    c = rng.standard_normal(n)
+    box = operators.BoxResolvent(np.zeros(n), np.ones(n))
+    F = operators.ForwardMap(lambda z: d * z + c, float(d.max()),
+                             cocoercive=True, project_domain=box.project,
+                             linear=lambda dz: d * dz)
+    return operators.TestProblem("separable_box", n, seed, resolvent=box,
+                                 forward=F,
+                                 known_solution=np.clip(-c / d, 0.0, 1.0))
 
-    def solver(w, k):
-        z_tilde = np.clip((w + 0.7 * c) / 1.7, lo, hi)
-        return Certificate(z_tilde=z_tilde, v=(w - z_tilde) / 0.7, eps=0.0,
-                           lam=0.7)
 
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.0, beta=0.4)
-    stop = StoppingRule(rho=0.0, max_iters=12)
-    state = run(prob, solver, p, stop=stop, lambda_floor=0.7)
+@pytest.mark.parametrize("instance", ["forward_backward", "tseng_fbf"])
+def test_run_matches_its_replay_at_a_million_coordinates(instance):
+    n = 10 ** 6
+    prob = separable_box_problem(n, seed=12)
+    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    solver, floor = instances.make_inner_solver(
+        prob, instances.InstanceConfig(kind=instance), p)
+    stop = StoppingRule(rho=0.0, max_iters=16)
+    state = run(prob, solver, p, stop=stop, lambda_floor=floor)
+    assert state.k == 16
     assert_same_bits(state.trace, replay(prob, solver, p, stop, np.zeros(n)))
+    checks = bounds.audit(state.trace, bounds.BoundInputs(
+        d0=prob.d0(state.z0), lambda_floor=floor, params=p))
+    assert [c.status for c in checks] == [bounds.PASS] * len(checks)
+    if instance == "forward_backward":
+        # on the cap the criterion holds with equality up to round-off
+        ratio = state.trace.column("error_ratio")
+        assert np.all((1.0 - 1e-6 <= ratio) & (ratio <= 1.0 + 1e-9))
 
 
 def test_run_refuses_a_certificate_of_another_dimension():

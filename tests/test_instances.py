@@ -43,13 +43,22 @@ def test_ppm_step_box_projection_displacement():
 # -- tseng -------------------------------------------------------------------
 
 def test_tseng_step_stepsize_cap():
+    # make_inner_solver refuses before any step runs
     prob = make_problem("bilinear_saddle", 4, seed=0)
-    w = np.zeros(4)
-    with pytest.raises(ParameterError):
-        tseng_step(prob.forward, prob.resolvent, w,
-                   lam=0.9 / prob.lipschitz_L, sigma=0.5)
-    with pytest.raises(ParameterError):
-        tseng_step(prob.forward, prob.resolvent, w, lam=0.1, sigma=0.0)
+    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    with pytest.raises(ParameterError,
+                       match=r"exceeds the cap sigma/L = "):
+        instances.make_inner_solver(
+            prob, InstanceConfig("tseng_fbf", lam=0.9 / prob.lipschitz_L), p)
+    p0 = params.HpeParams.from_beta(alpha=0.1, sigma=0.0, beta=0.4)
+    with pytest.raises(ParameterError,
+                       match=r"tseng needs sigma in \(0, 1\), got 0\.0"):
+        instances.make_inner_solver(
+            prob, InstanceConfig("tseng_fbf", lam=0.1), p0)
+    # a stepsize at the cap up to its round-off slack is accepted
+    cap = instances.default_stepsize("tseng_fbf", prob, p)
+    instances.make_inner_solver(
+        prob, InstanceConfig("tseng_fbf", lam=cap * (1.0 + 1e-13)), p)
 
 
 def test_tseng_step_zero_forward_reduces_to_ppm():
@@ -57,7 +66,7 @@ def test_tseng_step_zero_forward_reduces_to_ppm():
     F0 = operators.ForwardMap(lambda z: np.zeros_like(z), lipschitz_L=1.0)
     rng = np.random.default_rng(2)
     w = rng.standard_normal(4)
-    c1 = tseng_step(F0, prob.resolvent, w, lam=0.4, sigma=0.5)
+    c1 = tseng_step(F0, prob.resolvent, w, lam=0.4)
     c2 = ppm_step(prob.resolvent, w, 0.4)
     np.testing.assert_allclose(c1.z_tilde, c2.z_tilde, atol=1e-14)
     np.testing.assert_allclose(c1.v, c2.v, atol=1e-12)
@@ -68,8 +77,7 @@ def test_tseng_step_fixed_point():
     prob = make_problem("bilinear_saddle", 4, seed=3)
     sigma = 0.5
     lam = sigma / prob.lipschitz_L
-    cert = tseng_step(prob.forward, prob.resolvent, prob.known_solution,
-                      lam, sigma)
+    cert = tseng_step(prob.forward, prob.resolvent, prob.known_solution, lam)
     assert linalg.norm(cert.v) <= 1e-10
     assert hpe_core.certify(cert, prob.known_solution, sigma) <= 1e-9
 
@@ -83,7 +91,7 @@ def test_tseng_inclusion_exactness():
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = rng.standard_normal(5)
-        cert = tseng_step(prob.forward, prob.resolvent, w, lam, sigma)
+        cert = tseng_step(prob.forward, prob.resolvent, w, lam)
         w_proj = prob.forward.project_domain(w)
         _, b_member = prob.resolvent.resolve(
             lam, w - lam * prob.forward(w_proj))
@@ -103,14 +111,23 @@ def test_tseng_certificates_pass_on_seeded_run():
 # -- forward-backward --------------------------------------------------------
 
 def test_fb_step_requirements():
+    # make_inner_solver refuses before any step runs
     prob = make_problem("box_constrained_quadratic", 4, seed=7)
-    w = np.zeros(4)
-    with pytest.raises(ParameterError):
-        fb_step(prob.forward, prob.resolvent, w,
-                lam=3.0 * 0.5 ** 2 / prob.lipschitz_L, sigma=0.5)
+    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    with pytest.raises(ParameterError,
+                       match=r"exceeds the cap 2 sigma\^2/L = "):
+        instances.make_inner_solver(prob, InstanceConfig(
+            "forward_backward", lam=3.0 * 0.5 ** 2 / prob.lipschitz_L), p)
+    p0 = params.HpeParams.from_beta(alpha=0.1, sigma=0.0, beta=0.4)
+    with pytest.raises(
+            ParameterError,
+            match=r"forward-backward needs sigma in \(0, 1\), got 0\.0"):
+        instances.make_inner_solver(
+            prob, InstanceConfig("forward_backward", lam=1e-3), p0)
     saddle = make_problem("bilinear_saddle", 4, seed=8)
-    with pytest.raises(ParameterError):  # not cocoercive
-        fb_step(saddle.forward, saddle.resolvent, w, lam=1e-3, sigma=0.5)
+    with pytest.raises(ParameterError, match="needs a cocoercive map"):
+        instances.make_inner_solver(
+            saddle, InstanceConfig("forward_backward", lam=1e-3), p)
 
 
 def test_fb_step_boundary_ratio_and_residual():
@@ -120,7 +137,7 @@ def test_fb_step_boundary_ratio_and_residual():
     rng = np.random.default_rng(10)
     for _ in range(20):
         w = rng.standard_normal(5) * 2
-        cert = fb_step(prob.forward, prob.resolvent, w, lam, sigma)
+        cert = fb_step(prob.forward, prob.resolvent, w, lam)
         # the residual lam v + z~ - w vanishes identically
         assert linalg.norm(cert.lam * cert.v + cert.z_tilde - w) <= 1e-14
         assert cert.eps == pytest.approx(
@@ -134,8 +151,7 @@ def test_fb_step_fixed_point():
     prob = make_problem("box_constrained_quadratic", 5, seed=11)
     sigma = 0.6
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
-    cert = fb_step(prob.forward, prob.resolvent, prob.known_solution, lam,
-                   sigma)
+    cert = fb_step(prob.forward, prob.resolvent, prob.known_solution, lam)
     assert linalg.norm(cert.v) <= 1e-9
     assert cert.eps <= 1e-18
 
@@ -148,7 +164,7 @@ def test_fb_membership_via_enlargement_oracle():
     rng = np.random.default_rng(13)
     for _ in range(20):
         w = rng.standard_normal(5)
-        cert = fb_step(prob.forward, prob.resolvent, w, lam, sigma)
+        cert = fb_step(prob.forward, prob.resolvent, w, lam)
         assert enlargement_member(prob.forward.affine, cert.z_tilde,
                                   prob.forward(w), cert.eps)
 
@@ -161,8 +177,7 @@ def test_fb_reduction_to_classical_iterates():
     p = params.HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
     state = hpe_core.run(
-        prob, lambda w, k: fb_step(prob.forward, prob.resolvent, w, lam,
-                                   sigma),
+        prob, lambda w, k: fb_step(prob.forward, prob.resolvent, w, lam),
         p, lambda_floor=lam, record_vectors=True,
         stop=hpe_core.StoppingRule(rho=-1.0, max_iters=1000))
     z = np.zeros(6)
@@ -191,8 +206,7 @@ def test_tseng_reduction_to_classical_iterates():
     p = params.HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
     lam = sigma / prob.lipschitz_L
     state = hpe_core.run(
-        prob, lambda w, k: tseng_step(prob.forward, prob.resolvent, w, lam,
-                                      sigma),
+        prob, lambda w, k: tseng_step(prob.forward, prob.resolvent, w, lam),
         p, lambda_floor=lam, record_vectors=True,
         stop=hpe_core.StoppingRule(rho=-1.0, max_iters=1000))
     F = prob.forward

