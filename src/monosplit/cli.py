@@ -72,6 +72,9 @@ _FIELD_TYPES = {
 }
 # The least value of an integer field, where the library needs one.
 _FIELD_MINIMA = {"seed": 0, "max_iters": 1}
+# The greatest: every zoo kind builds dense float64 matrices of order n or
+# n/2, so a larger dimension exhausts memory or numpy's array limits.
+_FIELD_MAXIMA = {"dimension": 4096}
 
 
 def _expect_types(d, context):
@@ -84,6 +87,9 @@ def _expect_types(d, context):
         if key in _FIELD_MINIMA and value < _FIELD_MINIMA[key]:
             raise ConfigError(f"{context}.{key} must be >= "
                               f"{_FIELD_MINIMA[key]}, got {value}")
+        if key in _FIELD_MAXIMA and value > _FIELD_MAXIMA[key]:
+            raise ConfigError(f"{context}.{key} must be <= "
+                              f"{_FIELD_MAXIMA[key]}, got {value}")
     return d
 
 
@@ -92,7 +98,7 @@ def load_config(path, seed_override=None):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8, huge integers
         raise ConfigError(f"cannot read config {path}: {exc}")
     _expect_keys(raw, "config", ("schema_version", "problem", "instance",
                                  "params"),

@@ -14,6 +14,7 @@ against every post-hoc inequality.
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,49 +125,75 @@ class IterationTrace:
     def read_jsonl(cls, path):
         """Read a JSONL trace, line by line; return ``(trace, meta)``.
 
-        A null value reads as NaN.
+        A null value reads as NaN.  An unreadable file raises
+        :class:`ParameterError`, and so does, naming its line, a line that
+        is not a JSON object, a meta that is not an object, a missing
+        column, or a cell that is neither null nor a number (an int or a
+        float, within the float range).
         """
         trace = cls()
         meta = {}
         row_values = operator.itemgetter(*TRACE_COLUMNS)
         rows = []
-        with open(path) as fh:
+        linenos = []
+        try:
+            fh = open(path, "rb")  # json.loads decodes, so bad UTF-8 fails
+        except OSError as exc:
+            raise ParameterError(f"cannot read trace {path}: {exc}")
+        with fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also bad UTF-8, huge integers
                     raise ParameterError(
                         f"malformed trace line {lineno}: {exc}")
+                if not isinstance(row, dict):
+                    raise ParameterError(
+                        f"trace line {lineno} is not a JSON object")
                 if "meta" in row:
                     meta = row["meta"]
+                    if not isinstance(meta, dict):
+                        raise ParameterError(
+                            f"trace line {lineno}: meta must be an object")
                     continue
                 try:
                     rows.append(row_values(row))
-                except (KeyError, TypeError):
+                except KeyError:
                     missing = [c for c in TRACE_COLUMNS if c not in row]
                     raise ParameterError(
                         f"trace line {lineno} missing columns {missing}")
+                linenos.append(lineno)
                 if len(rows) == _CHUNK_ROWS:
-                    trace._extend(rows)
-        trace._extend(rows)
+                    trace._extend(rows, linenos)
+        trace._extend(rows, linenos)
         return trace, meta
 
-    def _extend(self, rows):
+    def _extend(self, rows, linenos):
         """Move rows of :data:`TRACE_COLUMNS` values into the columns.
 
-        A null value becomes NaN.
+        ``linenos`` holds the line of each row.  Each column's cells are
+        type-checked together; a null value becomes NaN.
         """
-        values = zip(*rows)
-        next(values, None)  # k
-        for col, column_values in zip(self.columns.values(), values):
+        for name, column_values in zip(TRACE_COLUMNS, zip(*rows)):
+            if not _FLOAT_OR_NULL.issuperset(map(type, column_values)):
+                bad = [i for i, value in enumerate(column_values)
+                       if not _is_cell(value)]
+                if bad:
+                    raise ParameterError(
+                        f"trace line {linenos[bad[0]]}, column {name!r}: "
+                        f"{json.dumps(column_values[bad[0]])} is not a "
+                        f"number or null")
+            if name == "k":
+                continue
             if None in column_values:
                 column_values = [math.nan if value is None else value
                                  for value in column_values]
-            col.extend(column_values)
+            self.columns[name].extend(column_values)
         rows.clear()
+        linenos.clear()
 
 
 # Rows are written, or read into the columns, this many at a time.
@@ -178,6 +205,15 @@ _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
 _CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\r\n"
 _JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOAT_OR_NULL = frozenset({float, type(None)})
+
+
+def _is_cell(value):
+    """Whether a JSON value is a trace cell: null, a float, or an int in
+    the float range (``true`` and ``false`` read as bools, not ints)."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) in _FLOAT_OR_NULL
 
 
 def _number_text(value):

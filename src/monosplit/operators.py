@@ -8,7 +8,6 @@ decomposition of enlargements.
 """
 
 import functools
-import itertools
 
 import numpy as np
 import scipy.linalg
@@ -244,10 +243,120 @@ def enlargement_member(T, z, v, eps, tol=1e-9):
 # Brute-force solution oracles (desk scale, exponential cost)
 # ---------------------------------------------------------------------------
 
+# Patterns are enumerated this many at a time, so memory stays bounded.
+_ENUM_CHUNK = 1024
+# Widening of every KKT threshold in the batched prefilter.  Its values
+# differ from a pattern's own only by round-off (the l1 solves make the same
+# LAPACK call on the same data; the box right-hand sides and the gradients
+# are summed in another order), far below this, so the prefilter never
+# drops a pattern that the exact check would accept.
+_PREFILTER_MARGIN = 1e-6
+
+
+def _patterns(n, lo, hi):
+    """Patterns ``lo .. hi-1`` of ``itertools.product((-1, 0, 1), repeat=n)``.
+
+    Row ``i`` holds the base-3 digits of ``lo + i``, most significant
+    first, shifted to {-1, 0, 1}.
+    """
+    powers = 3 ** np.arange(n - 1, -1, -1)
+    return np.arange(lo, hi)[:, None] // powers % 3 - 1
+
+
+def _enumerate(n, prefilter, exact):
+    """Yield ``exact(pattern)`` for the patterns ``prefilter`` keeps.
+
+    The patterns are walked in ``itertools.product`` order, a chunk of
+    :data:`_ENUM_CHUNK` at a time; ``prefilter`` maps a chunk to the mask
+    of its rows that may pass the exact check.
+    """
+    total = 3 ** n
+    for lo in range(0, total, _ENUM_CHUNK):
+        chunk = _patterns(n, lo, min(lo + _ENUM_CHUNK, total))
+        for row in np.flatnonzero(prefilter(chunk)):
+            yield exact(chunk[row])
+
+
+def _solve_on_free(A, rhs, free):
+    """Solve ``A[F, F] x_F = rhs[F]`` for the free set ``F`` of each row.
+
+    One stacked solve per support size.  Returns ``(x, solved)`` with
+    ``x`` zero off ``F``; a stack holding a singular matrix is solved
+    pattern by pattern, and ``solved`` is False where the matrix is
+    singular.
+    """
+    x = np.zeros(rhs.shape)
+    solved = np.ones(len(free), dtype=bool)
+    size = free.sum(axis=1)
+    for k in range(1, free.shape[1] + 1):
+        rows = np.flatnonzero(size == k)
+        if not rows.size:
+            continue
+        cols = np.nonzero(free[rows])[1].reshape(-1, k)
+        stack = A[cols[:, :, None], cols[:, None, :]]
+        b = rhs[rows[:, None], cols]
+        try:
+            x_F = np.linalg.solve(stack, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            x_F = np.zeros_like(b)
+            for i, row in enumerate(rows):
+                try:
+                    x_F[i] = np.linalg.solve(stack[i], b[i])
+                except np.linalg.LinAlgError:
+                    solved[row] = False
+        x[rows[:, None], cols] = x_F
+    return x, solved
+
+
+def _box_kkt(pattern, z, g, c, lower, upper, tol, margin=0.0):
+    """Whether each point ``z`` with gradient ``g`` is stationary.
+
+    ``z`` lies in the box up to ``tol``, and each coordinate's gradient
+    has the sign its ``pattern`` entry (lower -1, free 0, upper 1)
+    requires.  Works on one pattern or a stack of rows; ``margin`` widens
+    every threshold.
+    """
+    slack = tol + margin
+    bad = ((z < lower - slack) | (z > upper + slack)
+           | ((pattern == -1) & (g < -slack))
+           | ((pattern == 1) & (g > slack))
+           | ((pattern == 0) & (np.abs(g) > 1e-7 * (1 + np.abs(c)) + margin)))
+    return ~bad.any(axis=-1)
+
+
+def _box_point(Q, c, lower, upper, pattern, tol):
+    """The point of one active-set ``pattern``, or None if it is not a
+    solution."""
+    z = np.where(pattern == -1, lower, np.where(pattern == 1, upper, 0.0))
+    free = pattern == 0
+    if free.any():
+        try:
+            z_free = np.linalg.solve(
+                Q[np.ix_(free, free)],
+                -c[free] - Q[np.ix_(free, ~free)] @ z[~free])
+        except np.linalg.LinAlgError:
+            return None
+        z = z.copy()
+        z[free] = z_free
+    if not _box_kkt(pattern, z, Q @ z + c, c, lower, upper, tol):
+        return None
+    return np.clip(z, lower, upper)
+
+
 def solve_box_qp_bruteforce(Q, c, lower, upper, tol=1e-9):
     """Exact solution of ``0 in Q z + c + N_box(z)`` by active-set enumeration.
 
-    Enumerates all 3^n assignments of coordinates to {lower, upper, free}.
+    Walks the 3^n assignments of coordinates to {lower, free, upper}
+    (-1, 0, 1) in ``itertools.product`` order and returns the first that
+    solves: its free coordinates solve the reduced linear system, it lies
+    in the box and its gradient has the signs of its assignment.  Each
+    chunk of patterns is first screened with one stacked solve per
+    number of free coordinates, at every threshold widened by
+    :data:`_PREFILTER_MARGIN`; each pattern that passes is then checked
+    on its own, with its own solve, at the exact thresholds.  A stack
+    holding a singular matrix is solved pattern by pattern, and the
+    singular pattern skipped, as its own solve would be.  The answer is
+    thus the one a pattern-by-pattern loop returns, bit for bit.
     """
     Q = np.asarray(Q, dtype=float)
     c = linalg.as_vector(c)
@@ -255,39 +364,69 @@ def solve_box_qp_bruteforce(Q, c, lower, upper, tol=1e-9):
     if n > _BRUTE_FORCE_DIM_CAP:
         raise ParameterError(
             f"brute-force box QP limited to n <= {_BRUTE_FORCE_DIM_CAP}")
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        pattern = np.array(pattern)
-        z = np.where(pattern == -1, lower, np.where(pattern == 1, upper, 0.0))
-        free = pattern == 0
-        if free.any():
-            try:
-                z_free = np.linalg.solve(
-                    Q[np.ix_(free, free)],
-                    -c[free] - Q[np.ix_(free, ~free)] @ z[~free])
-            except np.linalg.LinAlgError:
-                continue
-            z = z.copy()
-            z[free] = z_free
-        if np.any(z < lower - tol) or np.any(z > upper + tol):
-            continue
-        g = Q @ z + c
-        ok = True
-        for i in range(n):
-            if pattern[i] == -1 and g[i] < -tol:
-                ok = False
-            elif pattern[i] == 1 and g[i] > tol:
-                ok = False
-            elif pattern[i] == 0 and abs(g[i]) > 1e-7 * (1 + abs(c[i])):
-                ok = False
-        if ok:
-            return np.clip(z, lower, upper)
+
+    def prefilter(patterns):
+        free = patterns == 0
+        z = np.where(patterns == -1, lower,
+                     np.where(patterns == 1, upper, 0.0))
+        # z is zero on F, so each row's rhs on F is -c[F] - Q[F, ~F] z[~F]
+        z_free, solved = _solve_on_free(Q, -(z @ Q.T + c), free)
+        z = np.where(free, z_free, z)
+        return solved & _box_kkt(patterns, z, z @ Q.T + c, c, lower, upper,
+                                 tol, _PREFILTER_MARGIN)
+
+    for z in _enumerate(n, prefilter, functools.partial(
+            _box_point, Q, c, lower, upper, tol=tol)):
+        if z is not None:
+            return z
     raise OracleError("active-set enumeration found no stationary point")
+
+
+def _l1_kkt(s, x, grad, weight, tol, margin=0.0):
+    """Whether each ``x`` with gradient ``grad`` of the smooth part is a
+    KKT point of sign pattern ``s``.
+
+    ``x`` has the signs of ``s`` up to ``tol``, ``grad + weight s`` is
+    zero on the support and ``|grad| <= weight`` off it.  Works on one
+    pattern or a stack of rows; ``margin`` widens every threshold.
+    """
+    support = s != 0.0
+    bad = ((x * s < -(tol + margin))
+           | (support & (np.abs(grad + weight * s) > 1e-7 + margin))
+           | (~support & (np.abs(grad) > weight + 1e-9 + margin)))
+    return ~bad.any(axis=-1)
+
+
+def _l1_point(G, h, M, y, weight, s, tol):
+    """``(objective, x)`` of the KKT point of sign pattern ``s``, or None."""
+    s = s.astype(float)
+    support = s != 0.0
+    x = np.zeros(s.shape[0])
+    if support.any():
+        try:
+            x[support] = np.linalg.solve(
+                G[np.ix_(support, support)],
+                h[support] - weight * s[support])
+        except np.linalg.LinAlgError:
+            return None
+    if not _l1_kkt(s, x, G @ x - h, weight, tol):
+        return None
+    return 0.5 * linalg.norm_sq(M @ x - y) + weight * np.abs(x).sum(), x
 
 
 def solve_l1_bruteforce(M, y, weight, tol=1e-9):
     """Exact minimizer of ``0.5 ||M x - y||^2 + weight * ||x||_1``.
 
-    Enumerates all 3^n sign patterns and solves each KKT system.
+    Walks the 3^n sign patterns in ``itertools.product((-1, 0, 1))``
+    order, solves each one's KKT system and returns the KKT point of
+    least objective, the first on a tie.  Each chunk of patterns is
+    first screened with one stacked solve per support size, at every
+    threshold widened by :data:`_PREFILTER_MARGIN`; each pattern that
+    passes is then checked on its own, with its own solve, at the exact
+    thresholds.  A stack holding a singular matrix is solved pattern by
+    pattern, and the singular pattern skipped, as its own solve would
+    be.  The answer is thus the one a pattern-by-pattern loop returns,
+    bit for bit.
     """
     M = np.asarray(M, dtype=float)
     y = linalg.as_vector(y)
@@ -297,30 +436,18 @@ def solve_l1_bruteforce(M, y, weight, tol=1e-9):
             f"brute-force l1 solve limited to n <= {_BRUTE_FORCE_DIM_CAP}")
     G = M.T @ M
     h = M.T @ y
+
+    def prefilter(patterns):
+        s = patterns.astype(float)
+        x, solved = _solve_on_free(G, h - weight * s, patterns != 0)
+        return solved & _l1_kkt(s, x, x @ G.T - h, weight, tol,
+                                _PREFILTER_MARGIN)
+
     best = None
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        s = np.array(pattern, dtype=float)
-        support = s != 0.0
-        x = np.zeros(n)
-        if support.any():
-            try:
-                x_s = np.linalg.solve(
-                    G[np.ix_(support, support)],
-                    h[support] - weight * s[support])
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(x_s * s[support] < -tol):
-                continue
-            x[support] = x_s
-        grad = G @ x - h
-        if support.any() and np.any(
-                np.abs(grad[support] + weight * s[support]) > 1e-7):
-            continue
-        if np.any(np.abs(grad[~support]) > weight + 1e-9):
-            continue
-        obj = 0.5 * linalg.norm_sq(M @ x - y) + weight * np.abs(x).sum()
-        if best is None or obj < best[0]:
-            best = (obj, x)
+    for point in _enumerate(n, prefilter, functools.partial(
+            _l1_point, G, h, M, y, weight, tol=tol)):
+        if point is not None and (best is None or point[0] < best[0]):
+            best = point
     if best is None:
         raise OracleError("sign enumeration found no KKT point")
     return best[1]

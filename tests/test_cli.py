@@ -177,6 +177,62 @@ def test_certify_fails_non_finite_value(tmp_path, capsys, solved_box,
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def _set_cell(column, value):
+    def edit(lines):
+        row = json.loads(lines[5])
+        row[column] = value
+        lines[5] = json.dumps(row)
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines.__setitem__(5, "5"),
+     "trace line 6 is not a JSON object"),
+    (lambda lines: lines.__setitem__(0, '{"meta": 5}'),
+     "trace line 1: meta must be an object"),
+    (_set_cell("eps", "abc"),
+     """trace line 6, column 'eps': "abc" is not a number or null"""),
+    (_set_cell("lam", [1, 2]),
+     "trace line 6, column 'lam': [1, 2] is not a number or null"),
+    (_set_cell("norm_v", True),
+     "trace line 6, column 'norm_v': true is not a number or null"),
+    (_set_cell("s_k", 10 ** 400), "trace line 6, column 's_k': 1000"),
+    # json.loads refuses an integer of more than 4300 digits
+    (lambda lines: lines.__setitem__(5, lines[5].replace(
+        '"k": 5', '"k": 1' + "0" * 5000)),
+     "malformed trace line 6: Exceeds the limit"),
+], ids=["bare_number_row", "meta_not_object", "string_cell", "list_cell",
+        "bool_cell", "int_beyond_float_range", "int_beyond_str_limit"])
+def test_certify_reports_malformed_trace(tmp_path, capsys, solved_box, edit,
+                                         message):
+    # each used to end certify in a traceback with exit 1
+    path, lines = solved_box
+    lines = list(lines)
+    edit(lines)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert cli.main(["certify", "--trace", str(trace),
+                     "--config", path]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: " + message)
+
+
+def test_certify_reports_unreadable_trace(tmp_path, capsys, solved_box):
+    path, lines = solved_box
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(("\n".join(lines[:5]) + "\n").encode() + b"\xff\n")
+    for argv_trace, message in [
+            (tmp_path / "missing.jsonl", "error: cannot read trace "),
+            (tmp_path, "error: cannot read trace "),
+            (trace, "error: malformed trace line 6: ")]:
+        assert cli.main(["certify", "--trace", str(argv_trace),
+                         "--config", path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+
+
 def test_certify_empty_trace_vacuous(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     trace = tmp_path / "empty.jsonl"
@@ -200,6 +256,21 @@ def test_config_rejects_wrong_schema_version(tmp_path):
     path = write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_undecodable_reported(tmp_path, capsys):
+    # non-UTF-8 bytes, and an integer past Python's str-conversion limit
+    bad_bytes = tmp_path / "bytes.json"
+    bad_bytes.write_bytes(b"\xff\xfe{}")
+    long_int = tmp_path / "int.json"
+    long_int.write_text(json.dumps(base_config()).replace(
+        '"seed": 7', '"seed": 1' + "0" * 5000))
+    for path in (str(bad_bytes), str(long_int)):
+        assert cli.main(["solve", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot read config {path}")
 
 
 def test_config_invalid_params_reported(tmp_path):
@@ -259,7 +330,10 @@ def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
     ("problem", "seed", -1),
     ("stopping", "max_iters", 0),
     ("stopping", "max_iters", -3),
-], ids=["seed_negative", "max_iters_zero", "max_iters_negative"])
+    ("problem", "dimension", 100000),
+    ("problem", "dimension", 10 ** 30),
+], ids=["seed_negative", "max_iters_zero", "max_iters_negative",
+        "dimension_too_large_to_allocate", "dimension_beyond_numpy"])
 def test_config_out_of_range_reported(tmp_path, capsys, section, field,
                                       value):
     cfg = base_config()
