@@ -126,6 +126,8 @@ def load_config(path, seed_override=None):
     par = _expect_types(_expect_keys(
         raw["params"], "params", (),
         ("alpha", "sigma", "beta", "tau", "ramp_iters")), "params")
+    if "beta" in par and "tau" in par:
+        raise ConfigError("params gives both beta and tau; give one")
     params = params_mod.HpeParams.from_dict(par)
 
     stop = hpe_core.StoppingRule(**_expect_types(_expect_keys(
@@ -141,6 +143,9 @@ def load_config(path, seed_override=None):
                                   f"real numbers, got {json.dumps(grid)}")
         if not any(sweep.get(k) for k in ("alpha", "sigma", "beta", "tau")):
             raise ConfigError("sweep present but every grid is empty")
+        if "beta" in sweep and "tau" in sweep:
+            raise ConfigError("sweep has grids for both beta and tau; "
+                              "give one")
 
     return {"problem": problem, "instance": config, "params": params,
             "stop": stop, "sweep": sweep, "raw": raw}
@@ -187,12 +192,6 @@ def _run_config(cfg):
                            stop=cfg["stop"])
 
 
-def _audit(cfg, state):
-    return bounds.audit(state.trace, bounds.BoundInputs(
-        d0=cfg["problem"].d0(state.z0), lambda_floor=state.lambda_floor,
-        params=cfg["params"]))
-
-
 def _line(check):
     return f"[{check.status.upper()}] {check.name}: {check.detail}"
 
@@ -216,7 +215,7 @@ def cmd_solve(args):
         "final_norm_v": state.trace.column("norm_v")[-1],
         "final_eps": state.trace.column("eps")[-1],
     }
-    checks = _audit(cfg, state)
+    checks = certify_trace(state.trace, cfg)
     summary["checks"] = [dataclasses.asdict(c) for c in checks]
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
@@ -239,17 +238,20 @@ def cmd_solve(args):
 def _bench_cell(cfg, overrides):
     """Solve one sweep cell on the sweep's shared problem; return its CSV row.
 
-    The cell's parameters go into a copy of ``cfg``; the problem, instance
-    and stopping rule are shared by every cell.
+    The cell's values replace those of the config's ``params`` section (a
+    ``beta`` or ``tau`` replaces both), so a cell runs with the parameters
+    a ``solve`` of its config would.  The problem, instance and stopping
+    rule are shared by every cell.
     """
     row = [repr(float(v)) for v in overrides.values()]
+    base = cfg["raw"]["params"]
+    if not overrides.keys().isdisjoint(("beta", "tau")):
+        base = {k: v for k, v in base.items() if k not in ("beta", "tau")}
     try:
-        pdict = dict(cfg["params"].to_dict(), **overrides)
-        if "tau" in overrides:
-            pdict.pop("beta", None)
-        cell = dict(cfg, params=params_mod.HpeParams.from_dict(pdict))
+        cell = dict(cfg, params=params_mod.HpeParams.from_dict(
+            dict(base, **overrides)))
         state = _run_config(cell)
-        checks = _audit(cell, state)
+        checks = certify_trace(state.trace, cell)
     except MonosplitError as exc:
         return row + ["error", "", 0, "nan", "nan", "nan", str(exc)]
     failed = "; ".join(_line(c) for c in checks if c.status == bounds.FAIL)
@@ -292,10 +294,11 @@ def cmd_bench(args):
 # ---------------------------------------------------------------------------
 
 def certify_trace(trace, cfg):
-    """Audit a recorded trace against the config it was recorded with.
+    """Audit a trace against the config it was recorded with.
 
-    The inputs are those ``solve`` gives the audit: the run starts at the
-    origin, and the stepsize floor is the inner solver's own.
+    ``solve``, ``bench`` and ``certify`` all audit through this one
+    function: the run starts at the origin, and the stepsize floor is the
+    inner solver's own.
     """
     problem, params = cfg["problem"], cfg["params"]
     _, floor = instances.make_inner_solver(problem, cfg["instance"], params)
@@ -374,6 +377,9 @@ def main(argv=None):
     except MonosplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,9 @@ import numpy as np
 from . import linalg
 from .errors import ParameterError
 
+# Round-off allowance on the transport weights summing to 1.
+WEIGHT_SUM_TOL = 1e-12
+
 
 @dataclass
 class ErgodicState:
@@ -53,7 +56,7 @@ class ErgodicState:
 
     @property
     def eps_avg_raw(self):
-        """Aggregated error, unclamped (guaranteed >= 0 analytically)."""
+        """Aggregated error: >= 0 analytically, round-off aside."""
         return self.scalars()[1]
 
     def scalars(self):
@@ -65,21 +68,15 @@ class ErgodicState:
                 (self.eps_sum + self.cross_sum) / L
                 - linalg.dot(z_avg, v_avg))
 
-    def eps_avg(self, tol=1e-9):
-        """Aggregated error clamped to 0 when within ``-tol`` of zero."""
-        raw = self.eps_avg_raw
-        if -tol <= raw < 0.0:
-            return 0.0
-        return raw
 
-
-def transport(points, weights, tol=1e-12):
+def transport(points, weights):
     """Aggregate graph-of-enlargement points into one certificate.
 
     Parameters
     ----------
     points : sequence of (z~, v, eps) triples with ``v in T^eps(z~)``.
-    weights : nonnegative reals summing to 1 within ``tol``.
+    weights : nonnegative reals summing to 1 within
+        :data:`WEIGHT_SUM_TOL`.
 
     Returns
     -------
@@ -89,10 +86,10 @@ def transport(points, weights, tol=1e-12):
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0.0):
         raise ParameterError("transport weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > tol:
+    if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ParameterError(
             f"transport weights sum to {weights.sum()}, expected 1 "
-            f"within {tol}")
+            f"within {WEIGHT_SUM_TOL}")
     if len(points) != weights.shape[0]:
         raise ParameterError("points and weights lengths differ")
     z_avg = sum(a * linalg.as_vector(z) for a, (z, _, _) in zip(weights, points))

@@ -243,17 +243,11 @@ class SolverState:
 
     k: int
     z_curr: np.ndarray
-    z_prev: np.ndarray
-    w: np.ndarray
     z0: np.ndarray
     verdict: str
-    params: object
     lambda_floor: float
     ergodic: ErgodicState
     trace: IterationTrace
-    z_history: list = None
-    w_history: list = None
-    certificates: list = None
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +324,7 @@ def relax_update(w, cert, tau):
 # The driver
 # ---------------------------------------------------------------------------
 
-def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
-        record_vectors=False):
+def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     """Iterate the framework until the stopping rule fires or the cap hits.
 
     Parameters
@@ -344,8 +337,6 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
     stop : StoppingRule, optional
     z0 : starting point; defaults to the origin.
     lambda_floor : enforced lower bound on every certificate stepsize.
-    record_vectors : keep per-iteration vectors (needed by post-hoc checks
-        that go beyond the scalar trace; memory grows with k * dim).
 
     The inputs are validated once, on entry: ``z0`` and the known solution
     are finite vectors of one dimension, and the validated bundle keeps
@@ -384,12 +375,8 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
     z = z0.copy()
     trace = IterationTrace()
     erg = ErgodicState(dim=shape[0])
-    z_hist = [z0.copy()] if record_vectors else None
-    w_hist = [] if record_vectors else None
-    certs = [] if record_vectors else None
 
     verdict = "max_iters"
-    w = z.copy()
     k = 0
     for k in range(1, stop.max_iters + 1):
         alpha_k = alpha if ramp is None else ramp(k)
@@ -438,17 +425,11 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0,
             aggregate_stepsize=erg.aggregate_stepsize,
             norm_v_a=math.sqrt(v_avg_sq), eps_a=eps_a)
 
-        if record_vectors:
-            z_hist.append(z_next.copy())
-            w_hist.append(w.copy())
-            certs.append(cert)
-
         z_prev, z = z, z_next
         if norm_v <= rho and eps <= eps_hat:
             verdict = "solved"
             break
 
     return SolverState(
-        k=k, z_curr=z, z_prev=z_prev, w=w, z0=z0, verdict=verdict,
-        params=params, lambda_floor=lambda_floor, ergodic=erg, trace=trace,
-        z_history=z_hist, w_history=w_hist, certificates=certs)
+        k=k, z_curr=z, z0=z0, verdict=verdict, lambda_floor=lambda_floor,
+        ergodic=erg, trace=trace)

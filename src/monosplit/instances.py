@@ -143,8 +143,8 @@ def make_inner_solver(problem, config, params):
     return solver, floor
 
 
-def solve(problem, config, params, stop=None, z0=None, record_vectors=False):
-    """Run the driver on a problem with one of the bundled instances."""
+def solve(problem, config, params, stop=None):
+    """Run the driver from the origin with one of the bundled instances."""
     solver, floor = make_inner_solver(problem, config, params)
-    return hpe_core.run(problem, solver, params, stop=stop, z0=z0,
-                        lambda_floor=floor, record_vectors=record_vectors)
+    return hpe_core.run(problem, solver, params, stop=stop,
+                        lambda_floor=floor)

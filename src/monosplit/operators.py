@@ -102,8 +102,6 @@ class ZeroResolvent:
         self.dim = dim
 
     def resolve(self, lam, w):
-        if lam <= 0.0:
-            raise ParameterError(f"lambda must be positive, got {lam}")
         return w.copy(), np.zeros_like(w)
 
 
@@ -116,8 +114,6 @@ class AffineResolvent:
         self._cache = {}
 
     def resolve(self, lam, w):
-        if lam <= 0.0:
-            raise ParameterError(f"lambda must be positive, got {lam}")
         key = float(lam)
         lu = self._cache.get(key)
         if lu is None:
@@ -147,8 +143,6 @@ class BoxResolvent:
         return np.clip(w, self.lower, self.upper)
 
     def resolve(self, lam, w):
-        if lam <= 0.0:
-            raise ParameterError(f"lambda must be positive, got {lam}")
         z = self.project(w)
         return z, (w - z) / lam
 
@@ -163,8 +157,6 @@ class L1Resolvent:
         self.weight = weight
 
     def resolve(self, lam, w):
-        if lam <= 0.0:
-            raise ParameterError(f"lambda must be positive, got {lam}")
         t = lam * self.weight
         z = np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
         return z, (w - z) / lam
@@ -174,7 +166,11 @@ def resolve(B, lam, w):
     """Evaluate a resolvent oracle: ``z_tilde = (lam B + I)^{-1} w``.
 
     Returns ``(z_tilde, v)`` with ``v = (w - z_tilde)/lam`` in ``B(z_tilde)``.
+    The oracles' own ``resolve`` methods trust ``lam > 0``: the inner
+    solvers check their stepsize once, before any step runs.
     """
+    if lam <= 0.0:
+        raise ParameterError(f"lambda must be positive, got {lam}")
     return B.resolve(lam, linalg.as_vector(w))
 
 
@@ -193,12 +189,11 @@ class ForwardMap:
     """
 
     def __init__(self, fun, lipschitz_L, cocoercive=False,
-                 project_domain=None, affine=None, linear=None):
+                 project_domain=None, linear=None):
         self.fun = fun
         self.lipschitz_L = float(lipschitz_L)
         self.cocoercive = bool(cocoercive)
         self.project_domain = project_domain or (lambda z: z)
-        self.affine = affine  # AffineOperator when the map is affine
         self.linear = linear  # linear part of an affine map, or None
 
     def __call__(self, z):
@@ -208,6 +203,11 @@ class ForwardMap:
 # ---------------------------------------------------------------------------
 # Enlargement oracle (affine operators)
 # ---------------------------------------------------------------------------
+
+# Round-off allowance of the enlargement oracle: on the stationarity
+# residual, relative to 1 + ||rhs||, and on the membership inequality.
+ENLARGEMENT_TOL = 1e-9
+
 
 def enlargement_infimum(T, z, v):
     """Infimum over ``z'`` of ``<z - z', v - (A z' + b)>`` for affine ``T``.
@@ -223,26 +223,30 @@ def enlargement_infimum(T, z, v):
     rhs = A.T @ z + v - b
     sol, *_ = np.linalg.lstsq(sym2, rhs, rcond=None)
     residual = linalg.norm(sym2 @ sol - rhs)
-    if residual > 1e-9 * (1.0 + linalg.norm(rhs)):
+    if residual > ENLARGEMENT_TOL * (1.0 + linalg.norm(rhs)):
         return -np.inf, False
     value = linalg.inner(z - sol, v - T(sol))
     return value, True
 
 
-def enlargement_member(T, z, v, eps, tol=1e-9):
-    """Closed-form membership test ``v in T^eps(z)`` for affine ``T``."""
+def enlargement_member(T, z, v, eps):
+    """Closed-form membership test ``v in T^eps(z)`` for affine ``T``,
+    within :data:`ENLARGEMENT_TOL`."""
     if eps < 0.0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     value, bounded = enlargement_infimum(T, z, v)
     if not bounded:
         return False
-    return value >= -eps - tol
+    return value >= -eps - ENLARGEMENT_TOL
 
 
 # ---------------------------------------------------------------------------
 # Brute-force solution oracles (desk scale, exponential cost)
 # ---------------------------------------------------------------------------
 
+# Feasibility allowance of a KKT point: on the bounds or signs of the
+# point, and on the dual bounds of its gradient.
+_KKT_TOL = 1e-9
 # Patterns are enumerated this many at a time, so memory stays bounded.
 _ENUM_CHUNK = 1024
 # Widening of every KKT threshold in the batched prefilter.  Its values
@@ -308,15 +312,15 @@ def _solve_on_free(A, rhs, free):
     return x, solved
 
 
-def _box_kkt(pattern, z, g, c, lower, upper, tol, margin=0.0):
+def _box_kkt(pattern, z, g, c, lower, upper, margin=0.0):
     """Whether each point ``z`` with gradient ``g`` is stationary.
 
-    ``z`` lies in the box up to ``tol``, and each coordinate's gradient
-    has the sign its ``pattern`` entry (lower -1, free 0, upper 1)
-    requires.  Works on one pattern or a stack of rows; ``margin`` widens
-    every threshold.
+    ``z`` lies in the box up to :data:`_KKT_TOL`, and each coordinate's
+    gradient has the sign its ``pattern`` entry (lower -1, free 0, upper
+    1) requires.  Works on one pattern or a stack of rows; ``margin``
+    widens every threshold.
     """
-    slack = tol + margin
+    slack = _KKT_TOL + margin
     bad = ((z < lower - slack) | (z > upper + slack)
            | ((pattern == -1) & (g < -slack))
            | ((pattern == 1) & (g > slack))
@@ -324,7 +328,7 @@ def _box_kkt(pattern, z, g, c, lower, upper, tol, margin=0.0):
     return ~bad.any(axis=-1)
 
 
-def _box_point(Q, c, lower, upper, pattern, tol):
+def _box_point(Q, c, lower, upper, pattern):
     """The point of one active-set ``pattern``, or None if it is not a
     solution."""
     z = np.where(pattern == -1, lower, np.where(pattern == 1, upper, 0.0))
@@ -338,12 +342,12 @@ def _box_point(Q, c, lower, upper, pattern, tol):
             return None
         z = z.copy()
         z[free] = z_free
-    if not _box_kkt(pattern, z, Q @ z + c, c, lower, upper, tol):
+    if not _box_kkt(pattern, z, Q @ z + c, c, lower, upper):
         return None
     return np.clip(z, lower, upper)
 
 
-def solve_box_qp_bruteforce(Q, c, lower, upper, tol=1e-9):
+def solve_box_qp_bruteforce(Q, c, lower, upper):
     """Exact solution of ``0 in Q z + c + N_box(z)`` by active-set enumeration.
 
     Walks the 3^n assignments of coordinates to {lower, free, upper}
@@ -373,31 +377,32 @@ def solve_box_qp_bruteforce(Q, c, lower, upper, tol=1e-9):
         z_free, solved = _solve_on_free(Q, -(z @ Q.T + c), free)
         z = np.where(free, z_free, z)
         return solved & _box_kkt(patterns, z, z @ Q.T + c, c, lower, upper,
-                                 tol, _PREFILTER_MARGIN)
+                                 _PREFILTER_MARGIN)
 
     for z in _enumerate(n, prefilter, functools.partial(
-            _box_point, Q, c, lower, upper, tol=tol)):
+            _box_point, Q, c, lower, upper)):
         if z is not None:
             return z
     raise OracleError("active-set enumeration found no stationary point")
 
 
-def _l1_kkt(s, x, grad, weight, tol, margin=0.0):
+def _l1_kkt(s, x, grad, weight, margin=0.0):
     """Whether each ``x`` with gradient ``grad`` of the smooth part is a
     KKT point of sign pattern ``s``.
 
-    ``x`` has the signs of ``s`` up to ``tol``, ``grad + weight s`` is
-    zero on the support and ``|grad| <= weight`` off it.  Works on one
-    pattern or a stack of rows; ``margin`` widens every threshold.
+    ``x`` has the signs of ``s`` and ``|grad| <= weight`` holds off the
+    support, both up to :data:`_KKT_TOL`, and ``grad + weight s`` is zero
+    on the support.  Works on one pattern or a stack of rows; ``margin``
+    widens every threshold.
     """
     support = s != 0.0
-    bad = ((x * s < -(tol + margin))
+    bad = ((x * s < -(_KKT_TOL + margin))
            | (support & (np.abs(grad + weight * s) > 1e-7 + margin))
-           | (~support & (np.abs(grad) > weight + 1e-9 + margin)))
+           | (~support & (np.abs(grad) > weight + _KKT_TOL + margin)))
     return ~bad.any(axis=-1)
 
 
-def _l1_point(G, h, M, y, weight, s, tol):
+def _l1_point(G, h, M, y, weight, s):
     """``(objective, x)`` of the KKT point of sign pattern ``s``, or None."""
     s = s.astype(float)
     support = s != 0.0
@@ -409,12 +414,12 @@ def _l1_point(G, h, M, y, weight, s, tol):
                 h[support] - weight * s[support])
         except np.linalg.LinAlgError:
             return None
-    if not _l1_kkt(s, x, G @ x - h, weight, tol):
+    if not _l1_kkt(s, x, G @ x - h, weight):
         return None
     return 0.5 * linalg.norm_sq(M @ x - y) + weight * np.abs(x).sum(), x
 
 
-def solve_l1_bruteforce(M, y, weight, tol=1e-9):
+def solve_l1_bruteforce(M, y, weight):
     """Exact minimizer of ``0.5 ||M x - y||^2 + weight * ||x||_1``.
 
     Walks the 3^n sign patterns in ``itertools.product((-1, 0, 1))``
@@ -440,12 +445,12 @@ def solve_l1_bruteforce(M, y, weight, tol=1e-9):
     def prefilter(patterns):
         s = patterns.astype(float)
         x, solved = _solve_on_free(G, h - weight * s, patterns != 0)
-        return solved & _l1_kkt(s, x, x @ G.T - h, weight, tol,
+        return solved & _l1_kkt(s, x, x @ G.T - h, weight,
                                 _PREFILTER_MARGIN)
 
     best = None
     for point in _enumerate(n, prefilter, functools.partial(
-            _l1_point, G, h, M, y, weight, tol=tol)):
+            _l1_point, G, h, M, y, weight)):
         if point is not None and (best is None or point[0] < best[0]):
             best = point
     if best is None:
@@ -552,7 +557,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         box = BoxResolvent(lower, upper)
         T = AffineOperator(Q, c)
         F = ForwardMap(T, L, cocoercive=True, project_domain=box.project,
-                       affine=T, linear=T.linear)
+                       linear=T.linear)
         known = None
         if dimension <= 12:
             known = solve_box_qp_bruteforce(Q, c, lower, upper)
@@ -573,7 +578,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         x_star = np.linalg.solve(K.T, d)
         y_star = np.linalg.solve(K, -c)
         L = float(np.linalg.svd(K, compute_uv=False)[0])
-        F = ForwardMap(T, L, cocoercive=False, affine=T, linear=T.linear)
+        F = ForwardMap(T, L, cocoercive=False, linear=T.linear)
         return TestProblem(
             kind, dimension, seed,
             resolvent=ZeroResolvent(dimension), forward=F, affine_T=T,
@@ -590,9 +595,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         weight = 0.1 * float(np.abs(M.T @ y).max())
         L = float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
         F = ForwardMap(lambda z, M=M, y=y: M.T @ (M @ z - y), L,
-                       cocoercive=True,
-                       affine=AffineOperator(M.T @ M, -(M.T @ y)),
-                       linear=lambda d, M=M: M.T @ (M @ d))
+                       cocoercive=True, linear=lambda d, M=M: M.T @ (M @ d))
         known = None
         if dimension <= 14:
             known = solve_l1_bruteforce(M, y, weight)

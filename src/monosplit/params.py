@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
+# Round-off allowance on q(beta') = 0, the root the closed forms place.
+Q_ROOT_TOL = 1e-10
+
 
 def _check_sigma(sigma):
     if not (0.0 <= sigma < 1.0):
@@ -166,7 +169,7 @@ class HpeParams:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         """Assert every invariant of the bundle; return ``self``.
 
         Raises :class:`ParameterError` naming the violated condition.
@@ -189,9 +192,9 @@ class HpeParams:
                 f"q(alpha) = {self.q_alpha} <= 0 (alpha too large for this "
                 f"sigma/tau)")
         q_root = q_value(self.beta_prime, self.eta)
-        if abs(q_root) > tol:
+        if abs(q_root) > Q_ROOT_TOL:
             raise ParameterError(
-                f"q(beta') = {q_root} not zero within {tol}")
+                f"q(beta') = {q_root} not zero within {Q_ROOT_TOL}")
         if self.schedule is None or self.schedule.alpha != self.alpha:
             raise ParameterError("schedule upper bound differs from alpha")
         # a linear ramp from 0 to alpha is monotone and stays in [0, alpha]

@@ -1,0 +1,38 @@
+"""Record what an inner solver hands the driver, step by step."""
+
+from monosplit import hpe_core, instances
+
+
+class Recorder:
+    """Wrap an inner solver ``(w, k) -> Certificate``; keep each ``(w, cert)``.
+
+    With ``alpha = 0`` the point ``w`` of step ``k + 1`` is the iterate
+    ``z_k``, so :meth:`iterates` recovers the whole sequence.
+    """
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.steps = []
+
+    def __call__(self, w, k):
+        cert = self.solver(w, k)
+        self.steps.append((w.copy(), cert))
+        return cert
+
+    @property
+    def certificates(self):
+        return [cert for _, cert in self.steps]
+
+    def iterates(self, state):
+        """``z_1 .. z_k`` of a run with ``alpha = 0``."""
+        return [w for w, _ in self.steps[1:]] + [state.z_curr]
+
+
+def solve_recorded(problem, config, params, stop=None):
+    """:func:`monosplit.instances.solve`, with the steps recorded; returns
+    ``(state, recorder)``."""
+    solver, floor = instances.make_inner_solver(problem, config, params)
+    recorder = Recorder(solver)
+    state = hpe_core.run(problem, recorder, params, stop=stop,
+                         lambda_floor=floor)
+    return state, recorder

@@ -12,6 +12,7 @@ import pytest
 from monosplit import (BoundInputs, ErgodicState, HpeParams, InstanceConfig,
                        StoppingRule, assert_bounds, audit, bounds,
                        hpe_core, instances, operators, params, solve)
+from recorder import Recorder, solve_recorded
 
 STOP = StoppingRule(rho=1e-8, eps_hat=1e-10, max_iters=10 ** 5)
 SIGMAS = (0.0, 0.25, 0.5, 0.75, 0.99)
@@ -24,11 +25,14 @@ def announce(num, detail):
 def _run(kind, instance, dim, seed, alpha, sigma, beta, record=False):
     prob = operators.make_problem(kind, dim, seed)
     p = HpeParams.from_beta(alpha=alpha, sigma=sigma, beta=beta)
-    state = solve(prob, InstanceConfig(kind=instance), p, stop=STOP,
-                  record_vectors=record)
+    config = InstanceConfig(kind=instance)
+    if record:
+        state, rec = solve_recorded(prob, config, p, stop=STOP)
+    else:
+        state, rec = solve(prob, config, p, stop=STOP), None
     assert prob.known_solution is not None
     return {"problem": prob, "params": p, "state": state,
-            "instance": instance}
+            "instance": instance, "recorder": rec}
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +154,7 @@ def test_criterion_6_oracle_equivalence(suite):
     prefixes_checked = 0
     for run in suite["ppm"]:
         T = run["problem"].affine_T
-        certs = run["state"].certificates
+        certs = run["recorder"].certificates
         n = len(certs)
         picks = sorted(set(rng.integers(1, n + 1, size=50).tolist()))
         erg = ErgodicState(dim=run["problem"].dim)
@@ -159,7 +163,7 @@ def test_criterion_6_oracle_equivalence(suite):
             erg.update(cert)
             if j in targets:
                 assert operators.enlargement_member(
-                    T, erg.z_avg, erg.v_avg, max(erg.eps_avg(), 0.0))
+                    T, erg.z_avg, erg.v_avg, max(erg.eps_avg_raw, 0.0))
                 prefixes_checked += 1
     mismatch = 0.0
     for run in suite["forward_backward"]:
@@ -179,46 +183,46 @@ def test_criterion_7_reduction_checks():
     # exact proximal point: alpha=0, tau=1, sigma=0
     prob = operators.make_problem("affine_inclusion", 6, seed=100)
     plain = HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
-    state = hpe_core.run(
-        prob, lambda w, k: instances.ppm_step(prob.resolvent, w, 1.0),
-        plain, lambda_floor=1.0, record_vectors=True,
-        stop=StoppingRule(rho=-1.0, max_iters=1000))
+    rec = Recorder(lambda w, k: instances.ppm_step(prob.resolvent, w, 1.0))
+    state = hpe_core.run(prob, rec, plain, lambda_floor=1.0,
+                         stop=StoppingRule(rho=-1.0, max_iters=1000))
+    iterates = rec.iterates(state)
     z = np.zeros(6)
     for k in range(1000):
         z, _ = prob.resolvent.resolve(1.0, z)
-        np.testing.assert_allclose(state.z_history[k + 1], z, atol=1e-12)
+        np.testing.assert_allclose(iterates[k], z, atol=1e-12)
 
     # classical forward-backward
     prob = operators.make_problem("box_constrained_quadratic", 6, seed=101)
     sigma = 1.0 / math.sqrt(2.0)
     p = HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
-    state = hpe_core.run(
-        prob, lambda w, k: instances.fb_step(prob.forward, prob.resolvent,
-                                             w, lam),
-        p, lambda_floor=lam, record_vectors=True,
-        stop=StoppingRule(rho=-1.0, max_iters=1000))
+    rec = Recorder(lambda w, k: instances.fb_step(prob.forward,
+                                                  prob.resolvent, w, lam))
+    state = hpe_core.run(prob, rec, p, lambda_floor=lam,
+                         stop=StoppingRule(rho=-1.0, max_iters=1000))
+    iterates = rec.iterates(state)
     z = np.zeros(6)
     for k in range(1000):
         z, _ = prob.resolvent.resolve(lam, z - lam * prob.forward(z))
-        np.testing.assert_allclose(state.z_history[k + 1], z, atol=1e-12)
+        np.testing.assert_allclose(iterates[k], z, atol=1e-12)
 
     # classical forward-backward-forward on the whole space
     prob = operators.make_problem("bilinear_saddle", 6, seed=102)
     sigma = 0.9
     p = HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
     lam = sigma / prob.lipschitz_L
-    state = hpe_core.run(
-        prob, lambda w, k: instances.tseng_step(prob.forward, prob.resolvent,
-                                                w, lam),
-        p, lambda_floor=lam, record_vectors=True,
-        stop=StoppingRule(rho=-1.0, max_iters=1000))
+    rec = Recorder(lambda w, k: instances.tseng_step(prob.forward,
+                                                     prob.resolvent, w, lam))
+    state = hpe_core.run(prob, rec, p, lambda_floor=lam,
+                         stop=StoppingRule(rho=-1.0, max_iters=1000))
+    iterates = rec.iterates(state)
     F = prob.forward
     z = np.zeros(6)
     for k in range(1000):
         z_tilde = z - lam * F(z)
         z = z_tilde - lam * (F(z_tilde) - F(z))
-        np.testing.assert_allclose(state.z_history[k + 1], z, atol=1e-12)
+        np.testing.assert_allclose(iterates[k], z, atol=1e-12)
     announce(7, "exact PP / classical FB / classical FBF reproduced to "
                 "1e-12 per coordinate over 1000 steps")
 

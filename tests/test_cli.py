@@ -409,17 +409,55 @@ def test_bench_sweep_and_determinism(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert [r["alpha"] for r in rows] == ["0.0", "0.3"]
     assert all(r["status"] == "ok" and r["verdict"] == "solved" for r in rows)
-    # each row is the cell's own solve
-    for row in rows:
-        cell = base_config(alpha=float(row["alpha"]))
-        cell_path = write_config(tmp_path, cell, f"cell{row['alpha']}.json")
-        out = tmp_path / f"cell{row['alpha']}"
+    assert_rows_are_cell_solves(tmp_path, cfg, rows)
+
+
+def assert_rows_are_cell_solves(tmp_path, cfg, rows):
+    """Each bench row reports what a ``solve`` of its cell's config does:
+    the config without its sweep, the cell's values in its params."""
+    for i, row in enumerate(rows):
+        cell = {key: value for key, value in cfg.items() if key != "sweep"}
+        cell["params"] = dict(cfg["params"], **{
+            name: float(row[name]) for name in cfg["sweep"]})
+        cell_path = write_config(tmp_path, cell, f"cell{i}.json")
+        out = tmp_path / f"cell{i}"
         assert cli.main(["solve", "--config", cell_path,
                          "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert int(row["iterations"]) == summary["iterations"]
         assert float(row["final_norm_v"]) == summary["final_norm_v"]
         assert float(row["final_eps"]) == summary["final_eps"]
+
+
+def test_bench_cells_of_a_tau_config_keep_its_tau(tmp_path):
+    # the cells used to run with a tau re-derived from beta', not the
+    # config's own tau
+    cfg = base_config(kind="box_constrained_quadratic",
+                      instance="forward_backward", dim=5, seed=3,
+                      sweep={"sigma": [0.3, 0.7]})
+    cfg["params"] = {"alpha": 0.1, "sigma": 0.5, "tau": 0.6}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "g.csv"
+    assert cli.main(["bench", "--config", path, "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert_rows_are_cell_solves(tmp_path, cfg, rows)
+
+
+@pytest.mark.parametrize("section,beta,tau", [("params", 0.4, 0.3),
+                                              ("sweep", [0.4], [0.3])],
+                         ids=["params", "sweep"])
+def test_config_refuses_beta_with_tau(tmp_path, capsys, section, beta, tau):
+    cfg = base_config(sweep={"alpha": [0.0]})
+    cfg[section].update(beta=beta, tau=tau)
+    path = write_config(tmp_path, cfg)
+    for command in ("solve", "bench"):
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "beta" in err[0] and "tau" in err[0]
 
 
 def test_bench_jobs_other_than_one_is_a_usage_error(tmp_path):
@@ -491,6 +529,23 @@ def test_params_table_and_curve(tmp_path, capsys):
     sigmas = sorted({r["sigma"] for r in rows})
     assert sigmas == ["0.0", "0.25", "0.5", "0.75", "0.99"]
     assert all(0.0 < float(r["tau"]) <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["params", "bench", "solve"])
+def test_unwritable_output_path_reported(tmp_path, capsys, command):
+    path = write_config(tmp_path, base_config(sweep={"alpha": [0.0]}))
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "file").write_text("")
+    target, argv = {
+        "params": (tmp_path / "no" / "such" / "x.csv", ["params", "--curve"]),
+        "bench": (taken, ["bench", "--config", path, "--out"]),
+        "solve": (taken / "file", ["solve", "--config", path, "--out"]),
+    }[command]
+    assert cli.main(argv + [str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(target) in err[0]
 
 
 def test_seed_override_changes_problem(tmp_path):

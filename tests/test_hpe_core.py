@@ -10,6 +10,7 @@ from monosplit.errors import (CertificationError, DimensionMismatch,
                               ParameterError)
 from monosplit.hpe_core import (Certificate, IterationTrace, StoppingRule,
                                 certify, extrapolate, relax_update, run)
+from recorder import Recorder
 
 PLAIN = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
 
@@ -104,25 +105,29 @@ def test_run_terminates_immediately_at_a_zero():
 def test_update_rule_holds_bitwise():
     prob = operators.make_problem("affine_inclusion", 5, seed=3)
     p = params.HpeParams.from_beta(alpha=0.2, sigma=0.0, beta=0.4)
-    state = run(prob, ppm_solver(prob), p, lambda_floor=1.0,
-                record_vectors=True, stop=StoppingRule(rho=1e-9))
-    for z_next, w, cert in zip(state.z_history[1:], state.w_history,
-                               state.certificates):
-        np.testing.assert_array_equal(
-            z_next, w - p.tau * cert.lam * cert.v)
+    rec = Recorder(ppm_solver(prob))
+    state = run(prob, rec, p, lambda_floor=1.0, stop=StoppingRule(rho=1e-9))
+    # the w of step k + 1 is extrapolated from z_k = w - tau lam v of step k
+    z_prev = z = np.zeros(5)
+    for w, cert in rec.steps:
+        np.testing.assert_array_equal(w, z + p.alpha * (z - z_prev))
+        z_prev, z = z, w - p.tau * cert.lam * cert.v
+    np.testing.assert_array_equal(state.z_curr, z)
 
 
 def test_plain_hpe_reduction_matches_reference_loop():
     # alpha = 0, tau = 1 is plain inexact-proximal iteration; compare with
     # an independent hand-rolled loop to 1e-12 per coordinate
     prob = operators.make_problem("affine_inclusion", 6, seed=4)
-    state = run(prob, ppm_solver(prob), PLAIN, lambda_floor=1.0,
-                record_vectors=True, stop=StoppingRule(max_iters=50,
-                                                       rho=0.0))
+    rec = Recorder(ppm_solver(prob))
+    state = run(prob, rec, PLAIN, lambda_floor=1.0,
+                stop=StoppingRule(max_iters=50, rho=0.0))
+    iterates = rec.iterates(state)
+    assert len(iterates) == 50
     z = np.zeros(6)
     for k in range(50):
         z, _ = prob.resolvent.resolve(1.0, z)
-        np.testing.assert_allclose(state.z_history[k + 1], z, atol=1e-12)
+        np.testing.assert_allclose(iterates[k], z, atol=1e-12)
 
 
 def test_run_rejects_stepsize_below_floor():

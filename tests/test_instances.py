@@ -8,6 +8,7 @@ from monosplit.instances import (InstanceConfig, fb_step, ppm_step, solve,
 from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, ZeroResolvent,
                                  enlargement_member, make_problem)
+from recorder import Recorder
 
 
 def test_instance_config_rejects_unknown_kind():
@@ -159,14 +160,16 @@ def test_fb_step_fixed_point():
 def test_fb_membership_via_enlargement_oracle():
     # F(w) lies in the eps-enlargement of the affine forward map at z~
     prob = make_problem("l1_composite", 5, seed=12)
+    M, y = prob.data["matrix"], prob.data["observation"]
+    F_affine = AffineOperator(M.T @ M, -(M.T @ y))
     sigma = 0.8
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
     rng = np.random.default_rng(13)
     for _ in range(20):
         w = rng.standard_normal(5)
         cert = fb_step(prob.forward, prob.resolvent, w, lam)
-        assert enlargement_member(prob.forward.affine, cert.z_tilde,
-                                  prob.forward(w), cert.eps)
+        assert enlargement_member(F_affine, cert.z_tilde, prob.forward(w),
+                                  cert.eps)
 
 
 # -- classical reductions (alpha = 0, tau = 1) -------------------------------
@@ -176,15 +179,17 @@ def test_fb_reduction_to_classical_iterates():
     sigma = 1.0 / math_sqrt2()
     p = params.HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
+    rec = Recorder(
+        lambda w, k: fb_step(prob.forward, prob.resolvent, w, lam))
     state = hpe_core.run(
-        prob, lambda w, k: fb_step(prob.forward, prob.resolvent, w, lam),
-        p, lambda_floor=lam, record_vectors=True,
+        prob, rec, p, lambda_floor=lam,
         stop=hpe_core.StoppingRule(rho=-1.0, max_iters=1000))
+    iterates = rec.iterates(state)
     z = np.zeros(6)
-    assert len(state.z_history) == 1001
+    assert len(iterates) == 1000
     for k in range(1000):
         z, _ = prob.resolvent.resolve(lam, z - lam * prob.forward(z))
-        np.testing.assert_allclose(state.z_history[k + 1], z, atol=1e-12)
+        np.testing.assert_allclose(iterates[k], z, atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha, steps", [(0.0, 402), (0.2, 319)])
@@ -205,17 +210,19 @@ def test_tseng_reduction_to_classical_iterates():
     sigma = 0.9
     p = params.HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
     lam = sigma / prob.lipschitz_L
+    rec = Recorder(
+        lambda w, k: tseng_step(prob.forward, prob.resolvent, w, lam))
     state = hpe_core.run(
-        prob, lambda w, k: tseng_step(prob.forward, prob.resolvent, w, lam),
-        p, lambda_floor=lam, record_vectors=True,
+        prob, rec, p, lambda_floor=lam,
         stop=hpe_core.StoppingRule(rho=-1.0, max_iters=1000))
+    iterates = rec.iterates(state)
     F = prob.forward
     z = np.zeros(6)
-    assert len(state.z_history) == 1001
+    assert len(iterates) == 1000
     for k in range(1000):
         z_tilde = z - lam * F(z)
         z_new = z_tilde - lam * (F(z_tilde) - F(z))
-        np.testing.assert_allclose(state.z_history[k + 1], z_new, atol=1e-12)
+        np.testing.assert_allclose(iterates[k], z_new, atol=1e-12)
         z = z_new
 
 
