@@ -19,14 +19,13 @@ from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
                         ForwardMap, L1Resolvent, TestProblem, ZeroResolvent,
                         enlargement_infimum, enlargement_member,
                         make_problem, resolve)
-from .params import (AlphaSchedule, HpeParams, beta_prime,
-                     beta_prime_lower_bound, beta_to_t, eta_of, inverse_map,
-                     q_value, tau_of)
+from .params import (HpeParams, beta_prime, beta_prime_lower_bound,
+                     beta_to_t, eta_of, inverse_map, q_value, tau_of)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineOperator", "AffineResolvent", "AlphaSchedule", "BoundInputs",
+    "AffineOperator", "AffineResolvent", "BoundInputs",
     "BoxResolvent", "Certificate", "CertificationError", "Check",
     "ConfigError",
     "DimensionMismatch", "ErgodicState", "ForwardMap", "HpeParams",

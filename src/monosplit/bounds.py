@@ -45,8 +45,6 @@ class BoundInputs:
         if self.lambda_floor <= 0.0:
             raise ParameterError(
                 f"lambda_floor must be positive, got {self.lambda_floor}")
-        if self.params.q_alpha <= 0.0:
-            raise ParameterError("q(alpha) <= 0")
 
 
 def _known_d0(inp):
@@ -152,7 +150,7 @@ def assert_bounds(trace, inp):
     worst["pointwise_v"] = _peak(norm_v[witness], vb)
     worst["pointwise_eps"] = _peak(eps[witness], eb)
 
-    if inp.params.schedule.is_constant:
+    if inp.params.is_constant:
         vab, eab = ergodic_bounds(inp, ks)
         for name, values, bound in (
                 ("ergodic_v", trace.column("norm_v_a"), vab),
@@ -253,7 +251,7 @@ def _energy_bound(trace, inp):
 
 def _mu_nonincreasing(trace, inp):
     p = inp.params
-    if not p.schedule.is_constant:
+    if not p.is_constant:
         return SKIP, "ramped inertial schedule; proved for constant alpha"
     a = p.alpha
     gamma = (1.0 - p.eta) * a * a + (1.0 + p.eta) * a

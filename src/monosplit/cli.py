@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bounds, hpe_core, instances, operators, params as params_mod
-from .errors import ConfigError, MonosplitError
+from .errors import ConfigError, MonosplitError, ParameterError
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -178,8 +178,12 @@ def cmd_params(args):
     print(f"tau        = {tau}")
     print(f"eta        = {eta}")
     if args.alpha is not None:
-        qa = params_mod.q_value(args.alpha, eta)
-        print(f"q(alpha)   = {qa}" + ("  (inadmissible)" if qa <= 0 else ""))
+        try:
+            params_mod.HpeParams.from_beta(args.alpha, sigma, beta)
+            flag = ""
+        except ParameterError:
+            flag = "  (inadmissible)"
+        print(f"q(alpha)   = {params_mod.q_value(args.alpha, eta)}{flag}")
     return 0
 
 

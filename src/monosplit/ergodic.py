@@ -9,8 +9,6 @@ which lets the state advance in O(1) memory per step; the direct O(k)
 summation stays in the test suite as the oracle.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -20,22 +18,16 @@ from .errors import ParameterError
 WEIGHT_SUM_TOL = 1e-12
 
 
-@dataclass
 class ErgodicState:
-    """Running accumulators for the stepsize-weighted ergodic sequences."""
+    """Running accumulators for the stepsize-weighted ergodic sequences
+    of ``dim``-vectors."""
 
-    dim: int
-    aggregate_stepsize: float = 0.0
-    z_sum: np.ndarray = None
-    v_sum: np.ndarray = None
-    eps_sum: float = 0.0
-    cross_sum: float = 0.0
-
-    def __post_init__(self):
-        if self.z_sum is None:
-            self.z_sum = np.zeros(self.dim)
-        if self.v_sum is None:
-            self.v_sum = np.zeros(self.dim)
+    def __init__(self, dim):
+        self.aggregate_stepsize = 0.0
+        self.z_sum = np.zeros(dim)
+        self.v_sum = np.zeros(dim)
+        self.eps_sum = 0.0
+        self.cross_sum = 0.0
 
     def update(self, cert):
         """Fold one certified step ``(z~, v, eps, lam)`` into the state."""

@@ -22,10 +22,14 @@ import numpy as np
 from . import linalg
 from .ergodic import ErgodicState
 from .errors import CertificationError, DimensionMismatch, ParameterError
+from .params import check_sigma, check_tau
 
 # Round-off allowance for exactly-zero residuals (inner solvers that
 # reconstruct v = (w - z~)/lam reassemble lam*v with a few ulp of error).
 _ZERO_SLACK = 1e-18
+# Absolute round-off allowance on alpha_k over its bound and on a stepsize
+# under its floor.
+_BOUND_SLACK = 1e-15
 # Relative round-off allowance on the criterion ratio lhs / rhs <= 1.
 CRITERION_TOL = 1e-9
 
@@ -256,7 +260,8 @@ class SolverState:
 
 def extrapolate(z_curr, z_prev, alpha_k, alpha_max=None):
     """Inertial extrapolation ``w = z_curr + alpha_k (z_curr - z_prev)``."""
-    if alpha_max is not None and not (0.0 <= alpha_k <= alpha_max + 1e-15):
+    if alpha_max is not None and not (
+            0.0 <= alpha_k <= alpha_max + _BOUND_SLACK):
         raise ParameterError(
             f"alpha_k = {alpha_k} outside [0, {alpha_max}]")
     linalg.check_same_dim(z_curr, z_prev)
@@ -307,16 +312,14 @@ def certify(cert, w, sigma):
     :class:`CertificationError` when the ratio exceeds
     ``1 + CRITERION_TOL``.
     """
-    if not (0.0 <= sigma < 1.0):
-        raise ParameterError(f"sigma must lie in [0, 1), got {sigma}")
+    check_sigma(sigma)
     resid_sq, dz_sq = _criterion_terms(cert, w)
     return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma)
 
 
 def relax_update(w, cert, tau):
     """Relaxed correction step ``z_next = w - tau lam v``."""
-    if not (0.0 < tau <= 1.0):
-        raise ParameterError(f"tau must lie in (0, 1], got {tau}")
+    check_tau(tau)
     return w - tau * cert.lam * cert.v
 
 
@@ -334,14 +337,15 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
         columns, when given.
     inner_solver : callable ``(w, k) -> Certificate``
     params : HpeParams
+        Admissible by construction, so the driver does not re-check it.
     stop : StoppingRule, optional
     z0 : starting point; defaults to the origin.
     lambda_floor : enforced lower bound on every certificate stepsize.
 
     The inputs are validated once, on entry: ``z0`` and the known solution
-    are finite vectors of one dimension, and the validated bundle keeps
-    every ``alpha_k`` of its schedule in ``[0, alpha]`` and ``tau`` in
-    ``(0, 1]``.  Each step then checks only its certificate: the shapes
+    are finite vectors of one dimension.  A bundle keeps every ``alpha_k``
+    of its schedule in ``[0, alpha]`` and ``tau`` in ``(0, 1]`` from its
+    construction on.  Each step then checks only its certificate: the shapes
     of ``z~`` and ``v``, the stepsize floor, ``eps >= 0``, the error
     criterion and a finite next iterate.  The step computes exactly what
     :func:`extrapolate`, :func:`certify`, :func:`relax_update` and
@@ -361,12 +365,9 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     if z_star is not None:
         z_star = linalg.as_vector(z_star)
         linalg.check_same_dim(z0, z_star)
-    params.validate()
 
     sigma, tau, alpha = params.sigma, params.tau, params.alpha
-    if not (0.0 < tau <= 1.0):
-        raise ParameterError(f"tau must lie in (0, 1], got {tau}")
-    ramp = None if params.schedule.is_constant else params.schedule.value
+    ramp = None if params.is_constant else params.alpha_at
     rho, eps_hat = stop.rho, stop.eps_hat
     shape = z0.shape
     dot = linalg.dot
@@ -388,7 +389,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
             raise DimensionMismatch(
                 f"certificate at k={k} has z~ of shape {cert.z_tilde.shape} "
                 f"and v of shape {v.shape}, expected {shape}")
-        if lam < lambda_floor - 1e-15 or lam <= 0.0:
+        if lam < lambda_floor - _BOUND_SLACK or lam <= 0.0:
             raise ParameterError(
                 f"stepsize {lam} below the floor {lambda_floor} at k={k}")
         if eps < 0.0:

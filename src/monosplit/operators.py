@@ -20,6 +20,11 @@ from .errors import OracleError, ParameterError
 _BRUTE_FORCE_DIM_CAP = 20
 
 
+# Round-off allowance on the least eigenvalue of the symmetric part of a
+# monotone matrix.
+_MONOTONE_TOL = 1e-10
+
+
 class AffineOperator:
     """Single-valued affine map ``z -> A z + b``.
 
@@ -98,9 +103,6 @@ class SaddleOperator(AffineOperator):
 class ZeroResolvent:
     """Resolvent of the zero operator: identity."""
 
-    def __init__(self, dim):
-        self.dim = dim
-
     def resolve(self, lam, w):
         return w.copy(), np.zeros_like(w)
 
@@ -137,7 +139,6 @@ class BoxResolvent:
         linalg.check_same_dim(self.lower, self.upper)
         if np.any(self.lower > self.upper):
             raise ParameterError("box has lower > upper")
-        self.dim = self.lower.shape[0]
 
     def project(self, w):
         return np.clip(w, self.lower, self.upper)
@@ -150,10 +151,9 @@ class BoxResolvent:
 class L1Resolvent:
     """Resolvent of ``weight * subdifferential of the l1 norm``: soft threshold."""
 
-    def __init__(self, dim, weight):
+    def __init__(self, weight):
         if weight < 0.0:
             raise ParameterError(f"l1 weight must be nonnegative, got {weight}")
-        self.dim = dim
         self.weight = weight
 
     def resolve(self, lam, w):
@@ -247,6 +247,10 @@ def enlargement_member(T, z, v, eps):
 # Feasibility allowance of a KKT point: on the bounds or signs of the
 # point, and on the dual bounds of its gradient.
 _KKT_TOL = 1e-9
+# Stationarity allowance of a KKT point: on the gradient of the free box
+# coordinates (relative to 1 + |c|) and on ``grad + weight s`` of the l1
+# support.
+_STATIONARITY_TOL = 1e-7
 # Patterns are enumerated this many at a time, so memory stays bounded.
 _ENUM_CHUNK = 1024
 # Widening of every KKT threshold in the batched prefilter.  Its values
@@ -324,7 +328,8 @@ def _box_kkt(pattern, z, g, c, lower, upper, margin=0.0):
     bad = ((z < lower - slack) | (z > upper + slack)
            | ((pattern == -1) & (g < -slack))
            | ((pattern == 1) & (g > slack))
-           | ((pattern == 0) & (np.abs(g) > 1e-7 * (1 + np.abs(c)) + margin)))
+           | ((pattern == 0)
+              & (np.abs(g) > _STATIONARITY_TOL * (1 + np.abs(c)) + margin)))
     return ~bad.any(axis=-1)
 
 
@@ -397,7 +402,8 @@ def _l1_kkt(s, x, grad, weight, margin=0.0):
     """
     support = s != 0.0
     bad = ((x * s < -(_KKT_TOL + margin))
-           | (support & (np.abs(grad + weight * s) > 1e-7 + margin))
+           | (support
+              & (np.abs(grad + weight * s) > _STATIONARITY_TOL + margin))
            | (~support & (np.abs(grad) > weight + _KKT_TOL + margin)))
     return ~bad.any(axis=-1)
 
@@ -538,7 +544,8 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
             b = rng.standard_normal(dimension)
         T = AffineOperator(A, b)
         # a generated matrix is monotone by construction (sym part >= 0.5 I)
-        if matrix is not None and T.min_symmetric_eigenvalue() < -1e-10:
+        if (matrix is not None
+                and T.min_symmetric_eigenvalue() < -_MONOTONE_TOL):
             raise ParameterError("affine operator is not monotone")
         return TestProblem(
             kind, dimension, seed,
@@ -581,7 +588,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         F = ForwardMap(T, L, cocoercive=False, linear=T.linear)
         return TestProblem(
             kind, dimension, seed,
-            resolvent=ZeroResolvent(dimension), forward=F, affine_T=T,
+            resolvent=ZeroResolvent(), forward=F, affine_T=T,
             known_solution=np.concatenate([x_star, y_star]),
             data={"coupling": T.blocks[0], "offset": b})
 
@@ -601,7 +608,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
             known = solve_l1_bruteforce(M, y, weight)
         return TestProblem(
             kind, dimension, seed,
-            resolvent=L1Resolvent(dimension, weight), forward=F,
+            resolvent=L1Resolvent(weight), forward=F,
             known_solution=known,
             data={"matrix": M, "observation": y, "l1_weight": weight})
 

@@ -531,6 +531,18 @@ def test_params_table_and_curve(tmp_path, capsys):
     assert all(0.0 < float(r["tau"]) <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("alpha, inadmissible", [
+    ("-0.5", True), ("10", True), ("nan", True), ("0.39", False),
+    ("0.5", True)])
+def test_params_marks_alpha_inadmissible_by_the_bundle_rule(
+        capsys, alpha, inadmissible):
+    assert cli.main(["params", "--sigma", "0.5", "--beta", "0.4",
+                     f"--alpha={alpha}"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("q(alpha)   = ")
+    assert line.endswith("  (inadmissible)") == inadmissible
+
+
 @pytest.mark.parametrize("command", ["params", "bench", "solve"])
 def test_unwritable_output_path_reported(tmp_path, capsys, command):
     path = write_config(tmp_path, base_config(sweep={"alpha": [0.0]}))

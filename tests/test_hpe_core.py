@@ -278,7 +278,7 @@ def replay(problem, solver, p, stop, z0):
     z_star = problem.known_solution
     trace = IterationTrace()
     for k in range(1, stop.max_iters + 1):
-        w = extrapolate(z, z_prev, p.schedule.value(k), p.alpha)
+        w = extrapolate(z, z_prev, p.alpha_at(k), p.alpha)
         cert = solver(w, k)
         ratio = certify(cert, w, p.sigma)
         z_next = relax_update(w, cert, p.tau)

@@ -19,7 +19,7 @@ def test_instance_config_rejects_unknown_kind():
 # -- ppm ---------------------------------------------------------------------
 
 def test_ppm_step_zero_operator():
-    cert = ppm_step(ZeroResolvent(2), np.array([1.0, -2.0]), 1.0)
+    cert = ppm_step(ZeroResolvent(), np.array([1.0, -2.0]), 1.0)
     np.testing.assert_array_equal(cert.z_tilde, [1.0, -2.0])
     np.testing.assert_array_equal(cert.v, [0.0, 0.0])
     assert cert.eps == 0.0

@@ -44,7 +44,7 @@ def lasso_coordinate_descent(M, y, weight, iters=20000):
 # -- resolvents --------------------------------------------------------------
 
 def test_zero_resolvent_identity():
-    B = ZeroResolvent(2)
+    B = ZeroResolvent()
     w = np.array([3.0, -1.0])
     z, v = resolve(B, 1.0, w)
     np.testing.assert_array_equal(z, w)
@@ -66,7 +66,7 @@ def test_affine_resolvent_identity_operator():
 
 
 def test_l1_resolvent_soft_threshold():
-    B = L1Resolvent(3, weight=1.0)
+    B = L1Resolvent(weight=1.0)
     z, v = resolve(B, 0.5, np.array([2.0, -0.25, -3.0]))
     np.testing.assert_allclose(z, np.array([1.5, 0.0, -2.5]), atol=1e-15)
     np.testing.assert_allclose(0.5 * v + z, np.array([2.0, -0.25, -3.0]),
@@ -79,8 +79,8 @@ def test_resolvent_reassembly_and_firm_nonexpansiveness():
     oracles = [
         AffineResolvent(AffineOperator(A, rng.standard_normal(5))),
         BoxResolvent(-np.ones(5), np.ones(5)),
-        L1Resolvent(5, 0.3),
-        ZeroResolvent(5),
+        L1Resolvent(0.3),
+        ZeroResolvent(),
     ]
     for B in oracles:
         for _ in range(50):
@@ -96,7 +96,7 @@ def test_resolvent_reassembly_and_firm_nonexpansiveness():
 
 
 def test_resolve_rejects_nonpositive_lambda():
-    B = ZeroResolvent(2)
+    B = ZeroResolvent()
     with pytest.raises(ParameterError):
         resolve(B, 0.0, np.zeros(2))
 

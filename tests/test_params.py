@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,6 +7,10 @@ import pytest
 
 from monosplit import params
 from monosplit.errors import ParameterError
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 mpmath.mp.dps = 50
 
@@ -144,22 +149,62 @@ def test_from_tau_matches_from_beta():
 def test_dict_roundtrip():
     p = params.HpeParams.from_beta(alpha=0.2, sigma=0.7, beta=0.5,
                                    ramp_iters=10)
-    q = params.HpeParams.from_dict(p.to_dict())
-    assert q.alpha == p.alpha and q.sigma == p.sigma
-    assert q.tau == pytest.approx(p.tau, rel=1e-12)
-    assert q.schedule.ramp_iters == 10
+    assert p.to_dict() == {"alpha": 0.2, "sigma": 0.7, "beta": 0.5,
+                           "tau": p.tau, "ramp_iters": 10}
+    assert params.HpeParams.from_dict(p.to_dict()) == p
+    q = params.HpeParams.from_tau(alpha=0.2, sigma=0.7, tau=p.tau)
+    assert params.HpeParams.from_dict(q.to_dict()) == q
+
+
+def test_from_dict_refuses_tau_off_the_closed_form_at_beta():
+    # tau(0.5, 0.4) = 0.5217...; a dict giving both is built from both
+    with pytest.raises(ParameterError, match="closed form"):
+        params.HpeParams.from_dict(
+            {"alpha": 0.1, "sigma": 0.5, "beta": 0.4, "tau": 0.3})
+
+
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True),
+       sigma=st.floats(0.0, 1.0, exclude_max=True),
+       beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       ramp_iters=st.integers(0, 50))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bundle_roundtrips_or_is_refused(alpha, sigma, beta, ramp_iters):
+    try:
+        p = params.HpeParams.from_beta(alpha, sigma, beta, ramp_iters)
+    except ParameterError:
+        return
+    assert params.HpeParams.from_dict(p.to_dict()) == p
+    # Within 2e-3 of 1, tau ~ (1 - beta')^2 and eta ~ 1 / tau: from_beta
+    # accepts or refuses by the round-off of the q(beta') root check, and
+    # no float beta near 1 reproduces tau within TAU_MATCH_TOL.
+    if 1.0 - p.beta_prime >= 2e-3:
+        assert params.HpeParams.from_tau(alpha, sigma, p.tau).eta == \
+            pytest.approx(p.eta, rel=1e-12, abs=1e-12)
+
+
+def test_derived_values_are_not_settable():
+    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    assert [f.name for f in dataclasses.fields(p)] == [
+        "alpha", "sigma", "beta", "tau", "ramp_iters"]
+    with pytest.raises(TypeError):
+        params.HpeParams(0.1, 0.5, 0.4, p.tau, 0, eta=p.eta)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.eta = 2.0
 
 
 def test_schedule_constant_and_ramp():
-    const = params.AlphaSchedule(0.3)
+    const = params.HpeParams.from_beta(0.3, 0.0, 0.4)
     assert const.is_constant
-    assert const.value(1) == 0.3 and const.value(100) == 0.3
-    ramp = params.AlphaSchedule(0.3, ramp_iters=10)
+    assert const.alpha_at(1) == 0.3 and const.alpha_at(100) == 0.3
+    assert params.HpeParams.from_beta(0.0, 0.0, 0.4, ramp_iters=10).is_constant
+    ramp = params.HpeParams.from_beta(0.3, 0.0, 0.4, ramp_iters=10)
     assert not ramp.is_constant
-    vals = [ramp.value(k) for k in range(1, 30)]
+    vals = [ramp.alpha_at(k) for k in range(1, 30)]
     assert vals[0] == 0.0
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(0.3)
+    with pytest.raises(ParameterError, match="ramp_iters"):
+        params.HpeParams.from_beta(0.3, 0.0, 0.4, ramp_iters=-1)
 
 
 def test_energy_inflation_plain_case():
