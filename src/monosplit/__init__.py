@@ -12,7 +12,7 @@ from .errors import (CertificationError, ConfigError, DimensionMismatch,
                      MonosplitError, OracleError, ParameterError,
                      TheoremViolation)
 from .hpe_core import (Certificate, IterationTrace, SolverState, StoppingRule,
-                       certify, extrapolate, relax_update, run)
+                       certify, run)
 from .instances import (INSTANCE_KINDS, InstanceConfig, fb_step,
                         make_inner_solver, ppm_step, solve, tseng_step)
 from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
@@ -34,8 +34,7 @@ __all__ = [
     "StoppingRule", "TestProblem", "TheoremViolation", "ZeroResolvent",
     "assert_bounds", "audit", "beta_prime", "beta_prime_lower_bound",
     "beta_to_t", "certify", "enlargement_infimum", "enlargement_member",
-    "ergodic_bounds", "eta_of", "extrapolate", "fb_step", "inverse_map",
-    "iteration_budget", "make_inner_solver", "make_problem",
-    "pointwise_bounds", "ppm_step", "q_value", "relax_update", "resolve",
-    "run", "solve", "tau_of", "transport", "tseng_step",
+    "ergodic_bounds", "eta_of", "fb_step", "inverse_map", "iteration_budget",
+    "make_inner_solver", "make_problem", "pointwise_bounds", "ppm_step",
+    "q_value", "resolve", "run", "solve", "tau_of", "transport", "tseng_step",
 ]

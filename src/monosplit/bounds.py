@@ -1,12 +1,13 @@
 """Closed-form rate bounds and the audit of a recorded trace.
 
 All evaluators are exact closed forms in ``(d0, lambda_floor, params, k)``.
-:func:`audit` replays a trace against every post-hoc inequality: the error
-criterion, the energy term, Fejer descent, step summability, the energy
-bound, the monotone ``mu`` sequence, the rate bounds (through
-:func:`assert_bounds`) and the sign of the aggregated error.  A failed
-check signals an implementation bug, not bad luck: the inequalities are
-guaranteed.
+:func:`audit` replays a trace against every post-hoc inequality: the
+certificate law of :func:`monosplit.hpe_core.run` on each step (the
+stepsize floor, ``eps >= 0`` and the error criterion), the energy term,
+Fejer descent, step summability, the energy bound, the monotone ``mu``
+sequence, the rate bounds (through :func:`assert_bounds`) and the sign of
+the aggregated error.  A failed check signals an implementation bug, not
+bad luck: the inequalities are guaranteed.
 """
 
 import math
@@ -144,8 +145,7 @@ def assert_bounds(trace, inp):
         if meets.size == 0:
             raise TheoremViolation(
                 f"no iterate in 1..{j + 1} meets the pointwise bounds "
-                f"(v <= {vb[j]}, eps <= {eb[j]})", k=int(j + 1),
-                bound="pointwise")
+                f"(v <= {vb[j]}, eps <= {eb[j]})", k=int(j + 1))
         witness[j] = meets[0]
     worst["pointwise_v"] = _peak(norm_v[witness], vb)
     worst["pointwise_eps"] = _peak(eps[witness], eb)
@@ -160,7 +160,7 @@ def assert_bounds(trace, inp):
                 j = over[0]
                 raise TheoremViolation(
                     f"{name} value {values[j]} exceeds bound {bound[j]} at "
-                    f"k={j + 1}", k=int(j + 1), bound=name)
+                    f"k={j + 1}", k=int(j + 1))
             worst[name] = _peak(values, bound)
     return {"checked_prefixes": n, "worst_utilization": worst}
 
@@ -202,8 +202,8 @@ def _error_criterion(trace, inp):
     try:
         peak = max(map(hpe_core._error_ratio, cols["resid_sq"], dz_sq,
                        cols["lam"], cols["eps"], repeat(inp.params.sigma),
-                       count(1)))
-    except CertificationError as exc:
+                       repeat(inp.lambda_floor), count(1)))
+    except (CertificationError, ParameterError) as exc:
         return FAIL, str(exc)
     return PASS, f"all {len(trace)} steps within tolerance", peak
 

@@ -71,7 +71,7 @@ _FIELD_TYPES = {
     "offset": ("a list of numbers", _is_vector),
 }
 # The least value of an integer field, where the library needs one.
-_FIELD_MINIMA = {"seed": 0, "max_iters": 1}
+_FIELD_MINIMA = {"dimension": 1, "seed": 0, "max_iters": 1}
 # The greatest: every zoo kind builds dense float64 matrices of order n or
 # n/2, so a larger dimension exhausts memory or numpy's array limits.
 _FIELD_MAXIMA = {"dimension": 4096}

@@ -18,21 +18,20 @@ class OracleError(MonosplitError):
 
 
 class CertificationError(MonosplitError):
-    """An inner-solver certificate violates the relative-error criterion."""
+    """An inner-solver certificate has a negative ``eps`` or violates the
+    relative-error criterion."""
 
-    def __init__(self, message, k=None, ratio=None):
+    def __init__(self, message, k=None):
         super().__init__(message)
         self.k = k
-        self.ratio = ratio
 
 
 class TheoremViolation(MonosplitError):
     """An observed trace violates a guaranteed inequality or rate bound."""
 
-    def __init__(self, message, k=None, bound=None):
+    def __init__(self, message, k=None):
         super().__init__(message)
         self.k = k
-        self.bound = bound
 
 
 class ConfigError(MonosplitError):

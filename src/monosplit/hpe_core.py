@@ -1,14 +1,16 @@
 """Driver for the inertial under-relaxed inexact proximal framework.
 
-One iteration: extrapolate with the inertial factor, ask the inner solver
-for a certificate ``(z~, v, eps, lam)``, verify the relative-error
-criterion
+One iteration: extrapolate ``w = z + alpha_k (z - z_prev)``, ask the inner
+solver for a certificate ``(z~, v, eps, lam)``, check it against the
+certificate law of :func:`_error_ratio` (``lam`` at least the stepsize
+floor, ``eps >= 0`` and the relative-error criterion
 
-    ||lam v + z~ - w||^2 + 2 lam eps <= sigma^2 ||z~ - w||^2,
+    ||lam v + z~ - w||^2 + 2 lam eps <= sigma^2 ||z~ - w||^2),
 
-then take the relaxed step ``z_next = w - tau lam v``.  Every iteration is
-recorded in a columnar trace, which :func:`monosplit.bounds.audit` replays
-against every post-hoc inequality.
+then take the relaxed step ``z_next = w - tau lam v``.  :func:`run`,
+:func:`certify` and :func:`monosplit.bounds.audit` all check a certificate
+through that one law.  Every iteration is recorded in a columnar trace,
+which the audit replays against every post-hoc inequality.
 """
 
 import json
@@ -22,13 +24,12 @@ import numpy as np
 from . import linalg
 from .ergodic import ErgodicState
 from .errors import CertificationError, DimensionMismatch, ParameterError
-from .params import check_sigma, check_tau
+from .params import check_sigma
 
 # Round-off allowance for exactly-zero residuals (inner solvers that
 # reconstruct v = (w - z~)/lam reassemble lam*v with a few ulp of error).
 _ZERO_SLACK = 1e-18
-# Absolute round-off allowance on alpha_k over its bound and on a stepsize
-# under its floor.
+# Absolute round-off allowance on a stepsize under its floor.
 _BOUND_SLACK = 1e-15
 # Relative round-off allowance on the criterion ratio lhs / rhs <= 1.
 CRITERION_TOL = 1e-9
@@ -258,16 +259,6 @@ class SolverState:
 # Single-step operations
 # ---------------------------------------------------------------------------
 
-def extrapolate(z_curr, z_prev, alpha_k, alpha_max=None):
-    """Inertial extrapolation ``w = z_curr + alpha_k (z_curr - z_prev)``."""
-    if alpha_max is not None and not (
-            0.0 <= alpha_k <= alpha_max + _BOUND_SLACK):
-        raise ParameterError(
-            f"alpha_k = {alpha_k} outside [0, {alpha_max}]")
-    linalg.check_same_dim(z_curr, z_prev)
-    return z_curr + alpha_k * (z_curr - z_prev)
-
-
 def _criterion_terms(cert, w):
     """``(||lam v + z~ - w||^2, ||z~ - w||^2)`` of one certificate.
 
@@ -279,7 +270,19 @@ def _criterion_terms(cert, w):
     return linalg.dot(resid, resid), linalg.dot(dz, dz)
 
 
-def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=None):
+def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
+    """The certificate law of step ``k``; returns the criterion's lhs/rhs.
+
+    ``lam`` must be positive and at least ``lambda_floor`` (else
+    :class:`ParameterError`), ``eps`` nonnegative and the ratio at most
+    ``1 + CRITERION_TOL``, with 0/0 -> 0 (else :class:`CertificationError`).
+    Each check is a pass condition, so a NaN fails.
+    """
+    if not (lam > 0.0 and lam >= lambda_floor - _BOUND_SLACK):
+        raise ParameterError(
+            f"stepsize {lam} below the floor {lambda_floor} at k={k}")
+    if not eps >= 0.0:
+        raise CertificationError(f"negative eps {eps} at k={k}", k=k)
     lhs = resid_sq + 2.0 * lam * eps
     rhs = sigma * sigma * dz_sq
     slack = _ZERO_SLACK * (1.0 + dz_sq)
@@ -287,12 +290,11 @@ def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=None):
         return 0.0
     if rhs <= 0.0:
         raise CertificationError(
-            f"criterion violated at k={k}: lhs={lhs} with sigma=0",
-            k=k, ratio=math.inf)
+            f"criterion violated at k={k}: lhs={lhs} with sigma=0", k=k)
     ratio = lhs / rhs
     if not ratio <= 1.0 + CRITERION_TOL:  # so that a NaN ratio fails
         raise CertificationError(
-            f"criterion violated at k={k}: ratio={ratio}", k=k, ratio=ratio)
+            f"criterion violated at k={k}: ratio={ratio}", k=k)
     return ratio
 
 
@@ -306,21 +308,14 @@ def _energy_term(relax_sq, dz_sq, params):
 
 
 def certify(cert, w, sigma):
-    """Check the relative-error criterion; return the lhs/rhs ratio.
+    """Check one certificate at ``w`` by the law of :func:`_error_ratio`,
+    with no stepsize floor beyond ``lam > 0``; return the lhs/rhs ratio.
 
-    The convention 0/0 -> 0 covers exact fixed points.  Raises
-    :class:`CertificationError` when the ratio exceeds
-    ``1 + CRITERION_TOL``.
+    The convention 0/0 -> 0 covers exact fixed points.
     """
     check_sigma(sigma)
     resid_sq, dz_sq = _criterion_terms(cert, w)
-    return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma)
-
-
-def relax_update(w, cert, tau):
-    """Relaxed correction step ``z_next = w - tau lam v``."""
-    check_tau(tau)
-    return w - tau * cert.lam * cert.v
+    return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +327,9 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
 
     Parameters
     ----------
-    problem : TestProblem or None
-        Supplies the dimension, and the known solution for distance
-        columns, when given.
+    problem : TestProblem
+        Supplies the dimension, and the known solution (None when unknown)
+        for the distance columns.
     inner_solver : callable ``(w, k) -> Certificate``
     params : HpeParams
         Admissible by construction, so the driver does not re-check it.
@@ -346,10 +341,9 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     are finite vectors of one dimension.  A bundle keeps every ``alpha_k``
     of its schedule in ``[0, alpha]`` and ``tau`` in ``(0, 1]`` from its
     construction on.  Each step then checks only its certificate: the shapes
-    of ``z~`` and ``v``, the stepsize floor, ``eps >= 0``, the error
-    criterion and a finite next iterate.  The step computes exactly what
-    :func:`extrapolate`, :func:`certify`, :func:`relax_update` and
-    :func:`linalg.inner` compute, in the same order.
+    of ``z~`` and ``v``, the certificate law of :func:`_error_ratio` (the
+    stepsize floor, ``eps >= 0`` and the error criterion) and a finite next
+    iterate.
 
     Returns
     -------
@@ -357,11 +351,9 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     """
     stop = stop or StoppingRule()
     if z0 is None:
-        if problem is None:
-            raise ParameterError("need either a problem or an explicit z0")
         z0 = np.zeros(problem.dim)
     z0 = linalg.as_vector(z0)
-    z_star = None if problem is None else problem.known_solution
+    z_star = problem.known_solution
     if z_star is not None:
         z_star = linalg.as_vector(z_star)
         linalg.check_same_dim(z0, z_star)
@@ -389,14 +381,9 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
             raise DimensionMismatch(
                 f"certificate at k={k} has z~ of shape {cert.z_tilde.shape} "
                 f"and v of shape {v.shape}, expected {shape}")
-        if lam < lambda_floor - _BOUND_SLACK or lam <= 0.0:
-            raise ParameterError(
-                f"stepsize {lam} below the floor {lambda_floor} at k={k}")
-        if eps < 0.0:
-            raise CertificationError(f"negative eps {eps} at k={k}", k=k)
-
         resid_sq, dz_sq = _criterion_terms(cert, w)
-        ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, k=k)
+        ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor,
+                             k=k)
 
         z_next = w - tau * lam * v
         relax = z_next - w

@@ -480,11 +480,10 @@ class TestProblem:
     construction could compute.
     """
 
-    def __init__(self, kind, dim, seed, resolvent, forward=None,
-                 affine_T=None, known_solution=None, data=None):
+    def __init__(self, kind, dim, resolvent, forward=None, affine_T=None,
+                 known_solution=None, data=None):
         self.kind = kind
         self.dim = dim
-        self.seed = seed
         self.resolvent = resolvent
         self.forward = forward
         self.affine_T = affine_T
@@ -548,7 +547,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
                 and T.min_symmetric_eigenvalue() < -_MONOTONE_TOL):
             raise ParameterError("affine operator is not monotone")
         return TestProblem(
-            kind, dimension, seed,
+            kind, dimension,
             resolvent=AffineResolvent(T),
             affine_T=T,
             known_solution=T.zero_point(),
@@ -569,7 +568,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         if dimension <= 12:
             known = solve_box_qp_bruteforce(Q, c, lower, upper)
         return TestProblem(
-            kind, dimension, seed, resolvent=box, forward=F,
+            kind, dimension, resolvent=box, forward=F,
             known_solution=known,
             data={"matrix": Q, "offset": c, "lower": lower, "upper": upper})
 
@@ -587,7 +586,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         L = float(np.linalg.svd(K, compute_uv=False)[0])
         F = ForwardMap(T, L, cocoercive=False, linear=T.linear)
         return TestProblem(
-            kind, dimension, seed,
+            kind, dimension,
             resolvent=ZeroResolvent(), forward=F, affine_T=T,
             known_solution=np.concatenate([x_star, y_star]),
             data={"coupling": T.blocks[0], "offset": b})
@@ -607,7 +606,7 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
         if dimension <= 14:
             known = solve_l1_bruteforce(M, y, weight)
         return TestProblem(
-            kind, dimension, seed,
+            kind, dimension,
             resolvent=L1Resolvent(weight), forward=F,
             known_solution=known,
             data={"matrix": M, "observation": y, "l1_weight": weight})

@@ -128,10 +128,15 @@ class HpeParams:
     ramp_iters: int = 0
 
     def __post_init__(self):
-        # the derivations range-check sigma, tau and beta, in that order
+        # the derivations range-check sigma, tau and beta, in that order;
+        # alpha is checked before q(alpha), which overflows on a huge int
         setattr_ = object.__setattr__  # the bundle is frozen
         setattr_(self, "eta", eta_of(self.sigma, self.tau))
         setattr_(self, "beta_prime", beta_prime(self.sigma, self.beta))
+        if not (0.0 <= self.alpha < self.beta):
+            raise ParameterError(
+                f"need 0 <= alpha < beta < 1, got alpha={self.alpha}, "
+                f"beta={self.beta}")
         setattr_(self, "q_alpha", q_value(self.alpha, self.eta))
         setattr_(self, "is_constant",
                  self.ramp_iters == 0 or self.alpha == 0.0)
@@ -160,10 +165,6 @@ class HpeParams:
 
         Raises :class:`ParameterError` naming the violated condition.
         """
-        if not (0.0 <= self.alpha < self.beta):
-            raise ParameterError(
-                f"need 0 <= alpha < beta < 1, got alpha={self.alpha}, "
-                f"beta={self.beta}")
         expected_tau = tau_of(self.sigma, self.beta_prime)
         if not math.isclose(self.tau, expected_tau, rel_tol=TAU_MATCH_TOL,
                             abs_tol=TAU_MATCH_TOL):

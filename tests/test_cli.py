@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from monosplit import cli, hpe_core, operators
+from monosplit import cli, hpe_core, operators, params
 from monosplit.errors import ConfigError
 
 
@@ -142,6 +143,57 @@ def test_certify_detects_corrupted_eps(tmp_path):
     (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
     assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
                      "--config", path]) == 3
+
+
+def law_config(kind, instance, dim):
+    """200 steps at alpha 0.1, sigma 0.5, beta 0.4, seed 3."""
+    cfg = base_config(kind=kind, instance=instance, dim=dim, seed=3,
+                      sigma=0.5, beta=0.4)
+    cfg["stopping"]["max_iters"] = 200
+    return cfg
+
+
+# Configs whose traces pass every check until one row breaks the law.
+LAW_CONFIGS = [law_config("box_constrained_quadratic", "forward_backward", 5),
+               law_config("bilinear_saddle", "tseng_fbf", 8)]
+
+
+def _negative_eps(row, cfg):
+    row["eps"] = -1e-3
+
+
+def _halved_stepsize(row, cfg):
+    # s_k recomputed to match, as energy_term_consistency would
+    p = params.HpeParams.from_dict(cfg["params"])
+    row["lam"] /= 2.0
+    row["s_k"] = hpe_core._energy_term(
+        (p.tau * row["lam"] * row["norm_v"]) ** 2, row["norm_dz"] ** 2, p)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_negative_eps, r"negative eps -0\.001 at k=5"),
+    (_halved_stepsize, r"stepsize \S+ below the floor \S+ at k=5"),
+], ids=["negative_eps", "halved_stepsize"])
+@pytest.mark.parametrize("cfg", LAW_CONFIGS,
+                         ids=[c["problem"]["kind"] for c in LAW_CONFIGS])
+def test_certify_applies_the_certificate_law(tmp_path, capsys, cfg,
+                                                     edit, message):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) in (0, 1)
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    row = json.loads(lines[5])
+    assert row["k"] == 5
+    edit(row, cfg)
+    lines[5] = json.dumps(row)
+    (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
+                     "--config", path]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert re.fullmatch(r"\[FAIL\] error_criterion: " + message, failed[0])
 
 
 # every column an audit check reads
@@ -332,8 +384,11 @@ def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
     ("stopping", "max_iters", -3),
     ("problem", "dimension", 100000),
     ("problem", "dimension", 10 ** 30),
+    ("problem", "dimension", 0),
+    ("problem", "dimension", -1),
 ], ids=["seed_negative", "max_iters_zero", "max_iters_negative",
-        "dimension_too_large_to_allocate", "dimension_beyond_numpy"])
+        "dimension_too_large_to_allocate", "dimension_beyond_numpy",
+        "dimension_zero", "dimension_negative"])
 def test_config_out_of_range_reported(tmp_path, capsys, section, field,
                                       value):
     cfg = base_config()

@@ -9,7 +9,7 @@ from monosplit.ergodic import ErgodicState
 from monosplit.errors import (CertificationError, DimensionMismatch,
                               ParameterError)
 from monosplit.hpe_core import (Certificate, IterationTrace, StoppingRule,
-                                certify, extrapolate, relax_update, run)
+                                certify, run)
 from recorder import Recorder
 
 PLAIN = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
@@ -22,17 +22,6 @@ def ppm_solver(problem, lam=1.0):
 
 
 # -- single-step operations --------------------------------------------------
-
-def test_extrapolate_cases():
-    z = np.array([1.0, 1.0])
-    zp = np.array([0.0, 0.0])
-    np.testing.assert_array_equal(extrapolate(z, zp, 0.0), z)
-    np.testing.assert_array_equal(extrapolate(z, z, 0.7), z)
-    np.testing.assert_allclose(extrapolate(z, zp, 0.3),
-                               np.array([1.3, 1.3]), atol=1e-15)
-    with pytest.raises(ParameterError):
-        extrapolate(z, zp, 0.5, alpha_max=0.3)
-
 
 def test_certify_exact_step_and_fixed_point():
     w = np.array([2.0, 4.0])
@@ -68,19 +57,20 @@ def test_certify_rejects_violations():
         certify(bad, w, sigma=0.0)
 
 
-def test_relax_update_cases():
+@pytest.mark.parametrize("eps, lam, error, message", [
+    (-5.0, 1.0, CertificationError, "negative eps -5.0"),
+    (0.0, 0.0, ParameterError, "stepsize 0.0 below the floor 0.0"),
+    (0.0, -1.0, ParameterError, "stepsize -1.0 below the floor 0.0"),
+    (0.0, math.nan, ParameterError, "stepsize nan below the floor 0.0"),
+], ids=["negative_eps", "zero_stepsize", "negative_stepsize", "nan_stepsize"])
+def test_certify_refuses_what_run_refuses(eps, lam, error, message):
+    # v is the exact step at lam = 1: only eps or lam breaks the law
     w = np.array([2.0, 4.0])
-    cert = Certificate(z_tilde=np.zeros(2), v=np.array([1.0, 2.0]), eps=0.0,
-                       lam=1.0)
-    np.testing.assert_array_equal(relax_update(w, cert, 1.0), [1.0, 2.0])
-    zero = Certificate(z_tilde=w, v=np.zeros(2), eps=0.0, lam=1.0)
-    np.testing.assert_array_equal(relax_update(w, zero, 0.7), w)
-    half = Certificate(z_tilde=np.zeros(2), v=np.array([2.0, 0.0]), eps=0.0,
-                       lam=1.0)
-    np.testing.assert_array_equal(
-        relax_update(np.array([2.0, 0.0]), half, 0.5), [1.0, 0.0])
-    with pytest.raises(ParameterError):
-        relax_update(w, cert, 0.0)
+    z_tilde = np.array([1.0, 2.0])
+    cert = Certificate(z_tilde=z_tilde, v=(w - z_tilde) / 1.0, eps=eps,
+                       lam=lam)
+    with pytest.raises(error, match=message):
+        certify(cert, w, sigma=0.5)
 
 
 # -- the driver --------------------------------------------------------------
@@ -272,16 +262,17 @@ def test_trace_read_reports_missing_columns(tmp_path):
 # -- the driver against its single-step functions ----------------------------
 
 def replay(problem, solver, p, stop, z0):
-    """``run`` rebuilt from the public single-step functions: its trace."""
+    """``run`` rebuilt from the public :func:`certify` and the two update
+    formulas: its trace."""
     z_prev = z = z0
     erg = ErgodicState(dim=z0.shape[0])
     z_star = problem.known_solution
     trace = IterationTrace()
     for k in range(1, stop.max_iters + 1):
-        w = extrapolate(z, z_prev, p.alpha_at(k), p.alpha)
+        w = z + p.alpha_at(k) * (z - z_prev)
         cert = solver(w, k)
         ratio = certify(cert, w, p.sigma)
-        z_next = relax_update(w, cert, p.tau)
+        z_next = w - p.tau * cert.lam * cert.v
         dz_sq = linalg.norm_sq(cert.z_tilde - w)
         erg.update(cert)
         norm_v = math.sqrt(linalg.norm_sq(cert.v))
@@ -340,7 +331,7 @@ def separable_box_problem(n, seed):
     F = operators.ForwardMap(lambda z: d * z + c, float(d.max()),
                              cocoercive=True, project_domain=box.project,
                              linear=lambda dz: d * dz)
-    return operators.TestProblem("separable_box", n, seed, resolvent=box,
+    return operators.TestProblem("separable_box", n, resolvent=box,
                                  forward=F,
                                  known_solution=np.clip(-c / d, 0.0, 1.0))
 

@@ -133,6 +133,14 @@ def test_from_beta_rejects_alpha_at_least_beta():
         params.HpeParams.from_beta(alpha=0.4, sigma=0.0, beta=1.0 / 3.0)
 
 
+@pytest.mark.parametrize("alpha", [10 ** 400, -(10 ** 400)],
+                         ids=["huge", "huge_negative"])
+def test_alpha_beyond_the_float_range_is_refused_by_its_range(alpha):
+    # the range check must come before q(alpha), which overflows here
+    with pytest.raises(ParameterError, match="need 0 <= alpha < beta < 1"):
+        params.HpeParams.from_beta(alpha, 0.5, 0.4)
+
+
 def test_from_tau_rejects_q_nonpositive():
     # tau = 1 at sigma = 0 gives eta = 1, q(a) = 1 - 3a <= 0 for a >= 1/3
     with pytest.raises(ParameterError):
