@@ -3,11 +3,12 @@
 All evaluators are exact closed forms in ``(d0, lambda_floor, params, k)``.
 :func:`audit` replays a trace against every post-hoc inequality: the
 certificate law of :func:`monosplit.hpe_core.run` on each step (the
-stepsize floor, ``eps >= 0`` and the error criterion), the energy term,
-Fejer descent, step summability, the energy bound, the monotone ``mu``
-sequence, the rate bounds (through :func:`assert_bounds`) and the sign of
-the aggregated error.  A failed check signals an implementation bug, not
-bad luck: the inequalities are guaranteed.
+stepsize floor, ``eps >= 0`` and the error criterion, with the recorded
+ratio and the running stepsize sum), the energy term, Fejer descent, step
+summability, the energy bound, the monotone ``mu`` sequence, the rate
+bounds (through :func:`assert_bounds`) and the sign of the aggregated
+error.  A failed check signals an implementation bug, not bad luck: the
+inequalities are guaranteed.
 """
 
 import math
@@ -26,6 +27,7 @@ BOUND_RTOL = 1e-8        # relative slack on every closed-form upper bound
 ATOL = 1e-9              # absolute slack on a sign condition
 DESCENT_RTOL = 1e-12     # descent slack per unit of squared distance
 ENERGY_TERM_RTOL = 1e-9  # recorded s_k against its definition
+ERROR_RATIO_RTOL = 1e-12  # recorded error_ratio against its recomputation
 
 
 @dataclass(frozen=True)
@@ -197,15 +199,30 @@ def _first_failure(ok, what, passed):
 
 
 def _error_criterion(trace, inp):
+    """The certificate law on every step, and the two columns the law
+    fixes: the recorded ``error_ratio`` and ``aggregate_stepsize``."""
     cols = trace.columns
     dz_sq = (trace.column("norm_dz") ** 2).tolist()
     try:
-        peak = max(map(hpe_core._error_ratio, cols["resid_sq"], dz_sq,
-                       cols["lam"], cols["eps"], repeat(inp.params.sigma),
-                       repeat(inp.lambda_floor), count(1)))
+        ratios = np.fromiter(
+            map(hpe_core._error_ratio, cols["resid_sq"], dz_sq, cols["lam"],
+                cols["eps"], repeat(inp.params.sigma),
+                repeat(inp.lambda_floor), count(1)),
+            dtype=float, count=len(trace))
     except (CertificationError, ParameterError) as exc:
         return FAIL, str(exc)
-    return PASS, f"all {len(trace)} steps within tolerance", peak
+    recorded_ok = (np.abs(trace.column("error_ratio") - ratios)
+                   <= ERROR_RATIO_RTOL * ratios)
+    summed_ok = (trace.column("aggregate_stepsize")
+                 == np.cumsum(trace.column("lam")))
+    for ok, what in (
+            (recorded_ok, "error_ratio differs from its recomputation"),
+            (summed_ok, "aggregate_stepsize is not the running sum of lam")):
+        status, detail = _first_failure(ok, what, None)
+        if status == FAIL:
+            return FAIL, detail
+    return (PASS, f"all {len(trace)} steps within tolerance",
+            float(ratios.max()))
 
 
 def _energy_term_consistency(trace, inp):

@@ -208,10 +208,8 @@ def cmd_solve(args):
 
     header = {"config": cfg["raw"], "params": cfg["params"].to_dict(),
               "lambda_floor": state.lambda_floor, "verdict": state.verdict}
-    trace_path = os.path.join(out_dir, "trace.jsonl")
-    csv_path = os.path.join(out_dir, "trace.csv")
-    state.trace.write_jsonl(trace_path, header=header)
-    state.trace.write_csv(csv_path)
+    state.trace.write_jsonl(os.path.join(out_dir, "trace.jsonl"),
+                            header=header)
 
     summary = {
         "verdict": state.verdict,

@@ -133,8 +133,9 @@ class IterationTrace:
         A null value reads as NaN.  An unreadable file raises
         :class:`ParameterError`, and so does, naming its line, a line that
         is not a JSON object, a meta that is not an object, a missing
-        column, or a cell that is neither null nor a number (an int or a
-        float, within the float range).
+        column, a cell that is neither null nor a number (an int or a
+        float, within the float range), or a ``k`` that does not run
+        1, 2, ....
         """
         trace = cls()
         meta = {}
@@ -180,8 +181,10 @@ class IterationTrace:
         """Move rows of :data:`TRACE_COLUMNS` values into the columns.
 
         ``linenos`` holds the line of each row.  Each column's cells are
-        type-checked together; a null value becomes NaN.
+        type-checked together; a null value becomes NaN.  ``k`` must go
+        on from the rows read so far.
         """
+        first_k = len(self) + 1
         for name, column_values in zip(TRACE_COLUMNS, zip(*rows)):
             if not _FLOAT_OR_NULL.issuperset(map(type, column_values)):
                 bad = [i for i, value in enumerate(column_values)
@@ -192,6 +195,14 @@ class IterationTrace:
                         f"{json.dumps(column_values[bad[0]])} is not a "
                         f"number or null")
             if name == "k":
+                steps = range(first_k, first_k + len(column_values))
+                if column_values != tuple(steps):
+                    i = next(i for i, step in enumerate(steps)
+                             if column_values[i] != step)
+                    raise ParameterError(
+                        f"trace line {linenos[i]}, column 'k': "
+                        f"{json.dumps(column_values[i])} is not step "
+                        f"{steps[i]}")
                 continue
             if None in column_values:
                 column_values = [math.nan if value is None else value
@@ -276,13 +287,16 @@ def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
     ``lam`` must be positive and at least ``lambda_floor`` (else
     :class:`ParameterError`), ``eps`` nonnegative and the ratio at most
     ``1 + CRITERION_TOL``, with 0/0 -> 0 (else :class:`CertificationError`).
-    Each check is a pass condition, so a NaN fails.
+    Each check is a pass condition, so a NaN fails; the message calls a
+    NaN ``lam`` or ``eps`` non-finite, and names step ``k`` when given.
     """
     if not (lam > 0.0 and lam >= lambda_floor - _BOUND_SLACK):
-        raise ParameterError(
-            f"stepsize {lam} below the floor {lambda_floor} at k={k}")
+        fault = (f"non-finite stepsize {lam}" if lam != lam else
+                 f"stepsize {lam} below the floor {lambda_floor}")
+        raise ParameterError(fault + _at(k))
     if not eps >= 0.0:
-        raise CertificationError(f"negative eps {eps} at k={k}", k=k)
+        fault = "non-finite" if eps != eps else "negative"
+        raise CertificationError(f"{fault} eps {eps}{_at(k)}", k=k)
     lhs = resid_sq + 2.0 * lam * eps
     rhs = sigma * sigma * dz_sq
     slack = _ZERO_SLACK * (1.0 + dz_sq)
@@ -290,12 +304,17 @@ def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
         return 0.0
     if rhs <= 0.0:
         raise CertificationError(
-            f"criterion violated at k={k}: lhs={lhs} with sigma=0", k=k)
+            f"criterion violated{_at(k)}: lhs={lhs} with sigma=0", k=k)
     ratio = lhs / rhs
     if not ratio <= 1.0 + CRITERION_TOL:  # so that a NaN ratio fails
         raise CertificationError(
-            f"criterion violated at k={k}: ratio={ratio}", k=k)
+            f"criterion violated{_at(k)}: ratio={ratio}", k=k)
     return ratio
+
+
+def _at(k):
+    """The `` at k=...`` suffix of a message about step ``k``, if any."""
+    return "" if k is None else f" at k={k}"
 
 
 def _energy_term(relax_sq, dz_sq, params):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -60,7 +61,16 @@ def solve_and_certify(tmp_path, capsys, cfg):
                          ids=[c["problem"]["kind"] for c in FIXTURES])
 def test_solve_certify_roundtrip(tmp_path, capsys, cfg):
     summary, solved, certified = solve_and_certify(tmp_path, capsys, cfg)
-    assert (tmp_path / "run" / "trace.csv").exists()
+    run = tmp_path / "run"
+    # trace.jsonl is the one record; write_csv converts it on demand
+    assert sorted(p.name for p in run.iterdir()) == [
+        "summary.json", "trace.jsonl"]
+    state = cli._run_config(cli.load_config(str(tmp_path / "cfg.json")))
+    state.trace.write_csv(tmp_path / "memory.csv")
+    trace, _ = hpe_core.IterationTrace.read_jsonl(run / "trace.jsonl")
+    trace.write_csv(tmp_path / "read.csv")
+    assert (tmp_path / "read.csv").read_bytes() == (
+        tmp_path / "memory.csv").read_bytes()
     assert summary["verdict"] == "solved"
     # the same audit, with the same inputs, behind both commands
     assert solved == certified
@@ -126,8 +136,8 @@ def test_solve_determinism_byte_identical(tmp_path):
     assert cli.main(["solve", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "trace.jsonl").read_bytes() == (
         out2 / "trace.jsonl").read_bytes()
-    assert (out1 / "trace.csv").read_bytes() == (
-        out2 / "trace.csv").read_bytes()
+    assert (out1 / "summary.json").read_bytes() == (
+        out2 / "summary.json").read_bytes()
 
 
 def test_certify_detects_corrupted_eps(tmp_path):
@@ -196,10 +206,49 @@ def test_certify_applies_the_certificate_law(tmp_path, capsys, cfg,
     assert re.fullmatch(r"\[FAIL\] error_criterion: " + message, failed[0])
 
 
+def _nudged(column, step):
+    def edit(row):
+        assert row[column] > 0.0
+        row[column] = step(row[column])
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_nudged("error_ratio", lambda v: v * (1.0 + 1e-9)),
+     "[FAIL] error_criterion: error_ratio differs from its recomputation "
+     "at k=5"),
+    (_nudged("aggregate_stepsize", lambda v: math.nextafter(v, math.inf)),
+     "[FAIL] error_criterion: aggregate_stepsize is not the running sum of "
+     "lam at k=5"),
+    (_nudged("k", lambda v: v + 1),
+     "error: trace line 6, column 'k': 6 is not step 5"),
+], ids=["error_ratio", "aggregate_stepsize", "k"])
+@pytest.mark.parametrize("cfg", LAW_CONFIGS,
+                         ids=[c["problem"]["kind"] for c in LAW_CONFIGS])
+def test_certify_audits_every_recorded_column(tmp_path, capsys, cfg, edit,
+                                              message):
+    # no check read these three columns: each edit passed certify
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) in (0, 1)
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    row = json.loads(lines[5])
+    edit(row)
+    lines[5] = json.dumps(row)
+    (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
+                     "--config", path]) == 3
+    captured = capsys.readouterr()
+    printed = captured.out.splitlines() + captured.err.splitlines()
+    assert [line for line in printed
+            if line.startswith(("[FAIL]", "error:"))] == [message]
+
+
 # every column an audit check reads
 AUDITED_COLUMNS = ("norm_v", "eps", "lam", "step_norm", "s_k",
                    "dist_to_solution", "resid_sq", "norm_dz", "dist_w",
-                   "norm_v_a", "eps_a")
+                   "norm_v_a", "eps_a", "error_ratio", "aggregate_stepsize")
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +260,10 @@ def solved_box(tmp_path_factory):
     out = tmp_path / "run"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
     return path, (out / "trace.jsonl").read_text().splitlines()
+
+
+# the law names a NaN stepsize or eps as such
+NAMED_FAULTS = {"eps": "non-finite eps nan", "lam": "non-finite stepsize nan"}
 
 
 @pytest.mark.parametrize("value", ["null", "NaN"])
@@ -226,7 +279,11 @@ def test_certify_fails_non_finite_value(tmp_path, capsys, solved_box,
     trace.write_text("\n".join(lines) + "\n")
     assert cli.main(["certify", "--trace", str(trace),
                      "--config", path]) == 3
-    assert "[FAIL]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    if column in NAMED_FAULTS:
+        assert (f"[FAIL] error_criterion: {NAMED_FAULTS[column]} at k=5"
+                in out.splitlines())
 
 
 def _set_cell(column, value):

@@ -50,10 +50,12 @@ def test_certify_rejects_violations():
     w = np.zeros(2)
     bad = Certificate(z_tilde=np.array([1.0, 0.0]), v=np.array([5.0, 0.0]),
                       eps=0.0, lam=1.0)
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError,
+                       match=r"^criterion violated: ratio="):
         certify(bad, w, sigma=0.5)
     # sigma = 0 with a nonzero residual must also fail
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError,
+                       match=r"^criterion violated: lhs=\S+ with sigma=0$"):
         certify(bad, w, sigma=0.0)
 
 
@@ -61,16 +63,20 @@ def test_certify_rejects_violations():
     (-5.0, 1.0, CertificationError, "negative eps -5.0"),
     (0.0, 0.0, ParameterError, "stepsize 0.0 below the floor 0.0"),
     (0.0, -1.0, ParameterError, "stepsize -1.0 below the floor 0.0"),
-    (0.0, math.nan, ParameterError, "stepsize nan below the floor 0.0"),
-], ids=["negative_eps", "zero_stepsize", "negative_stepsize", "nan_stepsize"])
+    (0.0, math.nan, ParameterError, "non-finite stepsize nan"),
+    (math.nan, 1.0, CertificationError, "non-finite eps nan"),
+], ids=["negative_eps", "zero_stepsize", "negative_stepsize", "nan_stepsize",
+        "nan_eps"])
 def test_certify_refuses_what_run_refuses(eps, lam, error, message):
-    # v is the exact step at lam = 1: only eps or lam breaks the law
+    # v is the exact step at lam = 1: only eps or lam breaks the law; the
+    # message names the fault, with no step index
     w = np.array([2.0, 4.0])
     z_tilde = np.array([1.0, 2.0])
     cert = Certificate(z_tilde=z_tilde, v=(w - z_tilde) / 1.0, eps=eps,
                        lam=lam)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error) as exc:
         certify(cert, w, sigma=0.5)
+    assert str(exc.value) == message
 
 
 # -- the driver --------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -182,12 +183,36 @@ def test_bundle_roundtrips_or_is_refused(alpha, sigma, beta, ramp_iters):
     except ParameterError:
         return
     assert params.HpeParams.from_dict(p.to_dict()) == p
-    # Within 2e-3 of 1, tau ~ (1 - beta')^2 and eta ~ 1 / tau: from_beta
-    # accepts or refuses by the round-off of the q(beta') root check, and
-    # no float beta near 1 reproduces tau within TAU_MATCH_TOL.
-    if 1.0 - p.beta_prime >= 2e-3:
-        assert params.HpeParams.from_tau(alpha, sigma, p.tau).eta == \
-            pytest.approx(p.eta, rel=1e-12, abs=1e-12)
+    assert params.HpeParams.from_tau(alpha, sigma, p.tau).eta == \
+        pytest.approx(p.eta, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.9])
+def test_admissibility_near_beta_one_is_one_clean_cut(sigma):
+    # 3000 log-spaced 1 - beta: from_beta accepts every beta up to the
+    # named gap and refuses every one beyond it, always with one message;
+    # a tau off its closed form is refused everywhere.
+    gaps = np.logspace(-15, -1, 3000)[::-1]
+    accepted = []
+    for gap in gaps:
+        beta = 1.0 - gap
+        try:
+            p = params.HpeParams.from_beta(0.0, sigma, beta)
+        except ParameterError as exc:
+            accepted.append(False)
+            assert re.fullmatch(r"beta' = \S+ is within 0\.001 of 1",
+                                str(exc))
+        else:
+            accepted.append(True)
+            assert params.HpeParams.from_tau(0.0, sigma, p.tau).eta == \
+                pytest.approx(p.eta, rel=1e-12)
+        tau = params.tau_of(sigma, beta)
+        for f in (1.0 + 1e-9, 3.0, 10.0):
+            with pytest.raises(ParameterError):
+                params.HpeParams(0.0, sigma, beta, f * tau)
+    cut = accepted.index(False)
+    assert not any(accepted[cut:])
+    assert gaps[cut] < params.MIN_BETA_PRIME_GAP <= gaps[cut - 1]
 
 
 def test_derived_values_are_not_settable():

@@ -1,8 +1,10 @@
-"""Byte-for-byte checks of the trace writers against a row-by-row oracle.
+"""Byte-for-byte checks of the trace writers against a row-by-row oracle,
+and of the reader against ``json.loads``.
 
 The oracle is the plain encoder: one ``json.dumps`` per row dict and one
 ``csv.writer`` row per trace row.  The writers format a trace column by
 column, a chunk of rows at a time, and must produce exactly its bytes.
+The reader must read each line as ``json.loads`` reads its bytes.
 """
 
 import csv
@@ -13,6 +15,7 @@ from unittest import mock
 import pytest
 
 from monosplit import hpe_core, instances, operators, params
+from monosplit.errors import ParameterError
 from monosplit.hpe_core import TRACE_COLUMNS, IterationTrace
 
 pytest.importorskip("hypothesis")
@@ -131,8 +134,66 @@ def test_writer_refuses_a_non_number(tmp_path):
 def test_reader_keeps_column_order(tmp_path):
     path = tmp_path / "trace.jsonl"
     row = {name: float(i) for i, name in enumerate(reversed(TRACE_COLUMNS))}
-    path.write_text(json.dumps(row) + "\n\n" + json.dumps(row) + "\n")
+    lines = [json.dumps(dict(row, k=k)) for k in (1, 2)]
+    path.write_text(lines[0] + "\n\n" + lines[1] + "\n")
     trace, meta = IterationTrace.read_jsonl(path)
     assert meta == {}
     assert list(trace.columns) == list(TRACE_COLUMNS[1:])
     assert trace.columns["norm_v"] == [row["norm_v"]] * 2
+
+
+META = b'{"meta": {"schema_version": 1}}'
+ROW = json.dumps({name: 1 if name == "k" else 0.5
+                  for name in TRACE_COLUMNS}).encode()
+
+
+@pytest.mark.parametrize("line, accepted", [
+    (b"\xef\xbb\xbf" + ROW, True),
+    (b"\xef\xbb\xbf\xef\xbb\xbf" + ROW, False),
+    (b"\xff" + ROW, False),
+    (ROW.replace(b'"k": 1', b'"k": 1' + b"0" * 5000), False),
+    (ROW[:-1] + b', "note": "\xed\xa0\x80"}', True),
+    (ROW.decode().encode("utf-16"), True),
+    (ROW.decode().encode("utf-16-le"), True),
+    (ROW.decode().encode("utf-32"), True),
+    (b"\x00" + ROW, False),
+    (b"{]", False),
+], ids=["utf8_bom", "two_boms", "bad_utf8", "int_of_5001_digits",
+        "lone_surrogate", "utf16_with_bom", "utf16_without_bom", "utf32",
+        "odd_utf16", "bad_json"])
+def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
+    # json.loads of the line's bytes is the reference: its encoding
+    # detection, its surrogatepass decoding and its error message
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(META + b"\n" + line + b"\n")
+    try:
+        json.loads(line)
+    except ValueError as exc:
+        assert not accepted
+        with pytest.raises(ParameterError) as err:
+            IterationTrace.read_jsonl(path)
+        assert str(err.value) == f"malformed trace line 2: {exc}"
+        return
+    assert accepted
+    trace, meta = IterationTrace.read_jsonl(path)
+    assert meta == {"schema_version": 1}
+    assert trace.columns == {name: [0.5] for name in TRACE_COLUMNS[1:]}
+
+
+@pytest.mark.parametrize("ks, message", [
+    ((2,), "trace line 2, column 'k': 2 is not step 1"),
+    ((1, 1), "trace line 3, column 'k': 1 is not step 2"),
+    ((1, 3), "trace line 3, column 'k': 3 is not step 2"),
+    ((1, None), "trace line 3, column 'k': null is not step 2"),
+])
+@pytest.mark.parametrize("chunk", [1, 128])
+def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
+    path = tmp_path / "trace.jsonl"
+    row = json.loads(ROW)
+    path.write_text("\n".join([META.decode()] + [
+        json.dumps(dict(row, k=k)) for k in ks]) + "\n")
+    with mock.patch.object(hpe_core, "_CHUNK_ROWS", chunk), \
+            pytest.raises(ParameterError) as err:
+        IterationTrace.read_jsonl(path)
+    assert str(err.value) == message
+
