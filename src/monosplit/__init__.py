@@ -7,7 +7,7 @@ closed-form complexity bounds that every run is checked against.
 
 from .bounds import (BoundInputs, Check, assert_bounds, audit,
                      ergodic_bounds, iteration_budget, pointwise_bounds)
-from .ergodic import ErgodicState, transport
+from .ergodic import ErgodicState
 from .errors import (CertificationError, ConfigError, DimensionMismatch,
                      MonosplitError, OracleError, ParameterError,
                      TheoremViolation)
@@ -36,5 +36,5 @@ __all__ = [
     "beta_to_t", "certify", "enlargement_infimum", "enlargement_member",
     "ergodic_bounds", "eta_of", "fb_step", "inverse_map", "iteration_budget",
     "make_inner_solver", "make_problem", "pointwise_bounds", "ppm_step",
-    "q_value", "resolve", "run", "solve", "tau_of", "transport", "tseng_step",
+    "q_value", "resolve", "run", "solve", "tau_of", "tseng_step",
 ]

@@ -132,10 +132,10 @@ class IterationTrace:
 
         A null value reads as NaN.  An unreadable file raises
         :class:`ParameterError`, and so does, naming its line, a line that
-        is not a JSON object, a meta that is not an object, a missing
-        column, a cell that is neither null nor a number (an int or a
-        float, within the float range), or a ``k`` that does not run
-        1, 2, ....
+        is not strict UTF-8 (a byte-order mark included) or not a JSON
+        object, a meta that is not an object, a missing column, a cell
+        that is neither null nor a number (an int or a float, within the
+        float range), or a ``k`` that does not run 1, 2, ....
         """
         trace = cls()
         meta = {}
@@ -143,7 +143,7 @@ class IterationTrace:
         rows = []
         linenos = []
         try:
-            fh = open(path, "rb")  # json.loads decodes, so bad UTF-8 fails
+            fh = open(path, "rb")  # each line is decoded on its own
         except OSError as exc:
             raise ParameterError(f"cannot read trace {path}: {exc}")
         with fh:
@@ -152,7 +152,7 @@ class IterationTrace:
                 if not line:
                     continue
                 try:
-                    row = json.loads(line)
+                    row = json.loads(line.decode("utf-8"))
                 except ValueError as exc:  # also bad UTF-8, huge integers
                     raise ParameterError(
                         f"malformed trace line {lineno}: {exc}")
@@ -270,15 +270,25 @@ class SolverState:
 # Single-step operations
 # ---------------------------------------------------------------------------
 
-def _criterion_terms(cert, w):
-    """``(||lam v + z~ - w||^2, ||z~ - w||^2)`` of one certificate.
+def _check_shape(cert, shape, k=None):
+    """Refuse, with :class:`DimensionMismatch` naming step ``k`` when
+    given, a certificate whose ``z~`` or ``v`` is not of ``shape``."""
+    if cert.z_tilde.shape != shape or cert.v.shape != shape:
+        raise DimensionMismatch(
+            f"certificate{_at(k)} has z~ of shape {cert.z_tilde.shape} "
+            f"and v of shape {cert.v.shape}, expected {shape}")
+
+
+def _criterion_terms(cert, w, resid, dz):
+    """Write ``lam v + z~ - w`` into ``resid`` and ``z~ - w`` into ``dz``,
+    the two rows whose squared norms the criterion compares.
 
     ``z~ - w`` is formed first, so the residual does not cancel at the
     scale of ``|w|``.
     """
-    dz = cert.z_tilde - w
-    resid = cert.lam * cert.v + dz
-    return linalg.dot(resid, resid), linalg.dot(dz, dz)
+    np.subtract(cert.z_tilde, w, dz)
+    np.multiply(cert.lam, cert.v, resid)
+    np.add(resid, dz, resid)
 
 
 def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
@@ -330,10 +340,15 @@ def certify(cert, w, sigma):
     """Check one certificate at ``w`` by the law of :func:`_error_ratio`,
     with no stepsize floor beyond ``lam > 0``; return the lhs/rhs ratio.
 
-    The convention 0/0 -> 0 covers exact fixed points.
+    The convention 0/0 -> 0 covers exact fixed points.  A ``z~`` or ``v``
+    of another shape than ``w`` raises :class:`DimensionMismatch`.
     """
     check_sigma(sigma)
-    resid_sq, dz_sq = _criterion_terms(cert, w)
+    shape = np.shape(w)
+    _check_shape(cert, shape)
+    rows = np.empty((2,) + shape)
+    _criterion_terms(cert, w, *rows)
+    resid_sq, dz_sq = linalg.RowDots(rows, rows)()
     return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma, 0.0)
 
 
@@ -381,49 +396,51 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     ramp = None if params.is_constant else params.alpha_at
     rho, eps_hat = stop.rho, stop.eps_hat
     shape = z0.shape
-    dot = linalg.dot
 
-    z_prev = z0.copy()
+    # Every vector whose squared norm a step records is written into one
+    # row of this array, so that the step takes all of them in one call.
+    # The step row z_k - z_{k-1} is also the next step's inertial
+    # direction; it starts as z_0 - z_0 = 0.
+    rows = np.zeros((5 if z_star is None else 7,) + shape)
+    resid, dz, relax, step, v_row, *gaps = rows
+    squared_norms = linalg.RowDots(rows, rows)
+
     z = z0.copy()
     trace = IterationTrace()
     erg = ErgodicState(dim=shape[0])
 
     verdict = "max_iters"
     k = 0
+    dist = dist_w = math.nan
     for k in range(1, stop.max_iters + 1):
         alpha_k = alpha if ramp is None else ramp(k)
-        w = z + alpha_k * (z - z_prev)
+        w = z + alpha_k * step
 
         cert = inner_solver(w, k)
         v, lam, eps = cert.v, cert.lam, cert.eps
-        if cert.z_tilde.shape != shape or v.shape != shape:
-            raise DimensionMismatch(
-                f"certificate at k={k} has z~ of shape {cert.z_tilde.shape} "
-                f"and v of shape {v.shape}, expected {shape}")
-        resid_sq, dz_sq = _criterion_terms(cert, w)
+        _check_shape(cert, shape, k)
+        _criterion_terms(cert, w, resid, dz)
+        z_next = w - tau * lam * v
+        np.subtract(z_next, w, relax)
+        np.subtract(z_next, z, step)
+        v_row[...] = v
+        if gaps:
+            np.subtract(z_next, z_star, gaps[0])
+            np.subtract(w, z_star, gaps[1])
+        resid_sq, dz_sq, relax_sq, step_sq, v_sq, *gaps_sq = squared_norms()
+
         ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor,
                              k=k)
-
-        z_next = w - tau * lam * v
-        relax = z_next - w
-        relax_sq = dot(relax, relax)
         # ||z_next - w||^2 is finite only if every z_next coordinate is
         if not math.isfinite(relax_sq) and not np.isfinite(z_next).all():
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
 
-        step = z_next - z
-        step_sq = dot(step, step)
         s_k = _energy_term(relax_sq, dz_sq, params)
         erg.update(cert)
 
-        norm_v = math.sqrt(dot(v, v))
-        if z_star is not None:
-            gap = z_next - z_star
-            dist = math.sqrt(dot(gap, gap))
-            gap = w - z_star
-            dist_w = math.sqrt(dot(gap, gap))
-        else:
-            dist = dist_w = math.nan
+        norm_v = math.sqrt(v_sq)
+        if gaps_sq:
+            dist, dist_w = map(math.sqrt, gaps_sq)
         v_avg_sq, eps_a = erg.scalars()
         trace.append(
             norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
@@ -432,7 +449,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
             aggregate_stepsize=erg.aggregate_stepsize,
             norm_v_a=math.sqrt(v_avg_sq), eps_a=eps_a)
 
-        z_prev, z = z, z_next
+        z = z_next
         if norm_v <= rho and eps <= eps_hat:
             verdict = "solved"
             break

@@ -1,8 +1,9 @@
 """Dense real vector arithmetic over the model Hilbert space.
 
 Vectors are plain 1-d float ndarrays.  Every inner product is one
-``ndarray.dot``: :func:`inner` checks its operands' shapes first, and
-:func:`dot` is the same product for callers that validated them once.
+``cblas_ddot``: :func:`inner` checks its operands' shapes first, :func:`dot`
+is the same product for callers that validated them once, and
+:class:`RowDots` takes it for every row pair of two arrays in one call.
 """
 
 import math
@@ -40,6 +41,29 @@ def check_same_dim(a, b):
 def dot(a, b):
     """``<a, b>`` of two 1-d float arrays of one shape, unchecked."""
     return float(a.dot(b))
+
+
+class RowDots:
+    """The products ``<a[i], b[i]>`` of every row pair of two bound arrays.
+
+    ``a`` is an ``(m, n)`` float array, and ``b`` another, or one
+    ``n``-vector paired with every row; the operands are unchecked, as for
+    :func:`dot`.  A caller that rewrites the arrays in place on every step
+    binds them once and calls the instance on each step.  Numpy's matmul
+    takes each stacked ``1 x n`` by ``n x 1`` product to the same
+    ``cblas_ddot`` that :func:`dot` calls, so row ``i`` equals
+    ``dot(a[i], b[i])`` bit for bit.  ``a @ b`` (a gemv) and ``einsum``
+    sum in other orders and do not.
+    """
+
+    def __init__(self, a, b):
+        self._lhs = a[:, None, :]
+        self._rhs = b[..., :, None]
+
+    def __call__(self):
+        """``[<a[i], b[i]> for each row i]`` of the arrays' current
+        contents, as Python floats, in one call."""
+        return np.matmul(self._lhs, self._rhs).ravel().tolist()
 
 
 def inner(a, b):

@@ -342,6 +342,30 @@ def test_certify_reports_unreadable_trace(tmp_path, capsys, solved_box):
         assert len(err) == 1 and err[0].startswith(message)
 
 
+@pytest.mark.parametrize("encode", [
+    lambda line: b"\xef\xbb\xbf" + line.encode(),
+    lambda line: line[:-1].encode() + b', "note": "\xed\xa0\x80"}',
+    lambda line: line.encode("utf-16"),
+    lambda line: line.encode("utf-16-le"),
+    lambda line: line.encode("utf-32"),
+], ids=["utf8_bom", "lone_surrogate", "utf16_with_bom", "utf16_without_bom",
+        "utf32"])
+def test_certify_refuses_a_trace_line_that_is_not_utf8(tmp_path, capsys,
+                                                       solved_box, encode):
+    # json.loads of the raw bytes used to accept each of these lines, by
+    # detecting its encoding or passing the surrogate through
+    path, lines = solved_box
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b"".join(
+        (encode(line) if i == 5 else line.encode()) + b"\n"
+        for i, line in enumerate(lines)))
+    assert cli.main(["certify", "--trace", str(trace),
+                     "--config", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: malformed trace line 6: ")
+
+
 def test_certify_empty_trace_vacuous(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     trace = tmp_path / "empty.jsonl"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from monosplit import hpe_core, instances, linalg, operators, params
-from monosplit.ergodic import ErgodicState, transport
+from monosplit.ergodic import ErgodicState
 from monosplit.errors import ParameterError
 from monosplit.hpe_core import Certificate
+from oracles import transport
 from recorder import solve_recorded
 
 

@@ -79,6 +79,16 @@ def test_certify_refuses_what_run_refuses(eps, lam, error, message):
     assert str(exc.value) == message
 
 
+def test_certify_refuses_a_certificate_of_another_dimension():
+    # z~ and v of shape (1,) used to broadcast against w and certify
+    w = np.zeros(4)
+    short = Certificate(z_tilde=np.ones(1), v=-np.ones(1), eps=0.0, lam=1.0)
+    with pytest.raises(DimensionMismatch) as exc:
+        certify(short, w, sigma=0.5)
+    assert str(exc.value) == ("certificate has z~ of shape (1,) and v of "
+                              "shape (1,), expected (4,)")
+
+
 # -- the driver --------------------------------------------------------------
 
 def test_run_exact_pp_distance_nonincreasing():
@@ -287,10 +297,12 @@ def replay(problem, solver, p, stop, z0):
             step_norm=linalg.norm(z_next - z),
             s_k=max(p.eta * linalg.norm_sq(z_next - w),
                     (1.0 - p.sigma * p.sigma) * p.tau * dz_sq),
-            dist_to_solution=linalg.norm(z_next - z_star),
+            dist_to_solution=(math.nan if z_star is None
+                              else linalg.norm(z_next - z_star)),
             resid_sq=linalg.norm_sq(cert.lam * cert.v
                                     + (cert.z_tilde - w)),
-            norm_dz=math.sqrt(dz_sq), dist_w=linalg.norm(w - z_star),
+            norm_dz=math.sqrt(dz_sq),
+            dist_w=math.nan if z_star is None else linalg.norm(w - z_star),
             aggregate_stepsize=erg.aggregate_stepsize,
             norm_v_a=linalg.norm(erg.v_avg), eps_a=erg.eps_avg_raw)
         z_prev, z = z, z_next
@@ -307,16 +319,27 @@ def assert_same_bits(trace, expected):
                 ), name
 
 
-@pytest.mark.parametrize("kind, instance, sigma, ramp_iters", [
-    ("affine_inclusion", "ppm", 0.0, 0),
-    ("box_constrained_quadratic", "forward_backward", 0.5, 0),
-    ("bilinear_saddle", "tseng_fbf", 0.5, 0),
-    ("l1_composite", "forward_backward", 0.7, 0),
-    ("l1_composite", "tseng_fbf", 0.5, 25),
+@pytest.mark.parametrize("kind, instance, sigma, ramp_iters, n", [
+    pytest.param("affine_inclusion", "ppm", 0.0, 0, 6,
+                 id="affine_inclusion-ppm-0.0-0"),
+    pytest.param("box_constrained_quadratic", "forward_backward", 0.5, 0, 6,
+                 id="box_constrained_quadratic-forward_backward-0.5-0"),
+    pytest.param("bilinear_saddle", "tseng_fbf", 0.5, 0, 6,
+                 id="bilinear_saddle-tseng_fbf-0.5-0"),
+    pytest.param("l1_composite", "forward_backward", 0.7, 0, 6,
+                 id="l1_composite-forward_backward-0.7-0"),
+    pytest.param("l1_composite", "tseng_fbf", 0.5, 25, 6,
+                 id="l1_composite-tseng_fbf-0.5-25"),
+    # no known solution above n = 12: the run takes its 5-row path and
+    # records NaN distances
+    pytest.param("box_constrained_quadratic", "forward_backward", 0.5, 0, 13,
+                 id="box_constrained_quadratic-forward_backward-0.5-0-n13"),
+    pytest.param("bilinear_saddle", "tseng_fbf", 0.5, 0, 64,
+                 id="bilinear_saddle-tseng_fbf-0.5-0-n64"),
 ])
 def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
-                                                        sigma, ramp_iters):
-    prob = operators.make_problem(kind, 6, seed=11)
+                                                        sigma, ramp_iters, n):
+    prob = operators.make_problem(kind, n, seed=11)
     p = params.HpeParams.from_beta(alpha=0.2, sigma=sigma, beta=0.4,
                                    ramp_iters=ramp_iters)
     solver, floor = instances.make_inner_solver(
@@ -324,8 +347,9 @@ def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
     stop = StoppingRule(rho=1e-9, eps_hat=1e-12, max_iters=150)
     state = run(prob, solver, p, stop=stop, lambda_floor=floor)
     assert state.k > 30
+    assert (prob.known_solution is None) == (n == 13)
     assert_same_bits(state.trace,
-                     replay(prob, solver, p, stop, np.zeros(6)))
+                     replay(prob, solver, p, stop, np.zeros(n)))
 
 
 def separable_box_problem(n, seed):
