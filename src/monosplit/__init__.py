@@ -17,7 +17,6 @@ from .instances import (INSTANCE_KINDS, InstanceConfig, fb_step,
                         make_inner_solver, ppm_step, solve, tseng_step)
 from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
                         ForwardMap, L1Resolvent, TestProblem, ZeroResolvent,
-                        enlargement_infimum, enlargement_member,
                         make_problem, resolve)
 from .params import (HpeParams, beta_prime, beta_prime_lower_bound,
                      beta_to_t, eta_of, inverse_map, q_value, tau_of)
@@ -33,8 +32,8 @@ __all__ = [
     "MonosplitError", "OracleError", "ParameterError", "SolverState",
     "StoppingRule", "TestProblem", "TheoremViolation", "ZeroResolvent",
     "assert_bounds", "audit", "beta_prime", "beta_prime_lower_bound",
-    "beta_to_t", "certify", "enlargement_infimum", "enlargement_member",
-    "ergodic_bounds", "eta_of", "fb_step", "inverse_map", "iteration_budget",
-    "make_inner_solver", "make_problem", "pointwise_bounds", "ppm_step",
-    "q_value", "resolve", "run", "solve", "tau_of", "tseng_step",
+    "beta_to_t", "certify", "ergodic_bounds", "eta_of", "fb_step",
+    "inverse_map", "iteration_budget", "make_inner_solver", "make_problem",
+    "pointwise_bounds", "ppm_step", "q_value", "resolve", "run", "solve",
+    "tau_of", "tseng_step",
 ]

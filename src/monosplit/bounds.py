@@ -229,9 +229,7 @@ def _energy_term_consistency(trace, inp):
     p = inp.params
     relax_sq = (p.tau * trace.column("lam") * trace.column("norm_v")) ** 2
     dz_sq = trace.column("norm_dz") ** 2
-    expected = np.fromiter(
-        map(hpe_core._energy_term, relax_sq.tolist(), dz_sq.tolist(),
-            repeat(p)), dtype=float, count=len(trace))
+    expected = hpe_core._energy_term(relax_sq, dz_sq, p)
     ok = (np.abs(trace.column("s_k") - expected)
           <= ENERGY_TERM_RTOL * (1.0 + np.abs(expected)))
     return _first_failure(ok, "s_k differs from its definition",

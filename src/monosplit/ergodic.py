@@ -19,9 +19,8 @@ class ErgodicState:
     """Running accumulators for the stepsize-weighted ergodic sequences
     of ``dim``-vectors.
 
-    The sums of ``lam z~`` and ``lam v`` are the two rows of one
-    ``(2, dim)`` array ``sums``, so that a step folds both in, and
-    :meth:`scalars` averages both and takes their products, one call each.
+    The sums of ``lam z~`` and ``lam v`` are the two rows of one array
+    ``sums``.  :meth:`fold` takes a block of steps, :meth:`update` one.
     """
 
     def __init__(self, dim):
@@ -29,21 +28,44 @@ class ErgodicState:
         self.sums = np.zeros((2, dim))
         self.eps_sum = 0.0
         self.cross_sum = 0.0
-        self._terms = np.empty((2, dim))
-        self._avgs = np.empty((2, dim))
-        self._products = linalg.RowDots(self._avgs, self._avgs[1])
 
     def update(self, cert):
         """Fold one certified step ``(z~, v, eps, lam)`` into the state."""
-        lam = cert.lam
-        terms = self._terms
-        terms[0] = cert.z_tilde
-        terms[1] = cert.v
-        self.aggregate_stepsize += lam
-        np.multiply(lam, terms, terms)
-        np.add(self.sums, terms, self.sums)
-        self.eps_sum += lam * cert.eps
-        self.cross_sum += lam * linalg.dot(cert.z_tilde, cert.v)
+        return self.fold((cert.lam,), (cert.eps,),
+                         np.stack((cert.z_tilde, cert.v))[None])
+
+    def fold(self, lam, eps, pairs):
+        """Fold a block of steps into the state, in step order: their
+        stepsizes ``lam``, errors ``eps`` and the ``(K, 2, dim)`` array
+        ``pairs`` of their ``z~`` and ``v``.  Returns the aggregate
+        stepsize, ``||v_avg||^2`` and :attr:`eps_avg_raw` after each step.
+
+        Every running sum adds in step order, starting from the sum so
+        far, so a block leaves the bits of that many one-step folds.
+        """
+        lam = np.asarray(lam, dtype=float)
+        steps = lam.shape[0]
+        cross = lam * linalg.row_dots(pairs[:, 0], pairs[:, 1])
+        scalars = np.empty((3, steps + 1))
+        scalars[:, 0] = self.aggregate_stepsize, self.eps_sum, self.cross_sum
+        scalars[:, 1:] = lam, lam * eps, cross
+        np.add.accumulate(scalars, axis=1, out=scalars)
+        sums = lam[:, None, None] * pairs
+        np.add(self.sums, sums[0], sums[0])
+        # accumulate calls its inner loop once per coordinate, so it is
+        # the faster way only when the steps outnumber the coordinates
+        if steps > self.sums.size:
+            np.add.accumulate(sums, out=sums)
+        else:
+            for j in range(1, steps):
+                np.add(sums[j - 1], sums[j], sums[j])
+        (self.aggregate_stepsize, self.eps_sum,
+         self.cross_sum) = scalars[:, -1].tolist()
+        self.sums = sums[-1]
+        total, eps_sums, cross_sums = scalars[:, 1:]
+        avgs = sums / total[:, None, None]
+        cross, v_avg_sq = linalg.row_dots(avgs, avgs[:, 1:]).T
+        return total, v_avg_sq, (eps_sums + cross_sums) / total - cross
 
     @property
     def z_avg(self):
@@ -56,11 +78,5 @@ class ErgodicState:
     @property
     def eps_avg_raw(self):
         """Aggregated error: >= 0 analytically, round-off aside."""
-        return self.scalars()[1]
-
-    def scalars(self):
-        """``(||v_avg||^2, eps_avg_raw)``, the two a trace row records."""
-        L = self.aggregate_stepsize
-        np.divide(self.sums, L, self._avgs)
-        cross, v_avg_sq = self._products()
-        return v_avg_sq, (self.eps_sum + self.cross_sum) / L - cross
+        return ((self.eps_sum + self.cross_sum) / self.aggregate_stepsize
+                - linalg.dot(self.z_avg, self.v_avg))

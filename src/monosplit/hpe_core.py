@@ -77,9 +77,14 @@ class IterationTrace:
     def __len__(self):
         return len(self.columns["norm_v"])
 
-    def append(self, **values):
+    def extend(self, **columns):
+        """Append rows given column by column, one sequence per column."""
         for name, col in self.columns.items():
-            col.append(values[name])
+            col.extend(columns[name])
+
+    def append(self, **values):
+        """Append one row: :meth:`extend` by a row of one value each."""
+        self.extend(**{name: (value,) for name, value in values.items()})
 
     def column(self, name):
         return np.asarray(self.columns[name], dtype=float)
@@ -173,11 +178,11 @@ class IterationTrace:
                         f"trace line {lineno} missing columns {missing}")
                 linenos.append(lineno)
                 if len(rows) == _CHUNK_ROWS:
-                    trace._extend(rows, linenos)
-        trace._extend(rows, linenos)
+                    trace._extend_read(rows, linenos)
+        trace._extend_read(rows, linenos)
         return trace, meta
 
-    def _extend(self, rows, linenos):
+    def _extend_read(self, rows, linenos):
         """Move rows of :data:`TRACE_COLUMNS` values into the columns.
 
         ``linenos`` holds the line of each row.  Each column's cells are
@@ -330,10 +335,11 @@ def _at(k):
 def _energy_term(relax_sq, dz_sq, params):
     """Energy term ``max(eta ||z_k - w||^2, (1-sigma^2) tau ||z~ - w||^2)``.
 
-    ``relax_sq`` is ``||z_k - w||^2`` and ``dz_sq`` is ``||z~ - w||^2``.
+    ``relax_sq`` is ``||z_k - w||^2`` and ``dz_sq`` is ``||z~ - w||^2``,
+    numbers or arrays of one column each.
     """
-    return max(params.eta * relax_sq,
-               (1.0 - params.sigma * params.sigma) * params.tau * dz_sq)
+    scale = (1.0 - params.sigma * params.sigma) * params.tau
+    return np.maximum(params.eta * relax_sq, scale * dz_sq)
 
 
 def certify(cert, w, sigma):
@@ -356,6 +362,10 @@ def certify(cert, w, sigma):
 # The driver
 # ---------------------------------------------------------------------------
 
+# A run records its steps in blocks of at most this many floats (256 KB).
+_BLOCK_FLOATS = 2 ** 15
+
+
 def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     """Iterate the framework until the stopping rule fires or the cap hits.
 
@@ -374,10 +384,10 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     The inputs are validated once, on entry: ``z0`` and the known solution
     are finite vectors of one dimension.  A bundle keeps every ``alpha_k``
     of its schedule in ``[0, alpha]`` and ``tau`` in ``(0, 1]`` from its
-    construction on.  Each step then checks only its certificate: the shapes
-    of ``z~`` and ``v``, the certificate law of :func:`_error_ratio` (the
-    stepsize floor, ``eps >= 0`` and the error criterion) and a finite next
-    iterate.
+    construction on.  Each step checks the shapes of ``z~`` and ``v``, the
+    certificate law of :func:`_error_ratio`, a finite next iterate and the
+    stopping rule.  The trace and the ergodic state are filled a block of
+    steps at a time (see :func:`_record`), bit for bit as step by step.
 
     Returns
     -------
@@ -397,13 +407,19 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     rho, eps_hat = stop.rho, stop.eps_hat
     shape = z0.shape
 
-    # Every vector whose squared norm a step records is written into one
-    # row of this array, so that the step takes all of them in one call.
-    # The step row z_k - z_{k-1} is also the next step's inertial
-    # direction; it starts as z_0 - z_0 = 0.
-    rows = np.zeros((5 if z_star is None else 7,) + shape)
-    resid, dz, relax, step, v_row, *gaps = rows
+    # Every vector whose squared norm a step needs is written into one row
+    # of this array, so that the step takes all of them in one call.  The
+    # step row z_k - z_{k-1} is also the next step's inertial direction; it
+    # starts as z_0 - z_0 = 0.
+    rows = np.zeros((5,) + shape)
+    resid, dz, relax, step, v_row = rows
     squared_norms = linalg.RowDots(rows, rows)
+    # z~, v (and z_k, w) of each step not yet recorded; scalars in steps
+    width = 2 if z_star is None else 4
+    block = np.empty((max(1, min(stop.max_iters,
+                                 _BLOCK_FLOATS // (width * shape[0]))),
+                      width) + shape)
+    steps = []
 
     z = z0.copy()
     trace = IterationTrace()
@@ -411,7 +427,6 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
 
     verdict = "max_iters"
     k = 0
-    dist = dist_w = math.nan
     for k in range(1, stop.max_iters + 1):
         alpha_k = alpha if ramp is None else ramp(k)
         w = z + alpha_k * step
@@ -424,10 +439,7 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
         np.subtract(z_next, w, relax)
         np.subtract(z_next, z, step)
         v_row[...] = v
-        if gaps:
-            np.subtract(z_next, z_star, gaps[0])
-            np.subtract(w, z_star, gaps[1])
-        resid_sq, dz_sq, relax_sq, step_sq, v_sq, *gaps_sq = squared_norms()
+        resid_sq, dz_sq, relax_sq, step_sq, v_sq = squared_norms()
 
         ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor,
                              k=k)
@@ -435,25 +447,48 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
         if not math.isfinite(relax_sq) and not np.isfinite(z_next).all():
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
 
-        s_k = _energy_term(relax_sq, dz_sq, params)
-        erg.update(cert)
-
+        held = block[len(steps)]
+        held[0], held[1] = cert.z_tilde, v
+        if z_star is not None:
+            held[2], held[3] = z_next, w
         norm_v = math.sqrt(v_sq)
-        if gaps_sq:
-            dist, dist_w = map(math.sqrt, gaps_sq)
-        v_avg_sq, eps_a = erg.scalars()
-        trace.append(
-            norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
-            step_norm=math.sqrt(step_sq), s_k=s_k, dist_to_solution=dist,
-            resid_sq=resid_sq, norm_dz=math.sqrt(dz_sq), dist_w=dist_w,
-            aggregate_stepsize=erg.aggregate_stepsize,
-            norm_v_a=math.sqrt(v_avg_sq), eps_a=eps_a)
+        steps.append((lam, eps, ratio, norm_v, step_sq, relax_sq, resid_sq,
+                      dz_sq))
 
         z = z_next
         if norm_v <= rho and eps <= eps_hat:
             verdict = "solved"
             break
+        if len(steps) == len(block):
+            _record(trace, erg, block, steps, params, z_star)
+    if steps:
+        _record(trace, erg, block, steps, params, z_star)
 
     return SolverState(
         k=k, z_curr=z, z0=z0, verdict=verdict, lambda_floor=lambda_floor,
         ergodic=erg, trace=trace)
+
+
+def _record(trace, erg, block, steps, params, z_star):
+    """Fold ``steps``, whose vectors the first rows of ``block`` hold, into
+    the trace and the ergodic state column by column, keeping each
+    certificate's own ``lam`` and ``eps`` objects; empty ``steps``."""
+    (lam, eps, ratio, norm_v, step_sq, relax_sq, resid_sq,
+     dz_sq) = zip(*steps)
+    held = block[:len(steps)]
+    total, v_avg_sq, eps_a = erg.fold(lam, eps, held[:, :2])
+    dz_sq = np.array(dz_sq)
+    if z_star is None:
+        dist = dist_w = (math.nan,) * len(steps)
+    else:
+        gaps = held[:, 2:] - z_star
+        dist, dist_w = np.sqrt(linalg.row_dots(gaps, gaps)).T.tolist()
+    trace.extend(
+        norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
+        step_norm=np.sqrt(step_sq).tolist(),
+        s_k=_energy_term(np.array(relax_sq), dz_sq, params).tolist(),
+        dist_to_solution=dist, resid_sq=resid_sq,
+        norm_dz=np.sqrt(dz_sq).tolist(), dist_w=dist_w,
+        aggregate_stepsize=total.tolist(),
+        norm_v_a=np.sqrt(v_avg_sq).tolist(), eps_a=eps_a.tolist())
+    steps.clear()

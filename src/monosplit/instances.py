@@ -76,7 +76,8 @@ def fb_step(F, B, w, lam):
     """
     z_tilde, _ = B.resolve(lam, w - lam * F(w))
     v = (w - z_tilde) / lam
-    eps = F.lipschitz_L * linalg.norm_sq(z_tilde - w) / 4.0
+    dz = z_tilde - w
+    eps = F.lipschitz_L * linalg.dot(dz, dz) / 4.0
     return Certificate(z_tilde=z_tilde, v=v, eps=eps, lam=lam)
 
 

@@ -3,7 +3,7 @@
 Vectors are plain 1-d float ndarrays.  Every inner product is one
 ``cblas_ddot``: :func:`inner` checks its operands' shapes first, :func:`dot`
 is the same product for callers that validated them once, and
-:class:`RowDots` takes it for every row pair of two arrays in one call.
+:func:`row_dots` takes it for every row pair of two arrays in one call.
 """
 
 import math
@@ -43,18 +43,22 @@ def dot(a, b):
     return float(a.dot(b))
 
 
-class RowDots:
-    """The products ``<a[i], b[i]>`` of every row pair of two bound arrays.
+def row_dots(a, b):
+    """The product of every row pair of two float arrays whose shapes
+    broadcast, unchecked as for :func:`dot`; the last axis is dropped.
 
-    ``a`` is an ``(m, n)`` float array, and ``b`` another, or one
-    ``n``-vector paired with every row; the operands are unchecked, as for
-    :func:`dot`.  A caller that rewrites the arrays in place on every step
-    binds them once and calls the instance on each step.  Numpy's matmul
-    takes each stacked ``1 x n`` by ``n x 1`` product to the same
-    ``cblas_ddot`` that :func:`dot` calls, so row ``i`` equals
-    ``dot(a[i], b[i])`` bit for bit.  ``a @ b`` (a gemv) and ``einsum``
-    sum in other orders and do not.
+    Numpy's matmul takes each stacked ``1 x n`` by ``n x 1`` product to
+    the same ``cblas_ddot`` that :func:`dot` calls, so every entry equals
+    :func:`dot` of its row pair bit for bit.  ``a @ b`` (a gemv) and
+    ``einsum`` sum in other orders and do not.
     """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+class RowDots:
+    """:func:`row_dots` of an ``(m, n)`` array ``a`` and another, or one
+    ``n``-vector, bound once: a caller that rewrites the arrays in place
+    calls the instance on each step."""
 
     def __init__(self, a, b):
         self._lhs = a[:, None, :]

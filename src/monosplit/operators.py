@@ -1,10 +1,8 @@
-"""Operator oracles, the enlargement membership oracle and the problem zoo.
+"""Operator oracles and the problem zoo.
 
 Resolvent oracles expose ``resolve(lam, w) -> (z_tilde, v)`` with
 ``z_tilde + lam * v == w`` and ``v`` a selection of the operator at
-``z_tilde``.  The enlargement membership test is closed-form for affine
-operators only; composite instances are certified through the additive
-decomposition of enlargements.
+``z_tilde``.
 """
 
 import functools
@@ -71,8 +69,8 @@ class SaddleOperator(AffineOperator):
     Its matrix ``S = [[0, K], [-K^T, 0]]`` is half zeros, so products read
     only the blocks ``K`` and ``-K^T``, stacked into one ``(2, h, h)``
     array and applied to the swapped halves in one batched product.
-    ``matrix`` builds the dense ``S`` on first use, for the enlargement
-    oracle and the symmetric-part checks.
+    ``matrix`` builds the dense ``S`` on first use, for the symmetric-part
+    checks and the test suite's enlargement oracle.
     """
 
     def __init__(self, coupling, offset):
@@ -198,46 +196,6 @@ class ForwardMap:
 
     def __call__(self, z):
         return self.fun(z)
-
-
-# ---------------------------------------------------------------------------
-# Enlargement oracle (affine operators)
-# ---------------------------------------------------------------------------
-
-# Round-off allowance of the enlargement oracle: on the stationarity
-# residual, relative to 1 + ||rhs||, and on the membership inequality.
-ENLARGEMENT_TOL = 1e-9
-
-
-def enlargement_infimum(T, z, v):
-    """Infimum over ``z'`` of ``<z - z', v - (A z' + b)>`` for affine ``T``.
-
-    Returns ``(value, bounded)``; ``bounded`` is False when the infimum is
-    ``-inf`` (stationarity system inconsistent).
-    """
-    A = T.matrix
-    b = T.offset
-    z = linalg.as_vector(z)
-    v = linalg.as_vector(v)
-    sym2 = A + A.T  # Hessian of the quadratic in z'
-    rhs = A.T @ z + v - b
-    sol, *_ = np.linalg.lstsq(sym2, rhs, rcond=None)
-    residual = linalg.norm(sym2 @ sol - rhs)
-    if residual > ENLARGEMENT_TOL * (1.0 + linalg.norm(rhs)):
-        return -np.inf, False
-    value = linalg.inner(z - sol, v - T(sol))
-    return value, True
-
-
-def enlargement_member(T, z, v, eps):
-    """Closed-form membership test ``v in T^eps(z)`` for affine ``T``,
-    within :data:`ENLARGEMENT_TOL`."""
-    if eps < 0.0:
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
-    value, bounded = enlargement_infimum(T, z, v)
-    if not bounded:
-        return False
-    return value >= -eps - ENLARGEMENT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +457,6 @@ class TestProblem:
         if self.known_solution is None:
             return None
         return linalg.norm(linalg.as_vector(z0) - self.known_solution)
-
-    def solution_residual(self):
-        """Inclusion residual of the stored solution (fixed-point form)."""
-        if self.known_solution is None:
-            return None
-        z = self.known_solution
-        if self.forward is None:
-            z_next, _ = self.resolvent.resolve(1.0, z)
-        else:
-            z_next, _ = self.resolvent.resolve(1.0, z - self.forward(z))
-        return linalg.norm(z - z_next)
 
 
 def _psd_plus_skew(rng, n, ridge):

@@ -1,4 +1,5 @@
-"""Direct formulas that the library's streaming code is checked against."""
+"""Direct formulas that the library's streaming code is checked against,
+and the closed-form checks of a point against an operator."""
 
 import numpy as np
 
@@ -7,6 +8,9 @@ from monosplit.errors import ParameterError
 
 # Round-off allowance on the transport weights summing to 1.
 WEIGHT_SUM_TOL = 1e-12
+# Round-off allowance of the enlargement oracle: on the stationarity
+# residual, relative to 1 + ||rhs||, and on the membership inequality.
+ENLARGEMENT_TOL = 1e-9
 
 
 def transport(points, weights):
@@ -38,3 +42,47 @@ def transport(points, weights):
         a * (eps + linalg.inner(z - z_avg, v - v_avg))
         for a, (z, v, eps) in zip(weights, points))
     return z_avg, v_avg, eps_avg
+
+
+def enlargement_infimum(T, z, v):
+    """Infimum over ``z'`` of ``<z - z', v - (A z' + b)>`` for affine ``T``.
+
+    Returns ``(value, bounded)``; ``bounded`` is False when the infimum is
+    ``-inf`` (stationarity system inconsistent).
+    """
+    A = T.matrix
+    b = T.offset
+    z = linalg.as_vector(z)
+    v = linalg.as_vector(v)
+    sym2 = A + A.T  # Hessian of the quadratic in z'
+    rhs = A.T @ z + v - b
+    sol, *_ = np.linalg.lstsq(sym2, rhs, rcond=None)
+    residual = linalg.norm(sym2 @ sol - rhs)
+    if residual > ENLARGEMENT_TOL * (1.0 + linalg.norm(rhs)):
+        return -np.inf, False
+    value = linalg.inner(z - sol, v - T(sol))
+    return value, True
+
+
+def enlargement_member(T, z, v, eps):
+    """Closed-form membership test ``v in T^eps(z)`` for affine ``T``,
+    within :data:`ENLARGEMENT_TOL`."""
+    if eps < 0.0:
+        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    value, bounded = enlargement_infimum(T, z, v)
+    if not bounded:
+        return False
+    return value >= -eps - ENLARGEMENT_TOL
+
+
+def solution_residual(problem):
+    """Inclusion residual of a problem's stored solution (fixed-point
+    form), or None when it has none."""
+    if problem.known_solution is None:
+        return None
+    z = problem.known_solution
+    if problem.forward is None:
+        z_next, _ = problem.resolvent.resolve(1.0, z)
+    else:
+        z_next, _ = problem.resolvent.resolve(1.0, z - problem.forward(z))
+    return linalg.norm(z - z_next)

@@ -12,6 +12,7 @@ import pytest
 from monosplit import (BoundInputs, ErgodicState, HpeParams, InstanceConfig,
                        StoppingRule, assert_bounds, audit, bounds,
                        hpe_core, instances, operators, params, solve)
+from oracles import enlargement_member
 from recorder import Recorder, solve_recorded
 
 STOP = StoppingRule(rho=1e-8, eps_hat=1e-10, max_iters=10 ** 5)
@@ -162,7 +163,7 @@ def test_criterion_6_oracle_equivalence(suite):
         for j, cert in enumerate(certs, start=1):
             erg.update(cert)
             if j in targets:
-                assert operators.enlargement_member(
+                assert enlargement_member(
                     T, erg.z_avg, erg.v_avg, max(erg.eps_avg_raw, 0.0))
                 prefixes_checked += 1
     mismatch = 0.0

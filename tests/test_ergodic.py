@@ -5,7 +5,7 @@ from monosplit import hpe_core, instances, linalg, operators, params
 from monosplit.ergodic import ErgodicState
 from monosplit.errors import ParameterError
 from monosplit.hpe_core import Certificate
-from oracles import transport
+from oracles import enlargement_member, transport
 from recorder import solve_recorded
 
 
@@ -114,7 +114,7 @@ def test_transport_membership_property():
         w /= w.sum()
         z_a, v_a, e_a = transport(pts, w)
         assert e_a >= -1e-12
-        assert operators.enlargement_member(T, z_a, v_a, max(e_a, 0.0))
+        assert enlargement_member(T, z_a, v_a, max(e_a, 0.0))
 
 
 def test_transport_weight_validation():

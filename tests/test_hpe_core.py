@@ -352,8 +352,9 @@ def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
                      replay(prob, solver, p, stop, np.zeros(n)))
 
 
-def separable_box_problem(n, seed):
-    """``F(z) = d * z + c`` on the box ``[0, 1]^n``: solution ``clip(-c/d)``."""
+def separable_box_problem(n, seed, known=True):
+    """``F(z) = d * z + c`` on the box ``[0, 1]^n``: solution ``clip(-c/d)``,
+    given to the problem when ``known``."""
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 2.0, n)
     c = rng.standard_normal(n)
@@ -363,7 +364,8 @@ def separable_box_problem(n, seed):
                              linear=lambda dz: d * dz)
     return operators.TestProblem("separable_box", n, resolvent=box,
                                  forward=F,
-                                 known_solution=np.clip(-c / d, 0.0, 1.0))
+                                 known_solution=(np.clip(-c / d, 0.0, 1.0)
+                                                 if known else None))
 
 
 @pytest.mark.parametrize("instance", ["forward_backward", "tseng_fbf"])
@@ -404,3 +406,89 @@ def test_run_refuses_a_certificate_of_another_dimension():
 
     with pytest.raises(DimensionMismatch, match="k=1"):
         run(prob, short_v, PLAIN, lambda_floor=1.0)
+
+
+# -- block boundaries --------------------------------------------------------
+
+# At n = 2500 a block holds 3 steps when the solution is known (four
+# vectors a step) and 6 when it is not (two).
+BLOCK_N = 2500
+
+
+def block_steps(known):
+    return hpe_core._BLOCK_FLOATS // ((4 if known else 2) * BLOCK_N)
+
+
+def stopping_at(solver, last):
+    """``solver``, except that step ``last`` returns ``v = 0`` at
+    ``z~ = w``, an exact zero that fires any stopping rule."""
+    def stepped(w, k):
+        cert = solver(w, k)
+        if k != last:
+            return cert
+        return Certificate(z_tilde=w.copy(), v=np.zeros_like(w), eps=0.0,
+                           lam=cert.lam)
+    return stepped
+
+
+@pytest.mark.parametrize("ending", ["stop", "cap"])
+@pytest.mark.parametrize("known", [True, False], ids=["m4", "m2"])
+def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
+                                                        ending):
+    K = block_steps(known)
+    assert K == (3 if known else 6)
+    prob = separable_box_problem(BLOCK_N, seed=13, known=known)
+    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    solver, floor = instances.make_inner_solver(
+        prob, instances.InstanceConfig(kind="forward_backward"), p)
+    recorded = []
+    record = hpe_core._record
+
+    def counted(trace, erg, block, steps, *rest):
+        recorded.append(len(steps))
+        return record(trace, erg, block, steps, *rest)
+
+    monkeypatch.setattr(hpe_core, "_record", counted)
+    for length in (1, K - 1, K, K + 1, 2 * K + 3):
+        if ending == "stop":
+            steps, stop = stopping_at(solver, length), StoppingRule()
+        else:
+            steps, stop = solver, StoppingRule(rho=0.0, max_iters=length)
+        recorded.clear()
+        state = run(prob, steps, p, stop=stop, lambda_floor=floor)
+        assert state.k == len(state.trace) == length
+        assert state.verdict == ("solved" if ending == "stop"
+                                 else "max_iters")
+        # whole blocks, then the rest; a cap under K shrinks the block
+        size = K if ending == "stop" else min(K, length)
+        assert recorded == ([size] * (length // size)
+                            + [length % size] * (length % size > 0))
+        assert_same_bits(state.trace,
+                         replay(prob, steps, p, stop, np.zeros(BLOCK_N)))
+
+
+@pytest.mark.parametrize("fault, error", [
+    (dict(eps=-1.0), CertificationError),
+    (dict(eps=10.0), CertificationError),
+    (dict(lam=1e-6), ParameterError),
+], ids=["negative_eps", "criterion", "below_floor"])
+@pytest.mark.parametrize("known", [True, False], ids=["m4", "m2"])
+def test_a_step_that_fails_mid_block_ends_the_run_at_its_step(known, fault,
+                                                              error):
+    # no inner call follows a failed step, whatever the block holds
+    last = block_steps(known) + 2
+    prob = separable_box_problem(BLOCK_N, seed=14, known=known)
+    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    solver, floor = instances.make_inner_solver(
+        prob, instances.InstanceConfig(kind="forward_backward"), p)
+
+    def failing(w, k):
+        cert = solver(w, k)
+        if k != last:
+            return cert
+        return Certificate(**dict(vars(cert), **fault))
+
+    rec = Recorder(failing)
+    with pytest.raises(error, match=rf"at k={last}\b"):
+        run(prob, rec, p, stop=StoppingRule(rho=0.0), lambda_floor=floor)
+    assert len(rec.steps) == last

@@ -6,8 +6,8 @@ from monosplit.errors import ParameterError
 from monosplit.instances import (InstanceConfig, fb_step, ppm_step, solve,
                                  tseng_step)
 from monosplit.operators import (AffineOperator, AffineResolvent,
-                                 BoxResolvent, ZeroResolvent,
-                                 enlargement_member, make_problem)
+                                 BoxResolvent, ZeroResolvent, make_problem)
+from oracles import enlargement_member
 from recorder import Recorder
 
 

@@ -100,3 +100,18 @@ def test_row_dots_are_dot_bit_for_bit(n):
             assert all(type(x) is float for x in got)
             assert (np.array(got).tobytes()
                     == np.array(expected).tobytes()), (seed, n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 17, 2000])
+def test_stacked_row_dots_are_dot_bit_for_bit(n):
+    # a (K, 2, n) block: each step's pair, and both rows against the
+    # second, broadcast over the pair axis
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((6, 2, n)) * rng.uniform(1e-3, 1e3, (6, 2, 1))
+    pairs = linalg.row_dots(block[:, 0], block[:, 1])
+    against = linalg.row_dots(block, block[:, 1:])
+    assert pairs.shape == (6,) and against.shape == (6, 2)
+    assert (pairs.tobytes() == np.array(
+        [linalg.dot(z, v) for z, v in block]).tobytes())
+    assert (against.tobytes() == np.array(
+        [[linalg.dot(row, v) for row in (z, v)] for z, v in block]).tobytes())

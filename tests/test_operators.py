@@ -6,9 +6,10 @@ from monosplit import linalg, operators
 from monosplit.errors import OracleError, ParameterError
 from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, L1Resolvent, ZeroResolvent,
-                                 enlargement_infimum, enlargement_member,
                                  make_problem, resolve,
                                  solve_box_qp_bruteforce, solve_l1_bruteforce)
+from oracles import (enlargement_infimum, enlargement_member,
+                     solution_residual)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -305,7 +306,7 @@ def test_forward_linear_part_is_the_difference(kind, dim):
 def test_zoo_solution_residual_and_reproducibility(kind, dim):
     prob = make_problem(kind, dim, seed=42)
     assert prob.known_solution is not None
-    assert prob.solution_residual() <= 1e-8
+    assert solution_residual(prob) <= 1e-8
     again = make_problem(kind, dim, seed=42)
     np.testing.assert_array_equal(prob.known_solution, again.known_solution)
 
