@@ -73,7 +73,8 @@ _FIELD_TYPES = {
 # The least value of an integer field, where the library needs one.
 _FIELD_MINIMA = {"dimension": 1, "seed": 0, "max_iters": 1}
 # The greatest: every zoo kind builds dense float64 matrices of order n or
-# n/2, so a larger dimension exhausts memory or numpy's array limits.
+# n/2, and an affine build holds three of them at once (n = 4096: 3 x 134
+# MB), so a larger dimension exhausts memory or numpy's array limits.
 _FIELD_MAXIMA = {"dimension": 4096}
 
 
@@ -113,6 +114,13 @@ def load_config(path, seed_override=None):
     if seed_override is not None:
         prob["seed"] = seed_override  # so the trace meta names the seed run
     _expect_types(prob, "problem")
+    given = [key for key in ("matrix", "offset") if key in prob]
+    if given and prob["kind"] != "affine_inclusion":
+        raise ConfigError(f"problem.{given[0]} is read only by kind "
+                          f"affine_inclusion, not by {prob['kind']!r}")
+    if len(given) == 1:
+        missing, = {"matrix", "offset"} - set(given)
+        raise ConfigError(f"problem.{given[0]} needs problem.{missing}")
     problem = operators.make_problem(
         prob["kind"], prob["dimension"], prob["seed"],
         matrix=prob.get("matrix"), offset=prob.get("offset"))

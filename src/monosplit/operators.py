@@ -117,13 +117,21 @@ class AffineResolvent:
         key = float(lam)
         lu = self._cache.get(key)
         if lu is None:
+            # lam A + I in LAPACK's column order, factored in place: one
+            # n x n array beyond A.  Adding 0.0 turns an off-diagonal -0.0
+            # into +0.0, as adding the identity's zeros does.
+            M = np.multiply(lam, self.operator.matrix, order="F")
+            M += 0.0
+            M.flat[::self.dim + 1] += 1.0
             try:
-                lu = scipy.linalg.lu_factor(
-                    lam * self.operator.matrix + np.eye(self.dim))
+                lu = scipy.linalg.lu_factor(M, overwrite_a=True)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise OracleError(f"resolvent factorization failed: {exc}")
             self._cache[key] = lu
-        z = scipy.linalg.lu_solve(lu, w - lam * self.operator.offset)
+        # lu_factor checked the matrix, and the driver refuses a
+        # non-finite iterate
+        z = scipy.linalg.lu_solve(lu, w - lam * self.operator.offset,
+                                  check_finite=False)
         v = (w - z) / lam
         return z, v
 
@@ -459,12 +467,28 @@ class TestProblem:
         return linalg.norm(linalg.as_vector(z0) - self.known_solution)
 
 
-def _psd_plus_skew(rng, n, ridge):
+def _gram(rng, n):
+    """``G G^T / n`` of a standard normal ``G``; ``G`` is freed on return."""
     G = rng.standard_normal((n, n))
-    sym = G @ G.T / n
+    S = G @ G.T
+    S /= n
+    return S
+
+
+def _psd_plus_skew(rng, n, ridge):
+    """``G G^T / n + (K - K^T) / 2 + ridge I``, built in three n x n arrays.
+
+    The ridge goes on the diagonal only: off it, adding the identity's
+    zeros would change only a -0.0, and a sum of products of normal draws
+    is never -0.0.
+    """
+    A = _gram(rng, n)
     K = rng.standard_normal((n, n))
-    skew = 0.5 * (K - K.T)
-    return sym + skew + ridge * np.eye(n)
+    skew = np.subtract(K, K.T)
+    skew *= 0.5
+    A += skew
+    A.flat[::n + 1] += ridge
+    return A
 
 
 def make_problem(kind, dimension, seed, matrix=None, offset=None):
@@ -501,8 +525,8 @@ def make_problem(kind, dimension, seed, matrix=None, offset=None):
             data={"matrix": A, "offset": b})
 
     if kind == "box_constrained_quadratic":
-        G = rng.standard_normal((dimension, dimension))
-        Q = G @ G.T / dimension + 0.3 * np.eye(dimension)
+        Q = _gram(rng, dimension)
+        Q.flat[::dimension + 1] += 0.3
         c = rng.standard_normal(dimension)
         lower = np.zeros(dimension)
         upper = np.ones(dimension)

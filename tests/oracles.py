@@ -2,9 +2,11 @@
 and the closed-form checks of a point against an operator."""
 
 import numpy as np
+import scipy.linalg
 
 from monosplit import linalg
 from monosplit.errors import ParameterError
+from monosplit.operators import solve_box_qp_bruteforce
 
 # Round-off allowance on the transport weights summing to 1.
 WEIGHT_SUM_TOL = 1e-12
@@ -86,3 +88,35 @@ def solution_residual(problem):
     else:
         z_next, _ = problem.resolvent.resolve(1.0, z - problem.forward(z))
     return linalg.norm(z - z_next)
+
+
+def dense_problem(kind, n, seed):
+    """``(data, L, z*)`` of a generated affine or box zoo problem, built
+    with the direct expressions, every temporary kept.
+
+    ``L`` is None for the affine kind, and ``z*`` for a box above n = 12,
+    as in :func:`monosplit.operators.make_problem`.
+    """
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    if kind == "affine_inclusion":
+        sym = G @ G.T / n
+        K = rng.standard_normal((n, n))
+        skew = 0.5 * (K - K.T)
+        A = sym + skew + 0.5 * np.eye(n)
+        b = rng.standard_normal(n)
+        return {"matrix": A, "offset": b}, None, np.linalg.solve(A, -b)
+    Q = G @ G.T / n + 0.3 * np.eye(n)
+    c = rng.standard_normal(n)
+    lower, upper = np.zeros(n), np.ones(n)
+    known = solve_box_qp_bruteforce(Q, c, lower, upper) if n <= 12 else None
+    return ({"matrix": Q, "offset": c, "lower": lower, "upper": upper},
+            float(np.linalg.eigvalsh(Q)[-1]), known)
+
+
+def affine_resolve(A, b, lam, w):
+    """``(z~, v)`` of the resolvent of ``z -> A z + b`` at ``w``, factoring
+    ``lam A + I`` afresh, every temporary kept."""
+    lu = scipy.linalg.lu_factor(lam * A + np.eye(A.shape[0]))
+    z = scipy.linalg.lu_solve(lu, w - lam * b)
+    return z, (w - z) / lam

@@ -151,6 +151,17 @@ def test_l1_skips_singular_supports_as_the_loop_does():
 
 # -- bounded memory ----------------------------------------------------------
 
+def traced_peak(fn):
+    """The most memory ``fn()`` holds at once, in bytes allocated through
+    Python (numpy arrays included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", sorted(_REFERENCES))
 def test_oracle_memory_stays_bounded_at_n9(kind):
     # the patterns are generated a chunk at a time: the whole 3^9 x 9
@@ -162,10 +173,23 @@ def test_oracle_memory_stays_bounded_at_n9(kind):
     else:
         args = (d["matrix"], d["offset"], d["lower"], d["upper"])
         oracle = solve_box_qp_bruteforce
-    tracemalloc.start()
-    try:
-        oracle(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    assert traced_peak(lambda: oracle(*args)) < 1_000_000
+
+
+@pytest.mark.parametrize("kind, arrays", [("affine_inclusion", 3),
+                                          ("box_constrained_quadratic", 2)])
+def test_dense_memory_stays_bounded_at_n400(kind, arrays):
+    # a build holds at most `arrays` n x n float64 arrays at once; the first
+    # resolvent step adds one (lam A + I, factored in place) and the n^2
+    # bool mask of lu_factor's finiteness check; a cached step adds no n x n
+    # array.  The slack covers vectors and fixed overheads.
+    n = 400
+    square, slack = 8 * n * n, 64 * 8 * n
+    assert traced_peak(lambda: make_problem(kind, n, seed=1)) \
+        <= arrays * square + slack
+    if kind == "affine_inclusion":
+        resolvent = make_problem(kind, n, seed=1).resolvent
+        w = np.ones(n)
+        assert traced_peak(lambda: resolvent.resolve(0.5, w)) \
+            <= square + n * n + slack
+        assert traced_peak(lambda: resolvent.resolve(0.5, w)) < n * n

@@ -437,6 +437,29 @@ def test_config_bad_affine_data_reported(tmp_path, capsys, problem, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    # a box problem is built from its seed: a matrix in its config would be
+    # dropped without a word
+    ("box_constrained_quadratic", ("matrix", "offset"),
+     "problem.matrix is read only by kind affine_inclusion"),
+    ("bilinear_saddle", ("offset",),
+     "problem.offset is read only by kind affine_inclusion"),
+    ("affine_inclusion", ("matrix",), "problem.matrix needs problem.offset"),
+    ("affine_inclusion", ("offset",), "problem.offset needs problem.matrix"),
+], ids=["box_with_data", "saddle_with_offset", "matrix_without_offset",
+        "offset_without_matrix"])
+def test_config_misplaced_affine_data_reported(tmp_path, capsys, kind,
+                                              fields, message):
+    cfg = base_config(kind=kind, dim=2)
+    data = {"matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [1.0, 1.0]}
+    cfg["problem"].update((field, data[field]) for field in fields)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("stopping", "max_iters", 1e5),
     ("stopping", "max_iters", True),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,8 +10,8 @@ from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, L1Resolvent, ZeroResolvent,
                                  make_problem, resolve,
                                  solve_box_qp_bruteforce, solve_l1_bruteforce)
-from oracles import (enlargement_infimum, enlargement_member,
-                     solution_residual)
+from oracles import (affine_resolve, dense_problem, enlargement_infimum,
+                     enlargement_member, solution_residual)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -336,3 +338,59 @@ def test_affine_zero_point_singular_raises():
     T = AffineOperator(np.zeros((2, 2)), np.ones(2))
     with pytest.raises(OracleError):
         T.zero_point()
+
+
+# -- dense builds in place, bit for bit ---------------------------------------
+
+def bits(x):
+    """Shape, dtype and bytes of an array or number (signbits included)."""
+    if x is None:
+        return None
+    x = np.asarray(x)
+    return x.shape, x.dtype.str, x.tobytes()
+
+
+DENSE_SIZES = [1, 2, 5, 8, 64, 300]
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+@pytest.mark.parametrize("kind", ["affine_inclusion",
+                                  "box_constrained_quadratic"])
+def test_dense_build_is_the_direct_expression_bit_for_bit(kind, n):
+    for seed in (0, 1, 2, 11):
+        problem = make_problem(kind, n, seed)
+        data, L, known = dense_problem(kind, n, seed)
+        assert problem.data.keys() == data.keys()
+        for key, value in data.items():
+            assert bits(problem.data[key]) == bits(value), key
+        assert bits(problem.lipschitz_L) == bits(L)
+        assert bits(problem.known_solution) == bits(known)
+
+
+def check_resolvent_bits(problem, lam, points):
+    A, b = problem.data["matrix"], problem.data["offset"]
+    for w in points:  # the first point factors, the rest reuse the factor
+        z, v = problem.resolvent.resolve(lam, w)
+        z_ref, v_ref = affine_resolve(A, b, lam, w)
+        assert bits(z) == bits(z_ref) and bits(v) == bits(v_ref), (lam, w)
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_affine_resolvent_is_the_direct_factorisation_bit_for_bit(n):
+    for seed in (0, 3):
+        problem = make_problem("affine_inclusion", n, seed)
+        rng = np.random.default_rng(seed)
+        for lam in (0.5, 1, 3.7):
+            check_resolvent_bits(problem, lam, rng.standard_normal((3, n)))
+
+
+def test_affine_resolvent_of_a_signed_zero_matrix_is_bit_for_bit():
+    # adding the identity turned each off-diagonal -0.0 of lam A into +0.0;
+    # a factor that kept them would flip the sign of zero outputs
+    matrix = [[1.0, -0.0, 0.5], [-0.0, 2.0, -0.0], [-0.5, 0.0, 1.0]]
+    problem = make_problem("affine_inclusion", 3, 0, matrix=matrix,
+                           offset=[0.0, -0.0, 0.0])
+    assert bits(problem.data["matrix"]) == bits(np.array(matrix))
+    points = np.array(list(itertools.product((0.0, -0.0, 1.0), repeat=3)))
+    for lam in (1, 0.25):
+        check_resolvent_bits(problem, lam, points)

@@ -3,7 +3,10 @@
 Usage (from the repository root):
 
     python3 tools/same_outputs.py --parent DIR --workload desk_zoo --seed 1
+    python3 tools/same_outputs.py --parent DIR --workload desk_zoo \
+        --workload sweep_exact --workload large_dense --seed 1 2 3
 
+Each ``--workload`` is checked on each ``--seed``.  For each pair,
 ``perfbench/workloads.py`` writes the workload's config files for the seed.
 Every job then runs through ``monosplit.cli.main`` twice, with the same
 arguments as in ``perfbench/run.py``: once with this tree's ``src/`` and once
@@ -11,12 +14,14 @@ with ``DIR/src``, each tree in its own subprocess.  The two runs are compared
 file by file (every ``trace.jsonl``, ``summary.json`` and bench CSV) and
 command by command (exit code, standard output and standard error, with each
 run's output directory masked).  Each difference is named on standard
-output; the exit code is 1 on any difference and 0 when everything matches.
+output, then one count line per workload and seed; the exit code is 1 on any
+difference and 0 when everything matches.
 """
 
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -112,8 +117,10 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path,
                     help="root of the tree to compare with")
-    ap.add_argument("--workload")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", action="append",
+                    help="a workload to check; repeat for several")
+    ap.add_argument("--seed", type=int, nargs="+", default=[1],
+                    help="the seeds to check each workload on (default 1)")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--jobs", help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
@@ -131,23 +138,28 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
-        work = Path(tmp)
-        jobs = [{"name": job.name, "command": job.command,
-                 "config": job.config}
-                for job in workloads.generate(args.workload, args.seed,
-                                              work / "configs")]
-        out_mine, out_theirs = work / "this", work / "parent"
-        mine = run_tree(ROOT / "src", jobs, out_mine)
-        theirs = run_tree(args.parent.resolve() / "src", jobs, out_theirs)
-        lines, count = differences(jobs, mine, theirs, out_mine, out_theirs)
-    for line in lines:
-        print(line)
-    commands_run = sum(len(results) for results in mine.values())
-    print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs, "
-          f"{commands_run} commands, {count} files: "
-          f"{len(lines)} differences")
-    return 1 if lines else 0
+    found = False
+    for workload, seed in itertools.product(args.workload, args.seed):
+        with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+            work = Path(tmp)
+            jobs = [{"name": job.name, "command": job.command,
+                     "config": job.config}
+                    for job in workloads.generate(workload, seed,
+                                                  work / "configs")]
+            out_mine, out_theirs = work / "this", work / "parent"
+            mine = run_tree(ROOT / "src", jobs, out_mine)
+            theirs = run_tree(args.parent.resolve() / "src", jobs,
+                              out_theirs)
+            lines, count = differences(jobs, mine, theirs, out_mine,
+                                       out_theirs)
+        for line in lines:
+            print(line)
+        commands_run = sum(len(results) for results in mine.values())
+        print(f"{workload} seed {seed}: {len(jobs)} jobs, "
+              f"{commands_run} commands, {count} files: "
+              f"{len(lines)} differences", flush=True)
+        found = found or bool(lines)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
