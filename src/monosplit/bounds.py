@@ -43,9 +43,10 @@ class BoundInputs:
     params: object
 
     def __post_init__(self):
-        if self.d0 is not None and self.d0 < 0.0:
+        # pass conditions, so that a NaN fails
+        if self.d0 is not None and not self.d0 >= 0.0:
             raise ParameterError(f"d0 must be nonnegative, got {self.d0}")
-        if self.lambda_floor <= 0.0:
+        if not self.lambda_floor > 0.0:
             raise ParameterError(
                 f"lambda_floor must be positive, got {self.lambda_floor}")
 
@@ -92,7 +93,7 @@ def ergodic_bounds(inp, k):
 
 def iteration_budget(rho, eps_hat, inp):
     """Smallest k at which both pointwise bounds fall below ``(rho, eps_hat)``."""
-    if rho <= 0.0 or eps_hat <= 0.0:
+    if not (rho > 0.0 and eps_hat > 0.0):  # so that a NaN fails
         raise ParameterError("tolerances must be positive")
     v1, e1 = pointwise_bounds(inp, 1)
     k = 1

@@ -35,7 +35,7 @@ _BOUND_SLACK = 1e-15
 CRITERION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """One inner-solver output claimed to satisfy the error criterion.
 

@@ -7,11 +7,15 @@ relative-error criterion for its stepsize range:
 
 * ``ppm_step``: exact resolvent of the full operator; zero residual and
   zero error (the sigma = 0 instance).
-* ``tseng_step``: resolvent of ``B`` after a forward step at the
+* ``tseng_step``: resolvent point of ``B`` after a forward step at the
   projected point; needs ``lam <= sigma / L`` (Lipschitz).
-* ``fb_step``: resolvent of ``B`` after a forward step at ``w`` itself;
+* ``fb_step``: resolvent point of ``B`` after a forward step at ``w`` itself;
   needs ``lam <= 2 sigma^2 / L`` (cocoercive) and carries the error
   ``eps = L ||z~ - w||^2 / 4``.
+
+The two splitting steps build ``v`` from forward values, so they take
+only the resolvent's point map ``B.point``; the proximal step takes
+``v`` from ``B.resolve``.
 """
 
 from dataclasses import dataclass
@@ -56,7 +60,7 @@ def tseng_step(F, B, w, lam):
     """
     w_proj = F.project_domain(w)
     f_w = F(w_proj)
-    z_tilde, _ = B.resolve(lam, w - lam * f_w)
+    z_tilde = B.point(lam, w - lam * f_w)
     if F.linear is None:
         diff = F(z_tilde) - f_w
     else:
@@ -74,7 +78,7 @@ def fb_step(F, B, w, lam):
     :func:`make_inner_solver` checks the preconditions once; the driver's
     criterion check certifies each step.
     """
-    z_tilde, _ = B.resolve(lam, w - lam * F(w))
+    z_tilde = B.point(lam, w - lam * F(w))
     v = (w - z_tilde) / lam
     dz = z_tilde - w
     eps = F.lipschitz_L * linalg.dot(dz, dz) / 4.0
@@ -106,7 +110,7 @@ def make_inner_solver(problem, config, params):
     lam = config.lam
     if lam is None:
         lam = default_stepsize(kind, problem, params)
-    if lam <= 0.0:
+    if not lam > 0.0:  # so that a NaN fails
         raise ParameterError(f"stepsize must be positive, got {lam}")
     floor = config.lambda_floor if config.lambda_floor is not None else lam
 

@@ -1,8 +1,13 @@
 """Operator oracles and the problem zoo.
 
-Resolvent oracles expose ``resolve(lam, w) -> (z_tilde, v)`` with
-``z_tilde + lam * v == w`` and ``v`` a selection of the operator at
-``z_tilde``.
+A resolvent oracle has one point map, ``point(lam, w)``, which returns
+``z_tilde = (I + lam B)^{-1} w`` and may hand back ``w`` itself.  Its
+``resolve(lam, w) -> (z_tilde, v)`` is derived from that map in one place
+(:func:`_resolve_via_point`): ``v = (w - z_tilde) / lam`` is a selection of
+``B`` at ``z_tilde``, so ``z_tilde + lam * v == w``, and ``z_tilde`` is
+never an alias of ``w``.  Steps that need only ``z_tilde`` (forward-backward
+and Tseng) call ``point``; the proximal step, which needs ``v``, calls
+``resolve``.
 """
 
 import functools
@@ -98,25 +103,50 @@ class SaddleOperator(AffineOperator):
 # Resolvent oracles
 # ---------------------------------------------------------------------------
 
+def _resolve_via_point(oracle, lam, w):
+    """``(z_tilde, (w - z_tilde) / lam)`` from ``oracle.point(lam, w)``.
+
+    Every oracle class binds this as its own ``resolve``, not through a
+    shared base class, so that each class's namespace holds it (the
+    benchmark's tracer wraps ``Class.__dict__["resolve"]``).  ``z_tilde``
+    is copied where the point map handed back ``w`` itself.
+    """
+    z = oracle.point(lam, w)
+    if z is w:
+        z = w.copy()
+    return z, (w - z) / lam
+
+
 class ZeroResolvent:
     """Resolvent of the zero operator: identity."""
 
-    def resolve(self, lam, w):
-        return w.copy(), np.zeros_like(w)
+    def point(self, lam, w):
+        return w
+
+    resolve = _resolve_via_point
+
+
+# The LAPACK solve that scipy.linalg.lu_solve wraps, looked up once.
+_getrs, = scipy.linalg.get_lapack_funcs(("getrs",), dtype=np.float64)
 
 
 class AffineResolvent:
-    """Resolvent of an affine operator: solves ``(lam A + I) z = w - lam b``."""
+    """Resolvent of an affine operator: solves ``(lam A + I) z = w - lam b``.
+
+    Keeps the factor of the latest stepsize only, so a constant stepsize
+    factors once and a changing one holds one n x n factor at a time.
+    """
 
     def __init__(self, operator):
         self.operator = operator
         self.dim = operator.dim
-        self._cache = {}
+        self._lam = None
+        self._lu = None
 
-    def resolve(self, lam, w):
+    def point(self, lam, w):
         key = float(lam)
-        lu = self._cache.get(key)
-        if lu is None:
+        if key != self._lam:
+            self._lam = self._lu = None  # free the old factor first
             # lam A + I in LAPACK's column order, factored in place: one
             # n x n array beyond A.  Adding 0.0 turns an off-diagonal -0.0
             # into +0.0, as adding the identity's zeros does.
@@ -124,16 +154,20 @@ class AffineResolvent:
             M += 0.0
             M.flat[::self.dim + 1] += 1.0
             try:
-                lu = scipy.linalg.lu_factor(M, overwrite_a=True)
+                self._lu = scipy.linalg.lu_factor(M, overwrite_a=True)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise OracleError(f"resolvent factorization failed: {exc}")
-            self._cache[key] = lu
+            self._lam = key
         # lu_factor checked the matrix, and the driver refuses a
-        # non-finite iterate
-        z = scipy.linalg.lu_solve(lu, w - lam * self.operator.offset,
-                                  check_finite=False)
-        v = (w - z) / lam
-        return z, v
+        # non-finite iterate; the right-hand side is a fresh array
+        lu, piv = self._lu
+        z, info = _getrs(lu, piv, w - lam * self.operator.offset,
+                         overwrite_b=True)
+        if info != 0:
+            raise OracleError(f"resolvent solve failed: getrs info {info}")
+        return z
+
+    resolve = _resolve_via_point
 
 
 class BoxResolvent:
@@ -147,35 +181,38 @@ class BoxResolvent:
             raise ParameterError("box has lower > upper")
 
     def project(self, w):
-        return np.clip(w, self.lower, self.upper)
+        """``np.clip(w, lower, upper)``, bit for bit, in two ufuncs."""
+        return np.minimum(np.maximum(w, self.lower), self.upper)
 
-    def resolve(self, lam, w):
-        z = self.project(w)
-        return z, (w - z) / lam
+    def point(self, lam, w):
+        return self.project(w)
+
+    resolve = _resolve_via_point
 
 
 class L1Resolvent:
     """Resolvent of ``weight * subdifferential of the l1 norm``: soft threshold."""
 
     def __init__(self, weight):
-        if weight < 0.0:
+        if not weight >= 0.0:  # so that a NaN fails
             raise ParameterError(f"l1 weight must be nonnegative, got {weight}")
         self.weight = weight
 
-    def resolve(self, lam, w):
+    def point(self, lam, w):
         t = lam * self.weight
-        z = np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
-        return z, (w - z) / lam
+        return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
+
+    resolve = _resolve_via_point
 
 
 def resolve(B, lam, w):
     """Evaluate a resolvent oracle: ``z_tilde = (lam B + I)^{-1} w``.
 
     Returns ``(z_tilde, v)`` with ``v = (w - z_tilde)/lam`` in ``B(z_tilde)``.
-    The oracles' own ``resolve`` methods trust ``lam > 0``: the inner
-    solvers check their stepsize once, before any step runs.
+    The oracles' own ``point`` and ``resolve`` methods trust ``lam > 0``:
+    the inner solvers check their stepsize once, before any step runs.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:  # so that a NaN fails
         raise ParameterError(f"lambda must be positive, got {lam}")
     return B.resolve(lam, linalg.as_vector(w))
 

@@ -6,13 +6,22 @@ import scipy.linalg
 
 from monosplit import linalg
 from monosplit.errors import ParameterError
-from monosplit.operators import solve_box_qp_bruteforce
+from monosplit.operators import (AffineResolvent, BoxResolvent, ZeroResolvent,
+                                 solve_box_qp_bruteforce)
 
 # Round-off allowance on the transport weights summing to 1.
 WEIGHT_SUM_TOL = 1e-12
 # Round-off allowance of the enlargement oracle: on the stationarity
 # residual, relative to 1 + ||rhs||, and on the membership inequality.
 ENLARGEMENT_TOL = 1e-9
+
+
+def bits(x):
+    """Shape, dtype and bytes of an array or number (signbits included)."""
+    if x is None:
+        return None
+    x = np.asarray(x)
+    return x.shape, x.dtype.str, x.tobytes()
 
 
 def transport(points, weights):
@@ -120,3 +129,52 @@ def affine_resolve(A, b, lam, w):
     lu = scipy.linalg.lu_factor(lam * A + np.eye(A.shape[0]))
     z = scipy.linalg.lu_solve(lu, w - lam * b)
     return z, (w - z) / lam
+
+
+# -- the steps as first written, resolvent values and all --------------------
+
+def old_resolve(B, lam, w):
+    """``(z~, v)`` of resolvent oracle ``B`` as each oracle computed both:
+    a copy and zeros for the zero operator, ``np.clip`` for a box,
+    ``lu_factor`` and ``scipy.linalg.lu_solve`` for an affine map, and the
+    soft threshold."""
+    if isinstance(B, ZeroResolvent):
+        return w.copy(), np.zeros_like(w)
+    if isinstance(B, AffineResolvent):
+        return affine_resolve(B.operator.matrix, B.operator.offset, lam, w)
+    if isinstance(B, BoxResolvent):
+        z = np.clip(w, B.lower, B.upper)
+    else:
+        z = np.sign(w) * np.maximum(np.abs(w) - lam * B.weight, 0.0)
+    return z, (w - z) / lam
+
+
+def old_ppm_step(B, w, lam):
+    """``(z~, v, eps, lam)`` of the proximal step."""
+    z_tilde, v = old_resolve(B, lam, w)
+    return z_tilde, v, 0.0, lam
+
+
+def old_tseng_step(F, B, w, lam, project):
+    """``(z~, v, eps, lam)`` of Tseng's step, taking ``B.resolve(...)[0]``;
+    ``project`` is ``F``'s domain projection as first written (``np.clip``
+    onto a box, or the identity)."""
+    w_proj = project(w)
+    f_w = F(w_proj)
+    z_tilde, _ = old_resolve(B, lam, w - lam * f_w)
+    if F.linear is None:
+        diff = F(z_tilde) - f_w
+    else:
+        diff = F.linear(z_tilde - w_proj)
+    v = diff + (w - z_tilde) / lam
+    return z_tilde, v, 0.0, lam
+
+
+def old_fb_step(F, B, w, lam):
+    """``(z~, v, eps, lam)`` of the forward-backward step, taking
+    ``B.resolve(...)[0]``."""
+    z_tilde, _ = old_resolve(B, lam, w - lam * F(w))
+    v = (w - z_tilde) / lam
+    dz = z_tilde - w
+    eps = F.lipschitz_L * linalg.dot(dz, dz) / 4.0
+    return z_tilde, v, eps, lam

@@ -110,6 +110,23 @@ def test_bound_inputs_validation():
         BoundInputs(d0=1.0, lambda_floor=0.0, params=PLAIN)
 
 
+@pytest.mark.parametrize("d0, floor, message", [
+    (math.nan, 1.0, "d0 must be nonnegative, got nan"),
+    (1.0, math.nan, "lambda_floor must be positive, got nan"),
+], ids=["d0", "lambda_floor"])
+def test_bound_inputs_refuse_nan(d0, floor, message):
+    with pytest.raises(ParameterError, match=message):
+        BoundInputs(d0=d0, lambda_floor=floor, params=PLAIN)
+
+
+@pytest.mark.parametrize("rho, eps_hat", [(math.nan, 1.0), (0.1, math.nan)],
+                         ids=["rho", "eps_hat"])
+def test_iteration_budget_refuses_nan_tolerances(rho, eps_hat):
+    inp = BoundInputs(d0=1.0, lambda_floor=1.0, params=PLAIN)
+    with pytest.raises(ParameterError, match="tolerances must be positive"):
+        iteration_budget(rho, eps_hat, inp)
+
+
 def test_bounds_need_known_d0(certified_run):
     state, _ = certified_run
     inp = BoundInputs(d0=None, lambda_floor=1.0, params=PLAIN)

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from monosplit import linalg
 from monosplit.errors import OracleError
@@ -193,3 +194,31 @@ def test_dense_memory_stays_bounded_at_n400(kind, arrays):
         assert traced_peak(lambda: resolvent.resolve(0.5, w)) \
             <= square + n * n + slack
         assert traced_peak(lambda: resolvent.resolve(0.5, w)) < n * n
+
+
+def test_affine_resolvent_holds_the_latest_factor_only(monkeypatch):
+    # three stepsizes leave one n x n factor held, not one per stepsize;
+    # a stepsize repeated in a row factors once
+    n = 400
+    square, slack = 8 * n * n, 64 * 8 * n
+    resolvent = make_problem("affine_inclusion", n, seed=1).resolvent
+    w = np.ones(n)
+    tracemalloc.start()
+    try:
+        for lam in (0.5, 1, 3.7):
+            resolvent.resolve(lam, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= square + slack
+    factor = scipy.linalg.lu_factor
+    factored = []
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    for lam in (0.5, 0.5, 0.5, 1, 1, 0.5):
+        resolvent.resolve(lam, w)
+    assert len(factored) == 3

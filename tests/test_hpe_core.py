@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -486,7 +487,7 @@ def test_a_step_that_fails_mid_block_ends_the_run_at_its_step(known, fault,
         cert = solver(w, k)
         if k != last:
             return cert
-        return Certificate(**dict(vars(cert), **fault))
+        return dataclasses.replace(cert, **fault)
 
     rec = Recorder(failing)
     with pytest.raises(error, match=rf"at k={last}\b"):

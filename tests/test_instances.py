@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from monosplit.instances import (InstanceConfig, fb_step, ppm_step, solve,
                                  tseng_step)
 from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, ZeroResolvent, make_problem)
-from oracles import enlargement_member
+from oracles import (bits, enlargement_member, old_fb_step, old_ppm_step,
+                     old_tseng_step)
 from recorder import Recorder
 
 
@@ -254,3 +257,98 @@ def test_default_stepsizes_sit_at_the_caps():
     assert instances.default_stepsize("ppm", prob, p) == 1.0
     assert instances.default_stepsize("tseng_fbf", prob, p) == 0.5 / L
     assert instances.default_stepsize("forward_backward", prob, p) == 0.5 / L
+
+
+def test_make_inner_solver_refuses_a_nan_stepsize():
+    prob = make_problem("box_constrained_quadratic", 4, seed=19)
+    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    for kind in instances.INSTANCE_KINDS:
+        with pytest.raises(ParameterError,
+                           match="stepsize must be positive, got nan"):
+            instances.make_inner_solver(
+                prob, InstanceConfig(kind, lam=float("nan")), p)
+
+
+# -- the steps against the steps as first written ----------------------------
+
+def step_pairs(n, seed):
+    """``(kind, dim, F, B, project)`` of each zoo kind at about ``n``, with
+    ``F``'s domain projection as first written.
+
+    The box, saddle (``n`` rounded up to even) and l1 problems bring their
+    own pairs; the affine resolvent is paired with the box problem's
+    forward map, taken on the whole space.
+    """
+    box = make_problem("box_constrained_quadratic", n, seed)
+    lower, upper = box.resolvent.lower, box.resolvent.upper
+    pairs = [("box_constrained_quadratic", n, box.forward, box.resolvent,
+              lambda w: np.clip(w, lower, upper))]
+    for kind, dim in (("bilinear_saddle", n + n % 2), ("l1_composite", n)):
+        prob = make_problem(kind, dim, seed)
+        pairs.append((kind, dim, prob.forward, prob.resolvent, lambda w: w))
+    F = box.forward
+    whole = operators.ForwardMap(F.fun, F.lipschitz_L, cocoercive=True,
+                                 linear=F.linear)
+    affine = make_problem("affine_inclusion", n, seed)
+    pairs.append(("affine_inclusion", n, whole, affine.resolvent,
+                  lambda w: w))
+    return pairs
+
+
+def step_points(n, rng):
+    """Normal points, spread past the unit box, and one of signed zeros
+    and points on its bounds."""
+    edge = np.resize([0.0, -0.0, 1.0, 0.5, 2.0, -1.0, -0.0], n)
+    return [2.0 * rng.standard_normal(n) for _ in range(3)] + [edge]
+
+
+def assert_same_certificate(cert, expected, where):
+    got = (cert.z_tilde, cert.v, cert.eps, cert.lam)
+    for name, x, y in zip(("z_tilde", "v", "eps", "lam"), got, expected):
+        assert bits(x) == bits(y), (name,) + where
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 64])
+def test_steps_are_the_steps_as_first_written_bit_for_bit(n):
+    # the point maps replace a copy and zeros, np.clip, lu_solve and each
+    # resolvent's discarded v; every certificate keeps its bits
+    for seed in (0, 1, 7):
+        rng = np.random.default_rng(seed)
+        for kind, dim, F, B, project in step_pairs(n, seed):
+            for lam in (0.5 / F.lipschitz_L, 1, 0.5):
+                for i, w in enumerate(step_points(dim, rng)):
+                    where = (kind, seed, lam, i)
+                    assert_same_certificate(tseng_step(F, B, w, lam),
+                                            old_tseng_step(F, B, w, lam,
+                                                           project),
+                                            where)
+                    assert_same_certificate(fb_step(F, B, w, lam),
+                                            old_fb_step(F, B, w, lam),
+                                            where)
+                    assert_same_certificate(ppm_step(B, w, lam),
+                                            old_ppm_step(B, w, lam), where)
+
+
+class CountingResolvent:
+    """A resolvent oracle that counts its ``point`` and ``resolve`` calls."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls = collections.Counter()
+
+    def point(self, lam, w):
+        self.calls["point"] += 1
+        return self.oracle.point(lam, w)
+
+    def resolve(self, lam, w):
+        self.calls["resolve"] += 1
+        return self.oracle.resolve(lam, w)
+
+
+@pytest.mark.parametrize("step", [tseng_step, fb_step])
+def test_splitting_steps_take_one_point_and_no_resolve(step):
+    rng = np.random.default_rng(20)
+    for kind, dim, F, B, _ in step_pairs(4, seed=20):
+        counting = CountingResolvent(B)
+        step(F, counting, rng.standard_normal(dim), 0.5 / F.lipschitz_L)
+        assert counting.calls == {"point": 1}, kind

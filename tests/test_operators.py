@@ -10,8 +10,9 @@ from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, L1Resolvent, ZeroResolvent,
                                  make_problem, resolve,
                                  solve_box_qp_bruteforce, solve_l1_bruteforce)
-from oracles import (affine_resolve, dense_problem, enlargement_infimum,
-                     enlargement_member, solution_residual)
+from oracles import (affine_resolve, bits, dense_problem,
+                     enlargement_infimum, enlargement_member,
+                     solution_residual)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -102,6 +103,51 @@ def test_resolve_rejects_nonpositive_lambda():
     B = ZeroResolvent()
     with pytest.raises(ParameterError):
         resolve(B, 0.0, np.zeros(2))
+
+
+def test_resolve_refuses_a_nan_stepsize():
+    B = BoxResolvent(np.zeros(3), np.ones(3))
+    with pytest.raises(ParameterError,
+                       match="lambda must be positive, got nan"):
+        resolve(B, float("nan"), np.full(3, 2.0))
+
+
+def test_l1_resolvent_refuses_a_nan_weight():
+    with pytest.raises(ParameterError,
+                       match="l1 weight must be nonnegative, got nan"):
+        L1Resolvent(float("nan"))
+
+
+def test_resolve_never_returns_an_alias_of_its_input():
+    # a point map may hand back w itself; resolve copies it
+    rng = np.random.default_rng(9)
+    A = operators._psd_plus_skew(rng, 4, 0.1)
+    for B in [AffineResolvent(AffineOperator(A, rng.standard_normal(4))),
+              BoxResolvent(-np.ones(4), np.ones(4)), L1Resolvent(0.3),
+              ZeroResolvent()]:
+        w = rng.standard_normal(4)
+        z, v = B.resolve(0.7, w)
+        assert not np.shares_memory(z, w) and not np.shares_memory(v, w)
+
+
+# both bounds of a pair may be a signed zero: -0.0 <= 0.0 and 0.0 <= -0.0
+_BOUND_PAIRS = [(-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0),
+                (0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0)]
+_EDGE_VALUES = [-0.0, 0.0, np.nan, -np.nan, 1.0, -1.0, 0.5, 2.0, np.inf,
+                -np.inf, np.nextafter(0.0, 1.0), np.nextafter(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
+def test_box_projection_is_clip_bit_for_bit(n):
+    # signed zeros, NaNs of either sign and points on the bounds, in the
+    # lengths the ufunc loops treat apart (scalar tail, vector body)
+    for lo, hi in _BOUND_PAIRS:
+        box = BoxResolvent(np.full(n, lo), np.full(n, hi))
+        for shift in range(len(_EDGE_VALUES)):
+            w = np.resize(np.roll(_EDGE_VALUES, shift), n)
+            w = np.where(np.arange(n) % 5 == 4, lo, w)  # on the lower bound
+            assert bits(box.project(w)) == bits(
+                np.clip(w, box.lower, box.upper)), (lo, hi, w)
 
 
 # -- enlargement oracle ------------------------------------------------------
@@ -341,14 +387,6 @@ def test_affine_zero_point_singular_raises():
 
 
 # -- dense builds in place, bit for bit ---------------------------------------
-
-def bits(x):
-    """Shape, dtype and bytes of an array or number (signbits included)."""
-    if x is None:
-        return None
-    x = np.asarray(x)
-    return x.shape, x.dtype.str, x.tobytes()
-
 
 DENSE_SIZES = [1, 2, 5, 8, 64, 300]
 

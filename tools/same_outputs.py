@@ -2,15 +2,18 @@
 
 Usage (from the repository root):
 
-    python3 tools/same_outputs.py --parent DIR --workload desk_zoo --seed 1
-    python3 tools/same_outputs.py --parent DIR --workload desk_zoo \
+    python3 tools/same_outputs.py --parent-rev HEAD~1 --workload desk_zoo \
+        --seed 1
+    python3 tools/same_outputs.py --parent-rev HEAD --workload desk_zoo \
         --workload sweep_exact --workload large_dense --seed 1 2 3
 
+The tree compared with is the ``src/`` of git revision ``REV`` of this
+repository, unpacked with ``git archive`` into a temporary directory.
 Each ``--workload`` is checked on each ``--seed``.  For each pair,
 ``perfbench/workloads.py`` writes the workload's config files for the seed.
 Every job then runs through ``monosplit.cli.main`` twice, with the same
 arguments as in ``perfbench/run.py``: once with this tree's ``src/`` and once
-with ``DIR/src``, each tree in its own subprocess.  The two runs are compared
+with ``REV``'s, each tree in its own subprocess.  The two runs are compared
 file by file (every ``trace.jsonl``, ``summary.json`` and bench CSV) and
 command by command (exit code, standard output and standard error, with each
 run's output directory masked).  Each difference is named on standard
@@ -26,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -86,6 +90,19 @@ def run_tree(src, jobs, out):
     return json.loads(results.read_text())
 
 
+def unpack(rev, dest):
+    """Write the ``src/`` of git revision ``rev`` of this repository under
+    ``dest``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(f"same_outputs: git archive {rev} failed: "
+                 f"{archive.stderr.decode(errors='replace').strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def files(out):
     """Relative path -> bytes of every file under ``out``."""
     return {str(path.relative_to(out)): path.read_bytes()
@@ -115,8 +132,9 @@ def differences(jobs, mine, theirs, out_mine, out_theirs):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", type=Path,
-                    help="root of the tree to compare with")
+    ap.add_argument("--parent-rev", metavar="REV",
+                    help="the git revision of this repository to compare "
+                         "with")
     ap.add_argument("--workload", action="append",
                     help="a workload to check; repeat for several")
     ap.add_argument("--seed", type=int, nargs="+", default=[1],
@@ -130,16 +148,23 @@ def main(argv=None):
         results = run_jobs(args.child, json.loads(args.jobs), args.out)
         args.results.write_text(json.dumps(results))
         return 0
-    if args.parent is None or args.workload is None:
-        ap.error("--parent and --workload are required")
-    if not (args.parent / "src" / "monosplit").is_dir():
-        ap.error(f"no src/monosplit under {args.parent}")
+    if args.parent_rev is None or args.workload is None:
+        ap.error("--parent-rev and --workload are required")
+    with tempfile.TemporaryDirectory(prefix="same_outputs-parent-") as tmp:
+        parent = Path(tmp)
+        unpack(args.parent_rev, parent)
+        return compare(parent / "src", args.workload, args.seed)
 
+
+def compare(parent_src, workload_names, seeds):
+    """Compare this tree's ``src/`` with ``parent_src`` on each workload and
+    seed; print the differences and the count lines, and return the exit
+    code."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     found = False
-    for workload, seed in itertools.product(args.workload, args.seed):
+    for workload, seed in itertools.product(workload_names, seeds):
         with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
             work = Path(tmp)
             jobs = [{"name": job.name, "command": job.command,
@@ -148,8 +173,7 @@ def main(argv=None):
                                                   work / "configs")]
             out_mine, out_theirs = work / "this", work / "parent"
             mine = run_tree(ROOT / "src", jobs, out_mine)
-            theirs = run_tree(args.parent.resolve() / "src", jobs,
-                              out_theirs)
+            theirs = run_tree(parent_src, jobs, out_theirs)
             lines, count = differences(jobs, mine, theirs, out_mine,
                                        out_theirs)
         for line in lines:
