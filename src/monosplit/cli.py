@@ -66,7 +66,7 @@ _FIELD_TYPES = {
     "dimension": _INTEGER, "seed": _INTEGER, "max_iters": _INTEGER,
     "ramp_iters": _INTEGER,
     "alpha": _REAL, "sigma": _REAL, "beta": _REAL, "tau": _REAL,
-    "lambda": _REAL, "lambda_floor": _REAL, "rho": _REAL, "eps_hat": _REAL,
+    "lambda": _REAL, "rho": _REAL, "eps_hat": _REAL,
     "matrix": ("a list of numeric rows of equal length", _is_matrix),
     "offset": ("a list of numbers", _is_vector),
 }
@@ -126,10 +126,8 @@ def load_config(path, seed_override=None):
         matrix=prob.get("matrix"), offset=prob.get("offset"))
 
     inst = _expect_types(_expect_keys(raw["instance"], "instance", ("kind",),
-                                      ("lambda", "lambda_floor")), "instance")
-    config = instances.InstanceConfig(
-        kind=inst["kind"], lam=inst.get("lambda"),
-        lambda_floor=inst.get("lambda_floor"))
+                                      ("lambda",)), "instance")
+    config = instances.InstanceConfig(inst["kind"], lam=inst.get("lambda"))
 
     par = _expect_types(_expect_keys(
         raw["params"], "params", (),
@@ -191,7 +189,11 @@ def cmd_params(args):
             flag = ""
         except ParameterError:
             flag = "  (inadmissible)"
-        print(f"q(alpha)   = {params_mod.q_value(args.alpha, eta)}{flag}")
+        try:
+            q = params_mod.q_value(args.alpha, eta)
+        except OverflowError:  # alpha^2 is beyond the float range
+            q = math.nan
+        print(f"q(alpha)   = {q}{flag}")
     return 0
 
 
@@ -311,10 +313,9 @@ def certify_trace(trace, cfg):
     inner solver's own.
     """
     problem, params = cfg["problem"], cfg["params"]
-    _, floor = instances.make_inner_solver(problem, cfg["instance"], params)
+    _, lam = instances.make_inner_solver(problem, cfg["instance"], params)
     return bounds.audit(trace, bounds.BoundInputs(
-        d0=problem.d0(np.zeros(problem.dim)), lambda_floor=floor,
-        params=params))
+        d0=problem.d0(), lambda_floor=lam, params=params))
 
 
 def cmd_certify(args):

@@ -264,10 +264,8 @@ class SolverState:
 
     k: int
     z_curr: np.ndarray
-    z0: np.ndarray
     verdict: str
     lambda_floor: float
-    ergodic: ErgodicState
     trace: IterationTrace
 
 
@@ -366,8 +364,8 @@ def certify(cert, w, sigma):
 _BLOCK_FLOATS = 2 ** 15
 
 
-def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
-    """Iterate the framework until the stopping rule fires or the cap hits.
+def run(problem, inner_solver, params, stop=None, *, lambda_floor):
+    """Iterate from the origin until the stopping rule fires or the cap hits.
 
     Parameters
     ----------
@@ -378,34 +376,32 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     params : HpeParams
         Admissible by construction, so the driver does not re-check it.
     stop : StoppingRule, optional
-    z0 : starting point; defaults to the origin.
     lambda_floor : enforced lower bound on every certificate stepsize.
 
-    The inputs are validated once, on entry: ``z0`` and the known solution
-    are finite vectors of one dimension.  A bundle keeps every ``alpha_k``
-    of its schedule in ``[0, alpha]`` and ``tau`` in ``(0, 1]`` from its
-    construction on.  Each step checks the shapes of ``z~`` and ``v``, the
-    certificate law of :func:`_error_ratio`, a finite next iterate and the
-    stopping rule.  The trace and the ergodic state are filled a block of
-    steps at a time (see :func:`_record`), bit for bit as step by step.
+    The inputs are validated once, on entry: the known solution is a
+    finite vector of the problem's dimension.  A bundle keeps every
+    ``alpha_k`` of its schedule in ``[0, alpha]`` and ``tau`` in ``(0, 1]``
+    from its construction on.  Each step checks the shapes of ``z~`` and
+    ``v``, the certificate law of :func:`_error_ratio`, a finite next
+    iterate and the stopping rule.  The trace and the ergodic state are
+    filled a block of steps at a time (see :func:`_record`), bit for bit
+    as step by step.
 
     Returns
     -------
     SolverState with ``verdict`` in {"solved", "max_iters"}.
     """
     stop = stop or StoppingRule()
-    if z0 is None:
-        z0 = np.zeros(problem.dim)
-    z0 = linalg.as_vector(z0)
+    z = np.zeros(problem.dim)
     z_star = problem.known_solution
     if z_star is not None:
         z_star = linalg.as_vector(z_star)
-        linalg.check_same_dim(z0, z_star)
+        linalg.check_same_dim(z, z_star)
 
     sigma, tau, alpha = params.sigma, params.tau, params.alpha
     ramp = None if params.is_constant else params.alpha_at
     rho, eps_hat = stop.rho, stop.eps_hat
-    shape = z0.shape
+    shape = z.shape
 
     # Every vector whose squared norm a step needs is written into one row
     # of this array, so that the step takes all of them in one call.  The
@@ -421,7 +417,6 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
                       width) + shape)
     steps = []
 
-    z = z0.copy()
     trace = IterationTrace()
     erg = ErgodicState(dim=shape[0])
 
@@ -464,9 +459,8 @@ def run(problem, inner_solver, params, stop=None, z0=None, lambda_floor=0.0):
     if steps:
         _record(trace, erg, block, steps, params, z_star)
 
-    return SolverState(
-        k=k, z_curr=z, z0=z0, verdict=verdict, lambda_floor=lambda_floor,
-        ergodic=erg, trace=trace)
+    return SolverState(k=k, z_curr=z, verdict=verdict,
+                       lambda_floor=lambda_floor, trace=trace)
 
 
 def _record(trace, erg, block, steps, params, z_star):

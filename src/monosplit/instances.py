@@ -29,11 +29,10 @@ INSTANCE_KINDS = ("ppm", "tseng_fbf", "forward_backward")
 
 @dataclass(frozen=True)
 class InstanceConfig:
-    """Inner-solver selection and stepsize rule (constant with a floor)."""
+    """Inner-solver selection and its constant stepsize, the run's floor."""
 
     kind: str
-    lam: float = None          # constant stepsize; None = cap/default
-    lambda_floor: float = None  # defaults to the constant stepsize
+    lam: float = None  # constant stepsize; None = the instance's cap/default
 
     def __post_init__(self):
         if self.kind not in INSTANCE_KINDS:
@@ -102,9 +101,12 @@ def default_stepsize(kind, problem, params):
 
 
 def make_inner_solver(problem, config, params):
-    """Bind a step function to a problem; returns ``(solver, lambda_floor)``.
+    """Bind a step function to a problem; returns ``(solver, lam)``.
 
-    Checks sigma, cocoercivity and the stepsize cap before any step runs.
+    ``lam``, the stepsize of every step, is the run's stepsize floor.
+    Checks the stepsize, sigma, the problem's structure (``ppm`` resolves
+    a plain operator, the splittings take ``(F, B)``), cocoercivity and the
+    stepsize cap before any step runs.
     """
     kind = config.kind
     lam = config.lam
@@ -112,16 +114,17 @@ def make_inner_solver(problem, config, params):
         lam = default_stepsize(kind, problem, params)
     if not lam > 0.0:  # so that a NaN fails
         raise ParameterError(f"stepsize must be positive, got {lam}")
-    floor = config.lambda_floor if config.lambda_floor is not None else lam
 
     if kind == "ppm":
         if params.sigma != 0.0:
             raise ParameterError("ppm is the sigma = 0 instance")
+        if problem.forward is not None:
+            raise ParameterError("ppm needs a plain operator, not (F, B)")
         B = problem.resolvent
 
         def solver(w, k):
             return ppm_step(B, w, lam)
-        return solver, floor
+        return solver, lam
 
     F, B = problem.forward, problem.resolvent
     if F is None:
@@ -145,11 +148,10 @@ def make_inner_solver(problem, config, params):
     else:
         def solver(w, k):
             return fb_step(F, B, w, lam)
-    return solver, floor
+    return solver, lam
 
 
 def solve(problem, config, params, stop=None):
     """Run the driver from the origin with one of the bundled instances."""
-    solver, floor = make_inner_solver(problem, config, params)
-    return hpe_core.run(problem, solver, params, stop=stop,
-                        lambda_floor=floor)
+    solver, lam = make_inner_solver(problem, config, params)
+    return hpe_core.run(problem, solver, params, stop=stop, lambda_floor=lam)

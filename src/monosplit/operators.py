@@ -497,11 +497,12 @@ class TestProblem:
     def lipschitz_L(self):
         return None if self.forward is None else self.forward.lipschitz_L
 
-    def d0(self, z0):
-        """Distance of ``z0`` to the (known) solution set."""
+    def d0(self):
+        """Distance from the origin, where every run starts, to the known
+        solution; None when no solution is known."""
         if self.known_solution is None:
             return None
-        return linalg.norm(linalg.as_vector(z0) - self.known_solution)
+        return linalg.norm(self.known_solution)
 
 
 def _gram(rng, n):

@@ -114,7 +114,7 @@ def test_criterion_3_certificate_law(suite):
 
 def _inputs(run):
     state = run["state"]
-    return BoundInputs(d0=run["problem"].d0(state.z0),
+    return BoundInputs(d0=run["problem"].d0(),
                        lambda_floor=state.lambda_floor, params=run["params"])
 
 
@@ -234,7 +234,7 @@ def test_criterion_8_residual_convergence_within_budget(suite):
         state = run["state"]
         assert state.verdict == "solved"
         assert state.trace.column("norm_v")[-1] <= 1e-8
-        d0 = run["problem"].d0(state.z0)
+        d0 = run["problem"].d0()
         budget = math.ceil(d0 ** 2 / (state.lambda_floor ** 2 * 1e-8 ** 2))
         assert state.k <= budget
         worst_frac = max(worst_frac, state.k / budget)

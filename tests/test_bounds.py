@@ -147,7 +147,7 @@ def certified_run():
     state = instances.solve(prob, instances.InstanceConfig(
         kind="forward_backward"), p,
         stop=hpe_core.StoppingRule(rho=1e-8, max_iters=10 ** 5))
-    d0 = prob.d0(state.z0)
+    d0 = prob.d0()
     return state, BoundInputs(d0=d0, lambda_floor=state.lambda_floor,
                               params=p)
 
@@ -166,7 +166,7 @@ def test_assert_bounds_detects_understated_d0():
     state = instances.solve(prob, instances.InstanceConfig(kind="ppm"),
                             PLAIN,
                             stop=hpe_core.StoppingRule(rho=1e-8))
-    d0 = prob.d0(state.z0)
+    d0 = prob.d0()
     good = BoundInputs(d0=d0, lambda_floor=state.lambda_floor, params=PLAIN)
     report = assert_bounds(state.trace, good)
     assert max(report["worst_utilization"].values()) > 0.5

@@ -383,6 +383,18 @@ def test_config_rejects_unknown_fields(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_refuses_an_instance_lambda_floor(tmp_path, capsys):
+    # the floor of a bundled instance is its stepsize; there is no knob
+    cfg = base_config()
+    cfg["instance"]["lambda_floor"] = 0.5
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: unknown fields in instance: "
+                   "['lambda_floor']"]
+
+
 def test_config_rejects_wrong_schema_version(tmp_path):
     cfg = base_config()
     cfg["schema_version"] = 99
@@ -542,6 +554,21 @@ def test_config_stepsize_over_cap_reported(tmp_path, capsys):
             assert err[0].startswith("error: stepsize 100.0 exceeds the cap")
 
 
+@pytest.mark.parametrize("kind, dim", [("box_constrained_quadratic", 5),
+                                       ("bilinear_saddle", 6),
+                                       ("l1_composite", 5)])
+def test_ppm_on_a_structured_problem_is_refused(tmp_path, capsys, kind, dim):
+    # a ppm step certifies v in B(z~) alone, which is no certificate for F + B
+    cfg = base_config(kind=kind, instance="ppm", dim=dim, seed=1, sigma=0.0)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ppm needs a plain operator")
+
+
 def test_bench_sweep_and_determinism(tmp_path, monkeypatch):
     # affine ppm: the cells share the problem's LU cache
     cfg = base_config(sweep={"alpha": [0.0, 0.3]})
@@ -692,7 +719,7 @@ def test_params_table_and_curve(tmp_path, capsys):
 
 @pytest.mark.parametrize("alpha, inadmissible", [
     ("-0.5", True), ("10", True), ("nan", True), ("0.39", False),
-    ("0.5", True)])
+    ("0.5", True), ("1e200", True), ("-1e200", True)])
 def test_params_marks_alpha_inadmissible_by_the_bundle_rule(
         capsys, alpha, inadmissible):
     assert cli.main(["params", "--sigma", "0.5", "--beta", "0.4",

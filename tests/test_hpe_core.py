@@ -102,9 +102,14 @@ def test_run_exact_pp_distance_nonincreasing():
 
 
 def test_run_terminates_immediately_at_a_zero():
-    prob = operators.make_problem("affine_inclusion", 4, seed=2)
-    state = run(prob, ppm_solver(prob), PLAIN, z0=prob.known_solution,
-                lambda_floor=1.0)
+    # a zero offset puts the solution at the origin, where the run starts
+    rng = np.random.default_rng(2)
+    prob = operators.make_problem(
+        "affine_inclusion", 4, seed=2,
+        matrix=np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
+        offset=np.zeros(4))
+    np.testing.assert_array_equal(prob.known_solution, np.zeros(4))
+    state = run(prob, ppm_solver(prob), PLAIN, lambda_floor=1.0)
     assert state.verdict == "solved"
     assert state.k == 1
 
@@ -191,8 +196,7 @@ def inertial_run():
 
 def audited(inertial_run, trace=None):
     prob, p, state = inertial_run
-    inp = bounds.BoundInputs(d0=prob.d0(state.z0), lambda_floor=1.0,
-                             params=p)
+    inp = bounds.BoundInputs(d0=prob.d0(), lambda_floor=1.0, params=p)
     checks = bounds.audit(state.trace if trace is None else trace, inp)
     return {c.name: c for c in checks}
 
@@ -201,7 +205,7 @@ def assert_descent_slack_absolute(inertial_run):
     # the audit allows max(ATOL, DESCENT_RTOL * dist^2); on this run that
     # is the absolute 1e-9
     prob, _, state = inertial_run
-    scale = max(prob.d0(state.z0), state.trace.column("dist_w").max(),
+    scale = max(prob.d0(), state.trace.column("dist_w").max(),
                 state.trace.column("dist_to_solution").max()) ** 2
     assert bounds.DESCENT_RTOL * scale <= 1e-9
 
@@ -278,11 +282,11 @@ def test_trace_read_reports_missing_columns(tmp_path):
 
 # -- the driver against its single-step functions ----------------------------
 
-def replay(problem, solver, p, stop, z0):
+def replay(problem, solver, p, stop):
     """``run`` rebuilt from the public :func:`certify` and the two update
-    formulas: its trace."""
-    z_prev = z = z0
-    erg = ErgodicState(dim=z0.shape[0])
+    formulas, from the origin: its trace."""
+    z_prev = z = np.zeros(problem.dim)
+    erg = ErgodicState(dim=problem.dim)
     z_star = problem.known_solution
     trace = IterationTrace()
     for k in range(1, stop.max_iters + 1):
@@ -350,7 +354,7 @@ def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
     assert state.k > 30
     assert (prob.known_solution is None) == (n == 13)
     assert_same_bits(state.trace,
-                     replay(prob, solver, p, stop, np.zeros(n)))
+                     replay(prob, solver, p, stop))
 
 
 def separable_box_problem(n, seed, known=True):
@@ -379,9 +383,9 @@ def test_run_matches_its_replay_at_a_million_coordinates(instance):
     stop = StoppingRule(rho=0.0, max_iters=16)
     state = run(prob, solver, p, stop=stop, lambda_floor=floor)
     assert state.k == 16
-    assert_same_bits(state.trace, replay(prob, solver, p, stop, np.zeros(n)))
+    assert_same_bits(state.trace, replay(prob, solver, p, stop))
     checks = bounds.audit(state.trace, bounds.BoundInputs(
-        d0=prob.d0(state.z0), lambda_floor=floor, params=p))
+        d0=prob.d0(), lambda_floor=floor, params=p))
     assert [c.status for c in checks] == [bounds.PASS] * len(checks)
     if instance == "forward_backward":
         # on the cap the criterion holds with equality up to round-off
@@ -465,7 +469,7 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
         assert recorded == ([size] * (length // size)
                             + [length % size] * (length % size > 0))
         assert_same_bits(state.trace,
-                         replay(prob, steps, p, stop, np.zeros(BLOCK_N)))
+                         replay(prob, steps, p, stop))
 
 
 @pytest.mark.parametrize("fault, error", [
