@@ -5,12 +5,14 @@ are rejected so that golden fixtures stay unambiguous.
 """
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -27,27 +29,11 @@ _CURVE_SIGMAS = (0.0, 0.25, 0.5, 0.75, 0.99)
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _expect_keys(d, context, required, optional=()):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be an object")
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown fields in {context}: {sorted(unknown)}")
-    missing = set(required) - set(d)
-    if missing:
-        raise ConfigError(f"missing fields in {context}: {sorted(missing)}")
-    return d
-
-
-def _is_integer(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_real(x):
     """A finite int or float; an int beyond the float range is not one."""
-    if isinstance(x, int) and not isinstance(x, bool):
+    if type(x) is int:  # a JSON true or false is a bool, not an int
         return abs(x) <= sys.float_info.max
-    return isinstance(x, float) and math.isfinite(x)
+    return type(x) is float and math.isfinite(x)
 
 
 def _is_vector(x):
@@ -59,61 +45,75 @@ def _is_matrix(x):
             and len({len(row) for row in x}) <= 1)
 
 
-_INTEGER = ("an integer", _is_integer)
-_REAL = ("a finite real number", _is_real)
-# The value type of every numeric field outside "sweep", by field name.
-_FIELD_TYPES = {
-    "dimension": _INTEGER, "seed": _INTEGER, "max_iters": _INTEGER,
-    "ramp_iters": _INTEGER,
-    "alpha": _REAL, "sigma": _REAL, "beta": _REAL, "tau": _REAL,
-    "lambda": _REAL, "rho": _REAL, "eps_hat": _REAL,
-    "matrix": ("a list of numeric rows of equal length", _is_matrix),
-    "offset": ("a list of numbers", _is_vector),
+# A config field: whether it is required, its type (a description and a
+# test; None: not checked here), and an integer's least and greatest value.
+_Field = collections.namedtuple("_Field", "required kind least greatest",
+                                defaults=(False, None, None, None))
+_REQUIRED = _Field(True)
+_INTEGER = ("an integer", lambda x: type(x) is int)
+_REAL = _Field(kind=("a finite real number", _is_real))
+_GRID = _Field(kind=("a list of finite real numbers", _is_vector))
+# Every field of every config section.  A dimension above 4096 exhausts
+# memory or numpy's array limits: every zoo kind builds dense float64
+# matrices of order n or n/2, an affine build three at once (3 x 134 MB).
+_CONFIG_FIELDS = {
+    "config": {"schema_version": _REQUIRED, "problem": _REQUIRED,
+               "instance": _REQUIRED, "params": _REQUIRED,
+               "stopping": _Field(), "sweep": _Field()},
+    "problem": {"kind": _REQUIRED,
+                "dimension": _Field(True, _INTEGER, 1, 4096),
+                "seed": _Field(True, _INTEGER, 0),
+                "matrix": _Field(kind=("a list of numeric rows of equal "
+                                       "length", _is_matrix)),
+                "offset": _Field(kind=("a list of numbers", _is_vector))},
+    "instance": {"kind": _REQUIRED, "lambda": _REAL},
+    "params": {"alpha": _REAL, "sigma": _REAL, "beta": _REAL, "tau": _REAL,
+               "ramp_iters": _Field(kind=_INTEGER)},
+    "stopping": {"rho": _REAL, "eps_hat": _REAL,
+                 "max_iters": _Field(False, _INTEGER, 1)},
+    # in the bench CSV's column order
+    "sweep": {"alpha": _GRID, "sigma": _GRID, "beta": _GRID, "tau": _GRID},
 }
-# The least value of an integer field, where the library needs one.
-_FIELD_MINIMA = {"dimension": 1, "seed": 0, "max_iters": 1}
-# The greatest: every zoo kind builds dense float64 matrices of order n or
-# n/2, and an affine build holds three of them at once (n = 4096: 3 x 134
-# MB), so a larger dimension exhausts memory or numpy's array limits.
-_FIELD_MAXIMA = {"dimension": 4096}
 
 
-def _expect_types(d, context):
+def _section(d, name):
+    """Check config section ``name`` against its fields; return it."""
+    fields = _CONFIG_FIELDS[name]
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown fields in {name}: {sorted(unknown)}")
+    missing = {key for key in fields if fields[key].required} - set(d)
+    if missing:
+        raise ConfigError(f"missing fields in {name}: {sorted(missing)}")
     for key, value in d.items():
-        if key in _FIELD_TYPES:
-            kind, ok = _FIELD_TYPES[key]
-            if not ok(value):
-                raise ConfigError(f"{context}.{key} must be {kind}, "
-                                  f"got {json.dumps(value)}")
-        if key in _FIELD_MINIMA and value < _FIELD_MINIMA[key]:
-            raise ConfigError(f"{context}.{key} must be >= "
-                              f"{_FIELD_MINIMA[key]}, got {value}")
-        if key in _FIELD_MAXIMA and value > _FIELD_MAXIMA[key]:
-            raise ConfigError(f"{context}.{key} must be <= "
-                              f"{_FIELD_MAXIMA[key]}, got {value}")
+        _, kind, least, greatest = fields[key]
+        if kind is not None and not kind[1](value):
+            raise ConfigError(f"{name}.{key} must be {kind[0]}, "
+                              f"got {json.dumps(value)}")
+        if least is not None and value < least:
+            raise ConfigError(f"{name}.{key} must be >= {least}, got {value}")
+        if greatest is not None and value > greatest:
+            raise ConfigError(f"{name}.{key} must be <= {greatest}, "
+                              f"got {value}")
     return d
 
 
-def load_config(path, seed_override=None):
-    """Parse and validate an experiment config file."""
+def load_config(path):
+    """Parse and validate an experiment config file, leaving it as read."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # also bad UTF-8, huge integers
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 too
         raise ConfigError(f"cannot read config {path}: {exc}")
-    _expect_keys(raw, "config", ("schema_version", "problem", "instance",
-                                 "params"),
-                 ("stopping", "sweep"))
+    _section(raw, "config")
     if raw["schema_version"] != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {raw['schema_version']} "
             f"(expected {CONFIG_SCHEMA_VERSION})")
 
-    prob = _expect_keys(raw["problem"], "problem",
-                        ("kind", "dimension", "seed"), ("matrix", "offset"))
-    if seed_override is not None:
-        prob["seed"] = seed_override  # so the trace meta names the seed run
-    _expect_types(prob, "problem")
+    prob = _section(raw["problem"], "problem")
     given = [key for key in ("matrix", "offset") if key in prob]
     if given and prob["kind"] != "affine_inclusion":
         raise ConfigError(f"problem.{given[0]} is read only by kind "
@@ -125,29 +125,21 @@ def load_config(path, seed_override=None):
         prob["kind"], prob["dimension"], prob["seed"],
         matrix=prob.get("matrix"), offset=prob.get("offset"))
 
-    inst = _expect_types(_expect_keys(raw["instance"], "instance", ("kind",),
-                                      ("lambda",)), "instance")
+    inst = _section(raw["instance"], "instance")
     config = instances.InstanceConfig(inst["kind"], lam=inst.get("lambda"))
 
-    par = _expect_types(_expect_keys(
-        raw["params"], "params", (),
-        ("alpha", "sigma", "beta", "tau", "ramp_iters")), "params")
+    par = _section(raw["params"], "params")
     if "beta" in par and "tau" in par:
         raise ConfigError("params gives both beta and tau; give one")
     params = params_mod.HpeParams.from_dict(par)
 
-    stop = hpe_core.StoppingRule(**_expect_types(_expect_keys(
-        raw.get("stopping", {}), "stopping", (),
-        ("rho", "eps_hat", "max_iters")), "stopping"))
+    stop = hpe_core.StoppingRule(**_section(raw.get("stopping", {}),
+                                            "stopping"))
 
     sweep = raw.get("sweep")
     if sweep is not None:
-        _expect_keys(sweep, "sweep", (), ("alpha", "sigma", "beta", "tau"))
-        for name, grid in sweep.items():
-            if not _is_vector(grid):
-                raise ConfigError(f"sweep.{name} must be a list of finite "
-                                  f"real numbers, got {json.dumps(grid)}")
-        if not any(sweep.get(k) for k in ("alpha", "sigma", "beta", "tau")):
+        _section(sweep, "sweep")
+        if not any(sweep.values()):
             raise ConfigError("sweep present but every grid is empty")
         if "beta" in sweep and "tau" in sweep:
             raise ConfigError("sweep has grids for both beta and tau; "
@@ -211,7 +203,7 @@ def _line(check):
 
 
 def cmd_solve(args):
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     state = _run_config(cfg)
@@ -277,13 +269,12 @@ def _bench_cell(cfg, overrides):
 
 
 def cmd_bench(args):
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config)
     sweep = cfg["sweep"]
     if not sweep:
         raise ConfigError("bench needs a nonempty 'sweep' section")
     # each cell lists its overrides in grid order, the CSV's column order
-    grid_names = [name for name in ("alpha", "sigma", "beta", "tau")
-                  if sweep.get(name)]
+    grid_names = [name for name in _CONFIG_FIELDS["sweep"] if sweep.get(name)]
     cells = [{}]
     for name in grid_names:
         cells = [dict(c, **{name: v}) for c in cells for v in sweep[name]]
@@ -321,7 +312,9 @@ def certify_trace(trace, cfg):
 def cmd_certify(args):
     cfg = load_config(args.config)
     trace, meta = hpe_core.IterationTrace.read_jsonl(args.trace)
-    if meta.get("config", cfg["raw"]) != cfg["raw"]:
+    if "config" not in meta:
+        raise ConfigError(f"trace {args.trace} records no config")
+    if meta["config"] != cfg["raw"]:
         raise ConfigError(f"trace {args.trace} was recorded with another "
                           f"config than {args.config}")
     checks = certify_trace(trace, cfg)
@@ -348,18 +341,18 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--curve", metavar="PATH",
                    help="write the tau(sigma, beta) curve as CSV")
+    # take "-1e200" as a value, not an option: argparse's pattern, widened
+    p._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("solve", help="run one configured experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a parameter sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None)
     # only 1, the value perfbench/run.py passes: every cell runs in this
     # process, on the one problem the command builds
     p.add_argument("--jobs", type=int, default=1, choices=[1])

@@ -18,8 +18,8 @@ class OracleError(MonosplitError):
 
 
 class CertificationError(MonosplitError):
-    """An inner-solver certificate has a negative ``eps`` or violates the
-    relative-error criterion."""
+    """An inner-solver certificate has a negative ``eps``, violates the
+    relative-error criterion or cannot be recorded."""
 
     def __init__(self, message, k=None):
         super().__init__(message)

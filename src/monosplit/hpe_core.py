@@ -158,7 +158,7 @@ class IterationTrace:
                     continue
                 try:
                     row = json.loads(line.decode("utf-8"))
-                except ValueError as exc:  # also bad UTF-8, huge integers
+                except (ValueError, RecursionError) as exc:  # bad UTF-8 too
                     raise ParameterError(
                         f"malformed trace line {lineno}: {exc}")
                 if not isinstance(row, dict):
@@ -441,6 +441,9 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         # ||z_next - w||^2 is finite only if every z_next coordinate is
         if not math.isfinite(relax_sq) and not np.isfinite(z_next).all():
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
+        # the trace would record a nonzero v whose ||v||^2 underflows as 0
+        if v_sq < sys.float_info.min and v.any():
+            raise CertificationError(f"||v||^2 underflows at k={k}", k=k)
 
         held = block[len(steps)]
         held[0], held[1] = cert.z_tilde, v

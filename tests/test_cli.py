@@ -310,8 +310,13 @@ def _set_cell(column, value):
     (lambda lines: lines.__setitem__(5, lines[5].replace(
         '"k": 5', '"k": 1' + "0" * 5000)),
      "malformed trace line 6: Exceeds the limit"),
+    # deeper than json's recursion limit
+    (lambda lines: lines.__setitem__(5, lines[5].replace(
+        '"k": 5', '"k": ' + "[" * 100000 + "]" * 100000)),
+     "malformed trace line 6: maximum recursion depth exceeded"),
 ], ids=["bare_number_row", "meta_not_object", "string_cell", "list_cell",
-        "bool_cell", "int_beyond_float_range", "int_beyond_str_limit"])
+        "bool_cell", "int_beyond_float_range", "int_beyond_str_limit",
+        "nesting_beyond_recursion_limit"])
 def test_certify_reports_malformed_trace(tmp_path, capsys, solved_box, edit,
                                          message):
     # each used to end certify in a traceback with exit 1
@@ -367,12 +372,30 @@ def test_certify_refuses_a_trace_line_that_is_not_utf8(tmp_path, capsys,
 
 
 def test_certify_empty_trace_vacuous(tmp_path, capsys):
-    path = write_config(tmp_path, base_config())
+    cfg = base_config()
+    path = write_config(tmp_path, cfg)
     trace = tmp_path / "empty.jsonl"
-    trace.write_text('{"meta": {"schema_version": 1}}\n')
+    trace.write_text(json.dumps({"meta": {"schema_version": 1,
+                                          "config": cfg}}) + "\n")
     assert cli.main(["certify", "--trace", str(trace),
                      "--config", path]) == 0
     assert "vacuous" in capsys.readouterr().out
+
+
+def test_certify_refuses_a_trace_that_records_no_config(tmp_path, capsys,
+                                                        solved_box):
+    # such a trace used to be audited against any config, unchecked
+    path, lines = solved_box
+    for rows in ([], lines[1:]):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(['{"meta": {"schema_version": 1}}']
+                                   + rows) + "\n")
+        assert cli.main(["certify", "--trace", str(trace),
+                         "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: trace {trace} records no config"]
 
 
 def test_config_rejects_unknown_fields(tmp_path):
@@ -410,7 +433,12 @@ def test_config_undecodable_reported(tmp_path, capsys):
     long_int = tmp_path / "int.json"
     long_int.write_text(json.dumps(base_config()).replace(
         '"seed": 7', '"seed": 1' + "0" * 5000))
-    for path in (str(bad_bytes), str(long_int)):
+    # deeper than json's recursion limit: this one used to raise a
+    # RecursionError with a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(base_config()).replace(
+        '"seed": 7', '"seed": ' + "[" * 100000 + "]" * 100000))
+    for path in (str(bad_bytes), str(long_int), str(deep)):
         assert cli.main(["solve", "--config", path,
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -517,14 +545,60 @@ def test_config_out_of_range_reported(tmp_path, capsys, section, field,
     assert field in err[0]
 
 
-def test_seed_option_out_of_range_reported(tmp_path, capsys):
-    path = write_config(tmp_path, base_config())
+def _config_with(section, key, value):
+    cfg = base_config(sweep={"alpha": [0.0]})
+    cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, fields in cli._CONFIG_FIELDS.items()
+    for key, field in fields.items() if field.kind is not None])
+def test_every_typed_field_refuses_a_wrong_type(tmp_path, capsys, section,
+                                                key):
+    kind = cli._CONFIG_FIELDS[section][key].kind
+    wrong = 0.5 if kind is cli._INTEGER else "x"
+    path = write_config(tmp_path, _config_with(section, key, wrong))
     for command in ("solve", "bench"):
-        assert cli.main([command, "--config", path, "--seed", "-1",
+        assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ")
-        assert "seed" in err[0]
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {section}.{key} must be "
+                                 f"{kind[0]}, got ")
+
+
+@pytest.mark.parametrize("section, key, value, relation", [
+    (section, key, bound + step, relation)
+    for section, fields in cli._CONFIG_FIELDS.items()
+    for key, field in fields.items()
+    for bound, step, relation in ((field.least, -1, ">="),
+                                  (field.greatest, 1, "<="))
+    if bound is not None])
+def test_every_bounded_field_refuses_a_value_out_of_range(
+        tmp_path, capsys, section, key, value, relation):
+    path = write_config(tmp_path, _config_with(section, key, value))
+    for command in ("solve", "bench"):
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {section}.{key} must be "
+                                 f"{relation} ")
+
+
+def test_seed_option_is_a_usage_error(tmp_path, capsys):
+    # problem.seed is a run's one seed, so its trace certifies against the
+    # file it ran from
+    path = write_config(tmp_path, base_config(sweep={"alpha": [0.0]}))
+    out = tmp_path / "o"
+    for command in ("solve", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, "--out", str(out),
+                      "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_negative_ramp_reported(tmp_path):
@@ -567,6 +641,19 @@ def test_ppm_on_a_structured_problem_is_refused(tmp_path, capsys, kind, dim):
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1
     assert err[0].startswith("error: ppm needs a plain operator")
+
+
+def test_a_step_whose_norm_v_underflows_is_refused(tmp_path, capsys):
+    # ||v|| is about 1e-300 here, so ||v||^2 is 0: the trace used to record
+    # norm_v 0, the run "solved" at k=1 and its audit failed
+    cfg = base_config(dim=6, seed=1, sigma=0.0, beta=0.4)
+    cfg["instance"]["lambda"] = 1e300
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: ||v||^2 underflows at k=1"]
 
 
 def test_bench_sweep_and_determinism(tmp_path, monkeypatch):
@@ -719,14 +806,24 @@ def test_params_table_and_curve(tmp_path, capsys):
 
 @pytest.mark.parametrize("alpha, inadmissible", [
     ("-0.5", True), ("10", True), ("nan", True), ("0.39", False),
-    ("0.5", True), ("1e200", True), ("-1e200", True)])
+    ("0.5", True), ("1e200", True), ("-1e200", True), ("-2.5E-1", True)])
 def test_params_marks_alpha_inadmissible_by_the_bundle_rule(
         capsys, alpha, inadmissible):
-    assert cli.main(["params", "--sigma", "0.5", "--beta", "0.4",
-                     f"--alpha={alpha}"]) == 0
-    line = capsys.readouterr().out.splitlines()[-1]
-    assert line.startswith("q(alpha)   = ")
-    assert line.endswith("  (inadmissible)") == inadmissible
+    # a negative in exponent form after a space used to read as an option
+    for spelling in ([f"--alpha={alpha}"], ["--alpha", alpha]):
+        assert cli.main(["params", "--sigma", "0.5", "--beta", "0.4",
+                         *spelling]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("q(alpha)   = ")
+        assert line.endswith("  (inadmissible)") == inadmissible
+
+
+def test_params_negative_sigma_in_exponent_form_is_out_of_range(capsys):
+    assert cli.main(["params", "--sigma", "-1e-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: sigma must lie in [0, 1), got -0.001"]
 
 
 @pytest.mark.parametrize("command", ["params", "bench", "solve"])
@@ -746,12 +843,13 @@ def test_unwritable_output_path_reported(tmp_path, capsys, command):
     assert str(target) in err[0]
 
 
-def test_seed_override_changes_problem(tmp_path):
-    path = write_config(tmp_path, base_config())
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert cli.main(["solve", "--config", path, "--out", str(out1),
-                     "--seed", "1"]) == 0
-    assert cli.main(["solve", "--config", path, "--out", str(out2),
-                     "--seed", "2"]) == 0
-    assert (out1 / "trace.jsonl").read_bytes() != (
-        out2 / "trace.jsonl").read_bytes()
+def test_problem_seed_changes_the_trace(tmp_path):
+    traces = []
+    for seed in (1, 2):
+        path = write_config(tmp_path, base_config(seed=seed), f"s{seed}.json")
+        out = tmp_path / f"s{seed}"
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
+                         "--config", path]) == 0
+        traces.append((out / "trace.jsonl").read_bytes())
+    assert traces[0] != traces[1]
