@@ -1,7 +1,8 @@
 """Command-line harness: parameter tables, solve runs, sweeps, trace audits.
 
 Config files are JSON with an explicit ``schema_version``; unknown fields
-are rejected so that golden fixtures stay unambiguous.
+are rejected, so that a config means one run and a trace certifies only
+against the config it records.
 """
 
 import argparse
@@ -40,11 +41,6 @@ def _is_vector(x):
     return isinstance(x, list) and all(_is_real(v) for v in x)
 
 
-def _is_matrix(x):
-    return (isinstance(x, list) and all(_is_vector(row) for row in x)
-            and len({len(row) for row in x}) <= 1)
-
-
 # A config field: whether it is required, its type (a description and a
 # test; None: not checked here), and an integer's least and greatest value.
 _Field = collections.namedtuple("_Field", "required kind least greatest",
@@ -62,11 +58,8 @@ _CONFIG_FIELDS = {
                "stopping": _Field(), "sweep": _Field()},
     "problem": {"kind": _REQUIRED,
                 "dimension": _Field(True, _INTEGER, 1, 4096),
-                "seed": _Field(True, _INTEGER, 0),
-                "matrix": _Field(kind=("a list of numeric rows of equal "
-                                       "length", _is_matrix)),
-                "offset": _Field(kind=("a list of numbers", _is_vector))},
-    "instance": {"kind": _REQUIRED, "lambda": _REAL},
+                "seed": _Field(True, _INTEGER, 0)},
+    "instance": {"kind": _REQUIRED},
     "params": {"alpha": _REAL, "sigma": _REAL, "beta": _REAL, "tau": _REAL,
                "ramp_iters": _Field(kind=_INTEGER)},
     "stopping": {"rho": _REAL, "eps_hat": _REAL,
@@ -114,19 +107,11 @@ def load_config(path):
             f"(expected {CONFIG_SCHEMA_VERSION})")
 
     prob = _section(raw["problem"], "problem")
-    given = [key for key in ("matrix", "offset") if key in prob]
-    if given and prob["kind"] != "affine_inclusion":
-        raise ConfigError(f"problem.{given[0]} is read only by kind "
-                          f"affine_inclusion, not by {prob['kind']!r}")
-    if len(given) == 1:
-        missing, = {"matrix", "offset"} - set(given)
-        raise ConfigError(f"problem.{given[0]} needs problem.{missing}")
-    problem = operators.make_problem(
-        prob["kind"], prob["dimension"], prob["seed"],
-        matrix=prob.get("matrix"), offset=prob.get("offset"))
+    problem = operators.make_problem(prob["kind"], prob["dimension"],
+                                     prob["seed"])
 
     inst = _section(raw["instance"], "instance")
-    config = instances.InstanceConfig(inst["kind"], lam=inst.get("lambda"))
+    config = instances.InstanceConfig(inst["kind"])
 
     par = _section(raw["params"], "params")
     if "beta" in par and "tau" in par:

@@ -250,7 +250,7 @@ def _texts(values, non_finite):
     reprs ``nan``, ``inf`` and ``-inf``."""
     try:
         texts = list(map(float.__repr__, values))
-    except TypeError:  # an int, e.g. lam from a config's "lambda": 1
+    except TypeError:  # an int, e.g. a "lam": 1 read back from a trace
         texts = list(map(_number_text, values))
     else:
         if math.isfinite(sum(values)):  # then every value is finite

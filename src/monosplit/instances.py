@@ -29,10 +29,9 @@ INSTANCE_KINDS = ("ppm", "tseng_fbf", "forward_backward")
 
 @dataclass(frozen=True)
 class InstanceConfig:
-    """Inner-solver selection and its constant stepsize, the run's floor."""
+    """Inner-solver selection; its stepsize is :func:`default_stepsize`."""
 
     kind: str
-    lam: float = None  # constant stepsize; None = the instance's cap/default
 
     def __post_init__(self):
         if self.kind not in INSTANCE_KINDS:
@@ -84,10 +83,6 @@ def fb_step(F, B, w, lam):
     return Certificate(z_tilde=z_tilde, v=v, eps=eps, lam=lam)
 
 
-# Relative round-off allowance on a given stepsize over its cap.
-_CAP_SLACK = 1e-12
-
-
 def default_stepsize(kind, problem, params):
     """Constant stepsize at the instance cap (1.0 for the proximal point)."""
     if kind == "ppm":
@@ -103,17 +98,13 @@ def default_stepsize(kind, problem, params):
 def make_inner_solver(problem, config, params):
     """Bind a step function to a problem; returns ``(solver, lam)``.
 
-    ``lam``, the stepsize of every step, is the run's stepsize floor.
-    Checks the stepsize, sigma, the problem's structure (``ppm`` resolves
-    a plain operator, the splittings take ``(F, B)``), cocoercivity and the
-    stepsize cap before any step runs.
+    ``lam``, the stepsize of every step and the run's stepsize floor, is
+    the instance's cap (:func:`default_stepsize`).  Checks the problem's
+    structure (``ppm`` resolves a plain operator, the splittings take
+    ``(F, B)``), sigma, cocoercivity and the stepsize before any step runs.
     """
     kind = config.kind
-    lam = config.lam
-    if lam is None:
-        lam = default_stepsize(kind, problem, params)
-    if not lam > 0.0:  # so that a NaN fails
-        raise ParameterError(f"stepsize must be positive, got {lam}")
+    lam = default_stepsize(kind, problem, params)
 
     if kind == "ppm":
         if params.sigma != 0.0:
@@ -127,8 +118,6 @@ def make_inner_solver(problem, config, params):
         return solver, lam
 
     F, B = problem.forward, problem.resolvent
-    if F is None:
-        raise ParameterError(f"{kind} needs a structured (F, B) problem")
     tseng = kind == "tseng_fbf"
     name = "tseng" if tseng else "forward-backward"
     if not (0.0 < params.sigma < 1.0):
@@ -136,11 +125,8 @@ def make_inner_solver(problem, config, params):
             f"{name} needs sigma in (0, 1), got {params.sigma}")
     if not (tseng or F.cocoercive):
         raise ParameterError("forward-backward needs a cocoercive map")
-    cap = default_stepsize(kind, problem, params)
-    if lam > cap * (1.0 + _CAP_SLACK):
-        raise ParameterError(
-            f"stepsize {lam} exceeds the cap "
-            f"{'sigma/L' if tseng else '2 sigma^2/L'} = {cap}")
+    if not lam > 0.0:  # sigma / L or 2 sigma^2 / L can underflow to 0
+        raise ParameterError(f"stepsize must be positive, got {lam}")
 
     if tseng:
         def solver(w, k):

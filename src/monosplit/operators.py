@@ -23,11 +23,6 @@ from .errors import OracleError, ParameterError
 _BRUTE_FORCE_DIM_CAP = 20
 
 
-# Round-off allowance on the least eigenvalue of the symmetric part of a
-# monotone matrix.
-_MONOTONE_TOL = 1e-10
-
-
 class AffineOperator:
     """Single-valued affine map ``z -> A z + b``.
 
@@ -54,12 +49,6 @@ class AffineOperator:
     def __call__(self, z):
         return self.linear(z) + self.offset
 
-    def symmetric_part(self):
-        return 0.5 * (self.matrix + self.matrix.T)
-
-    def min_symmetric_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.symmetric_part())[0])
-
     def zero_point(self):
         """Solve ``A z + b = 0``; raises :class:`OracleError` if singular."""
         try:
@@ -74,8 +63,8 @@ class SaddleOperator(AffineOperator):
     Its matrix ``S = [[0, K], [-K^T, 0]]`` is half zeros, so products read
     only the blocks ``K`` and ``-K^T``, stacked into one ``(2, h, h)``
     array and applied to the swapped halves in one batched product.
-    ``matrix`` builds the dense ``S`` on first use, for the symmetric-part
-    checks and the test suite's enlargement oracle.
+    ``matrix`` builds the dense ``S`` on first use, for the test suite's
+    oracles.
     """
 
     def __init__(self, coupling, offset):
@@ -529,32 +518,17 @@ def _psd_plus_skew(rng, n, ridge):
     return A
 
 
-def make_problem(kind, dimension, seed, matrix=None, offset=None):
-    """Build a reproducible problem instance.
-
-    ``matrix``/``offset`` override the random affine data for the
-    ``affine_inclusion`` kind (used by config files and spot checks).
-    """
+def make_problem(kind, dimension, seed):
+    """Build a reproducible problem instance from its seed."""
     if dimension < 1:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
     rng = np.random.default_rng(seed)
 
     if kind == "affine_inclusion":
-        if matrix is not None:
-            A = np.asarray(matrix, dtype=float)
-            b = linalg.as_vector(offset)
-            if A.shape != (dimension, dimension) or b.shape != (dimension,):
-                raise ParameterError(
-                    f"matrix {A.shape} and offset {b.shape} do not match "
-                    f"dimension {dimension}")
-        else:
-            A = _psd_plus_skew(rng, dimension, 0.5)
-            b = rng.standard_normal(dimension)
+        # monotone by construction: the symmetric part is >= 0.5 I
+        A = _psd_plus_skew(rng, dimension, 0.5)
+        b = rng.standard_normal(dimension)
         T = AffineOperator(A, b)
-        # a generated matrix is monotone by construction (sym part >= 0.5 I)
-        if (matrix is not None
-                and T.min_symmetric_eigenvalue() < -_MONOTONE_TOL):
-            raise ParameterError("affine operator is not monotone")
         return TestProblem(
             kind, dimension,
             resolvent=AffineResolvent(T),

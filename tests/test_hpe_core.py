@@ -104,14 +104,29 @@ def test_run_exact_pp_distance_nonincreasing():
 def test_run_terminates_immediately_at_a_zero():
     # a zero offset puts the solution at the origin, where the run starts
     rng = np.random.default_rng(2)
-    prob = operators.make_problem(
-        "affine_inclusion", 4, seed=2,
-        matrix=np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
-        offset=np.zeros(4))
+    T = operators.AffineOperator(
+        np.eye(4) + 0.1 * rng.standard_normal((4, 4)), np.zeros(4))
+    prob = operators.TestProblem(
+        "affine_inclusion", 4, operators.AffineResolvent(T), affine_T=T,
+        known_solution=T.zero_point())
     np.testing.assert_array_equal(prob.known_solution, np.zeros(4))
     state = run(prob, ppm_solver(prob), PLAIN, lambda_floor=1.0)
     assert state.verdict == "solved"
     assert state.k == 1
+
+
+def test_a_step_whose_norm_v_underflows_is_refused():
+    # ||v||^2 of v = 1e-300 * 1 is 0: the trace would record norm_v 0, the
+    # run would "solve" at k=1 and its audit would fail
+    prob = operators.make_problem("affine_inclusion", 6, seed=1)
+
+    def tiny(w, k):
+        v = np.full(6, 1e-300)
+        return Certificate(z_tilde=w - v, v=v, eps=0.0, lam=1.0)
+
+    with pytest.raises(CertificationError,
+                       match=r"^\|\|v\|\|\^2 underflows at k=1$"):
+        run(prob, tiny, PLAIN, lambda_floor=1.0)
 
 
 def test_update_rule_holds_bitwise():

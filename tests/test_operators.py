@@ -303,12 +303,6 @@ def test_bruteforce_dimension_caps():
 
 # -- problem zoo -------------------------------------------------------------
 
-def test_make_problem_affine_override_example():
-    prob = make_problem("affine_inclusion", 2, seed=0,
-                        matrix=[[2.0, 0.0], [0.0, 2.0]], offset=[-2.0, -4.0])
-    np.testing.assert_allclose(prob.known_solution, [1.0, 2.0], atol=1e-12)
-
-
 def test_bilinear_saddle_zero_offset_solution_is_origin():
     prob = make_problem("bilinear_saddle", 6, seed=1)
     T0 = AffineOperator(prob.affine_T.matrix, np.zeros(6))
@@ -375,9 +369,6 @@ def test_make_problem_rejects_bad_inputs():
         make_problem("affine_inclusion", 0, 0)
     with pytest.raises(ParameterError):
         make_problem("bilinear_saddle", 5, 0)  # odd dimension
-    with pytest.raises(ParameterError):
-        make_problem("affine_inclusion", 3, 0, matrix=np.eye(2),
-                     offset=np.ones(2))
 
 
 def test_affine_zero_point_singular_raises():
@@ -425,10 +416,12 @@ def test_affine_resolvent_is_the_direct_factorisation_bit_for_bit(n):
 def test_affine_resolvent_of_a_signed_zero_matrix_is_bit_for_bit():
     # adding the identity turned each off-diagonal -0.0 of lam A into +0.0;
     # a factor that kept them would flip the sign of zero outputs
-    matrix = [[1.0, -0.0, 0.5], [-0.0, 2.0, -0.0], [-0.5, 0.0, 1.0]]
-    problem = make_problem("affine_inclusion", 3, 0, matrix=matrix,
-                           offset=[0.0, -0.0, 0.0])
-    assert bits(problem.data["matrix"]) == bits(np.array(matrix))
+    A = np.array([[1.0, -0.0, 0.5], [-0.0, 2.0, -0.0], [-0.5, 0.0, 1.0]])
+    b = np.array([0.0, -0.0, 0.0])
+    T = AffineOperator(A, b)
+    problem = operators.TestProblem("affine_inclusion", 3, AffineResolvent(T),
+                                    affine_T=T,
+                                    data={"matrix": A, "offset": b})
     points = np.array(list(itertools.product((0.0, -0.0, 1.0), repeat=3)))
     for lam in (1, 0.25):
         check_resolvent_bits(problem, lam, points)

@@ -51,7 +51,7 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                0.1, 1.0, -1.0, 1e16, 1e-5)
 reals = st.one_of(st.sampled_from(EDGE_FLOATS),
                   st.floats(allow_nan=False, allow_infinity=False))
-# lam from a config's "lambda": 1 is an int
+# a "lam": 1 read back from a trace, or a library step's lam=1, is an int
 stepsizes = st.one_of(reals, st.integers(-10 ** 6, 10 ** 6))
 # no known solution gives all-NaN distance columns; a trace read back from
 # a file mixes NaN and finite values in one column; a norm can overflow
@@ -109,7 +109,7 @@ def test_solver_trace_matches_the_oracle(tmp_path):
     prob = operators.make_problem("l1_composite", 5, 3)
     p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
     state = instances.solve(
-        prob, instances.InstanceConfig(kind="tseng_fbf", lam=0.01), p,
+        prob, instances.InstanceConfig(kind="tseng_fbf"), p,
         stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
     assert len(state.trace) > 2 * hpe_core._CHUNK_ROWS
     state.trace.write_jsonl(tmp_path / "a.jsonl", header={"seed": 3})
