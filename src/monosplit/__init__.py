@@ -19,7 +19,7 @@ from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
                         ForwardMap, L1Resolvent, TestProblem, ZeroResolvent,
                         make_problem, resolve)
 from .params import (HpeParams, beta_prime, beta_prime_lower_bound,
-                     beta_to_t, eta_of, inverse_map, q_value, tau_of)
+                     beta_to_t, eta_of, q_value, tau_of)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "StoppingRule", "TestProblem", "TheoremViolation", "ZeroResolvent",
     "assert_bounds", "audit", "beta_prime", "beta_prime_lower_bound",
     "beta_to_t", "certify", "ergodic_bounds", "eta_of", "fb_step",
-    "inverse_map", "iteration_budget", "make_inner_solver", "make_problem",
+    "iteration_budget", "make_inner_solver", "make_problem",
     "pointwise_bounds", "ppm_step", "q_value", "resolve", "run", "solve",
     "tau_of", "tseng_step",
 ]

@@ -51,6 +51,14 @@ class BoundInputs:
                 f"lambda_floor must be positive, got {self.lambda_floor}")
 
 
+def _finite(inp, *bounds):
+    if not all(np.isfinite(b).all() for b in bounds):
+        raise ParameterError(
+            f"the closed-form bounds overflow at lambda_floor * tau = "
+            f"{inp.lambda_floor * inp.params.tau:.3g}")
+    return bounds
+
+
 def _known_d0(inp):
     if inp.d0 is None:
         raise ParameterError("d0 is unknown: the problem has no known "
@@ -68,9 +76,12 @@ def pointwise_bounds(inp, k):
     p, d0 = inp.params, _known_d0(inp)
     infl = p.energy_inflation()
     denom = inp.lambda_floor * p.tau
-    v_bound = d0 / (denom * np.sqrt(k)) * math.sqrt(infl / p.eta)
-    eps_bound = (p.sigma * d0 ** 2 * infl
-                 / (2.0 * (1.0 - p.sigma ** 2) * denom * k))
+    # a stepsize floor near the subnormal range overflows d0 / denom; the
+    # audit refuses the infinite bounds, which check nothing
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v_bound = d0 / (denom * np.sqrt(k)) * math.sqrt(infl / p.eta)
+        eps_bound = (p.sigma * d0 ** 2 * infl
+                     / (2.0 * (1.0 - p.sigma ** 2) * denom * k))
     return v_bound, eps_bound
 
 
@@ -83,11 +94,12 @@ def ergodic_bounds(inp, k):
     p, d0 = inp.params, _known_d0(inp)
     infl = p.energy_inflation()
     denom = inp.lambda_floor * p.tau * k
-    v_a = 2.0 * (1.0 + p.alpha) * d0 / denom * math.sqrt(infl)
     spread = (1.0
               + p.sigma / math.sqrt((1.0 - p.sigma ** 2) * p.tau)
               + math.sqrt(4.0 + (1.0 - p.tau) ** 2 / (p.eta * p.tau ** 2)))
-    eps_a = 2.0 * math.sqrt(2.0) * d0 ** 2 / denom * infl * spread
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v_a = 2.0 * (1.0 + p.alpha) * d0 / denom * math.sqrt(infl)
+        eps_a = 2.0 * math.sqrt(2.0) * d0 ** 2 / denom * infl * spread
     return v_a, eps_a
 
 
@@ -126,7 +138,8 @@ def assert_bounds(trace, inp):
     TheoremViolation
         Naming the iteration and the violated bound.
     ParameterError
-        When ``inp.d0`` is None: the bounds need a known solution.
+        When ``inp.d0`` is None: the bounds need a known solution; or when
+        a bound overflows and so checks nothing.
     """
     _known_d0(inp)
     n = len(trace)
@@ -137,7 +150,7 @@ def assert_bounds(trace, inp):
     ks = np.arange(1, n + 1)
     slack = 1.0 + BOUND_RTOL
 
-    vb, eb = pointwise_bounds(inp, ks)
+    vb, eb = _finite(inp, *pointwise_bounds(inp, ks))
     new_min = np.ones(n, dtype=bool)
     new_min[1:] = s_k[1:] < np.minimum.accumulate(s_k)[:-1]
     witness = np.maximum.accumulate(np.where(new_min, ks - 1, 0))
@@ -154,7 +167,7 @@ def assert_bounds(trace, inp):
     worst["pointwise_eps"] = _peak(eps[witness], eb)
 
     if inp.params.is_constant:
-        vab, eab = ergodic_bounds(inp, ks)
+        vab, eab = _finite(inp, *ergodic_bounds(inp, ks))
         for name, values, bound in (
                 ("ergodic_v", trace.column("norm_v_a"), vab),
                 ("ergodic_eps", trace.column("eps_a"), eab)):
@@ -286,6 +299,8 @@ def _rate_bounds(trace, inp):
         worst = assert_bounds(trace, inp)["worst_utilization"]
     except TheoremViolation as exc:
         return FAIL, str(exc)
+    except ParameterError as exc:  # the bounds overflow
+        return SKIP, str(exc)
     shown = ", ".join(f"{name}={value:.3g}" for name, value in worst.items())
     detail = f"all {len(trace)} prefixes within bounds; utilization {shown}"
     if "ergodic_v" not in worst:

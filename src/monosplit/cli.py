@@ -60,12 +60,12 @@ _CONFIG_FIELDS = {
                 "dimension": _Field(True, _INTEGER, 1, 4096),
                 "seed": _Field(True, _INTEGER, 0)},
     "instance": {"kind": _REQUIRED},
-    "params": {"alpha": _REAL, "sigma": _REAL, "beta": _REAL, "tau": _REAL,
+    "params": {"alpha": _REAL, "sigma": _REAL, "beta": _REAL,
                "ramp_iters": _Field(kind=_INTEGER)},
     "stopping": {"rho": _REAL, "eps_hat": _REAL,
                  "max_iters": _Field(False, _INTEGER, 1)},
     # in the bench CSV's column order
-    "sweep": {"alpha": _GRID, "sigma": _GRID, "beta": _GRID, "tau": _GRID},
+    "sweep": {"alpha": _GRID, "sigma": _GRID, "beta": _GRID},
 }
 
 
@@ -113,10 +113,8 @@ def load_config(path):
     inst = _section(raw["instance"], "instance")
     config = instances.InstanceConfig(inst["kind"])
 
-    par = _section(raw["params"], "params")
-    if "beta" in par and "tau" in par:
-        raise ConfigError("params gives both beta and tau; give one")
-    params = params_mod.HpeParams.from_dict(par)
+    params = params_mod.HpeParams.from_dict(
+        _section(raw["params"], "params"))
 
     stop = hpe_core.StoppingRule(**_section(raw.get("stopping", {}),
                                             "stopping"))
@@ -126,9 +124,6 @@ def load_config(path):
         _section(sweep, "sweep")
         if not any(sweep.values()):
             raise ConfigError("sweep present but every grid is empty")
-        if "beta" in sweep and "tau" in sweep:
-            raise ConfigError("sweep has grids for both beta and tau; "
-                              "give one")
 
     return {"problem": problem, "instance": config, "params": params,
             "stop": stop, "sweep": sweep, "raw": raw}
@@ -162,7 +157,7 @@ def cmd_params(args):
     print(f"eta        = {eta}")
     if args.alpha is not None:
         try:
-            params_mod.HpeParams.from_beta(args.alpha, sigma, beta)
+            params_mod.HpeParams(args.alpha, sigma, beta)
             flag = ""
         except ParameterError:
             flag = "  (inadmissible)"
@@ -227,18 +222,14 @@ def cmd_solve(args):
 def _bench_cell(cfg, overrides):
     """Solve one sweep cell on the sweep's shared problem; return its CSV row.
 
-    The cell's values replace those of the config's ``params`` section (a
-    ``beta`` or ``tau`` replaces both), so a cell runs with the parameters
-    a ``solve`` of its config would.  The problem, instance and stopping
-    rule are shared by every cell.
+    The cell's values replace those of the config's ``params`` section,
+    so a cell runs with the parameters a ``solve`` of its config would.
+    The problem, instance and stopping rule are shared by every cell.
     """
     row = [repr(float(v)) for v in overrides.values()]
-    base = cfg["raw"]["params"]
-    if not overrides.keys().isdisjoint(("beta", "tau")):
-        base = {k: v for k, v in base.items() if k not in ("beta", "tau")}
     try:
         cell = dict(cfg, params=params_mod.HpeParams.from_dict(
-            dict(base, **overrides)))
+            dict(cfg["raw"]["params"], **overrides)))
         state = _run_config(cell)
         checks = certify_trace(state.trace, cell)
     except MonosplitError as exc:

@@ -11,7 +11,7 @@ from monosplit.errors import ParameterError, TheoremViolation
 
 mpmath.mp.dps = 50
 
-PLAIN = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
+PLAIN = params.HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
 
 
 def mp_closed_forms(alpha, sigma, tau, eta, q_alpha, d0, lam, k):
@@ -44,7 +44,7 @@ def test_pointwise_plain_hpe_form():
 
 def test_pointwise_inertial_example():
     # alpha = 0.3, sigma = 0, tau = 1 gives eta = 1, q(0.3) = 0.1
-    p = params.HpeParams.from_beta(alpha=0.3, sigma=0.0, beta=1.0 / 3.0)
+    p = params.HpeParams(alpha=0.3, sigma=0.0, beta=1.0 / 3.0)
     inp = BoundInputs(d0=1.0, lambda_floor=1.0, params=p)
     vb, _ = pointwise_bounds(inp, 100)
     expected = 0.1 * math.sqrt(1.0 + (0.6 * 1.3) / (0.49 * 0.1))
@@ -69,7 +69,7 @@ def test_sigma_zero_spread_term_identity():
     # at sigma = 0, eta tau^2 == tau (2 - tau), so the exact-step variant
     # sqrt(4 + (1-tau)^2/(tau(2-tau))) coincides with the generic form
     for beta in (0.34, 0.5, 0.7, 0.9):
-        p = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=beta)
+        p = params.HpeParams(alpha=0.0, sigma=0.0, beta=beta)
         assert p.eta * p.tau ** 2 == pytest.approx(
             p.tau * (2.0 - p.tau), rel=1e-12)
 
@@ -77,7 +77,7 @@ def test_sigma_zero_spread_term_identity():
 def test_bounds_match_high_precision_on_grid():
     for alpha, sigma, beta in [(0.0, 0.0, 1.0 / 3.0), (0.1, 0.5, 0.4),
                                (0.25, 0.9, 0.45), (0.3, 0.0, 0.35)]:
-        p = params.HpeParams.from_beta(alpha=alpha, sigma=sigma, beta=beta)
+        p = params.HpeParams(alpha=alpha, sigma=sigma, beta=beta)
         inp = BoundInputs(d0=1.7, lambda_floor=0.3, params=p)
         for k in (1, 13, 500):
             vb, eb = pointwise_bounds(inp, k)
@@ -95,7 +95,7 @@ def test_iteration_budget():
     assert iteration_budget(0.1, math.inf, inp) == 100
     assert iteration_budget(0.05, math.inf, inp) == 400
     # eps term binds for inexact params when eps_hat << rho^2
-    p = params.HpeParams.from_beta(alpha=0.0, sigma=0.9, beta=0.4)
+    p = params.HpeParams(alpha=0.0, sigma=0.9, beta=0.4)
     inp2 = BoundInputs(d0=1.0, lambda_floor=1.0, params=p)
     assert iteration_budget(1.0, 1e-6, inp2) > iteration_budget(
         1.0, 1e-2, inp2)
@@ -143,7 +143,7 @@ def test_bounds_need_known_d0(certified_run):
 @pytest.fixture(scope="module")
 def certified_run():
     prob = operators.make_problem("box_constrained_quadratic", 6, seed=30)
-    p = params.HpeParams.from_beta(alpha=0.15, sigma=0.8, beta=0.4)
+    p = params.HpeParams(alpha=0.15, sigma=0.8, beta=0.4)
     state = instances.solve(prob, instances.InstanceConfig(
         kind="forward_backward"), p,
         stop=hpe_core.StoppingRule(rho=1e-8, max_iters=10 ** 5))

@@ -422,10 +422,14 @@ def test_config_refuses_an_instance_lambda_floor(tmp_path, capsys):
     ("problem", "matrix", [[2.0, 0.0], [0.0, 2.0]]),
     ("problem", "offset", [1.0, 1.0]),
     ("instance", "lambda", 0.1),
-], ids=["problem-matrix", "problem-offset", "instance-lambda"])
+    ("params", "tau", 0.5),
+    ("sweep", "tau", [0.5]),
+], ids=["problem-matrix", "problem-offset", "instance-lambda", "params-tau",
+        "sweep-tau"])
 def test_config_refuses_a_removed_field(tmp_path, capsys, section, field,
                                         value):
-    # a run is a seeded zoo problem at its instance's own stepsize
+    # a run is a seeded zoo problem at its instance's own stepsize, with
+    # tau derived from (sigma, beta)
     cfg = _config_with(section, field, value)
     path = write_config(tmp_path, cfg)
     trace = tmp_path / "trace.jsonl"
@@ -648,37 +652,6 @@ def assert_rows_are_cell_solves(tmp_path, cfg, rows):
         assert float(row["final_eps"]) == summary["final_eps"]
 
 
-def test_bench_cells_of_a_tau_config_keep_its_tau(tmp_path):
-    # the cells used to run with a tau re-derived from beta', not the
-    # config's own tau
-    cfg = base_config(kind="box_constrained_quadratic",
-                      instance="forward_backward", dim=5, seed=3,
-                      sweep={"sigma": [0.3, 0.7]})
-    cfg["params"] = {"alpha": 0.1, "sigma": 0.5, "tau": 0.6}
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "g.csv"
-    assert cli.main(["bench", "--config", path, "--out", str(out)]) == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["status"] for r in rows] == ["ok", "ok"]
-    assert_rows_are_cell_solves(tmp_path, cfg, rows)
-
-
-@pytest.mark.parametrize("section,beta,tau", [("params", 0.4, 0.3),
-                                              ("sweep", [0.4], [0.3])],
-                         ids=["params", "sweep"])
-def test_config_refuses_beta_with_tau(tmp_path, capsys, section, beta, tau):
-    cfg = base_config(sweep={"alpha": [0.0]})
-    cfg[section].update(beta=beta, tau=tau)
-    path = write_config(tmp_path, cfg)
-    for command in ("solve", "bench"):
-        assert cli.main([command, "--config", path,
-                         "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ")
-        assert "beta" in err[0] and "tau" in err[0]
-
-
 def test_bench_jobs_other_than_one_is_a_usage_error(tmp_path):
     path = write_config(tmp_path, base_config(sweep={"alpha": [0.0]}))
     with pytest.raises(SystemExit) as exc:
@@ -787,6 +760,24 @@ def test_unwritable_output_path_reported(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(target) in err[0]
+
+
+def test_a_subnormal_stepsize_skips_the_rate_bounds(tmp_path, capsys):
+    # tseng's stepsize sigma / L is subnormal, so d0 / (lambda tau)
+    # overflows: the infinite bounds check nothing, and say so
+    cfg = base_config(kind="bilinear_saddle", instance="tseng_fbf", dim=4,
+                      seed=1, stopping={"max_iters": 50})
+    cfg["params"] = {"sigma": 5e-324}
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("verdict=max_iters k=50 ")
+    assert captured.err == ""
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    rate = next(c for c in checks if c["name"] == "rate_bounds")
+    assert rate["status"] == "skip"
+    assert rate["detail"].startswith("the closed-form bounds overflow")
 
 
 def test_problem_seed_changes_the_trace(tmp_path):

@@ -13,7 +13,7 @@ from monosplit.hpe_core import (Certificate, IterationTrace, StoppingRule,
                                 certify, run)
 from recorder import Recorder
 
-PLAIN = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
+PLAIN = params.HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
 
 
 def ppm_solver(problem, lam=1.0):
@@ -131,7 +131,7 @@ def test_a_step_whose_norm_v_underflows_is_refused():
 
 def test_update_rule_holds_bitwise():
     prob = operators.make_problem("affine_inclusion", 5, seed=3)
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.0, beta=0.4)
+    p = params.HpeParams(alpha=0.2, sigma=0.0, beta=0.4)
     rec = Recorder(ppm_solver(prob))
     state = run(prob, rec, p, lambda_floor=1.0, stop=StoppingRule(rho=1e-9))
     # the w of step k + 1 is extrapolated from z_k = w - tau lam v of step k
@@ -191,7 +191,7 @@ def test_criterion_residual_does_not_cancel_near_the_solution(alpha, steps):
     # lam v + z~ - w used to cancel at the scale of |w| and push the
     # ratio past 1 + 1e-9 at k=81 (alpha 0) and k=61 (alpha 0.2)
     prob = operators.make_problem("box_constrained_quadratic", 5, 13)
-    p = params.HpeParams.from_beta(alpha=alpha, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=alpha, sigma=0.5, beta=0.4)
     state = instances.solve(prob, instances.InstanceConfig(kind="tseng_fbf"),
                             p, stop=StoppingRule(rho=1e-8, eps_hat=1e-12))
     assert (state.verdict, state.k) == ("solved", steps)
@@ -203,7 +203,7 @@ def test_criterion_residual_does_not_cancel_near_the_solution(alpha, steps):
 @pytest.fixture(scope="module")
 def inertial_run():
     prob = operators.make_problem("affine_inclusion", 8, seed=8)
-    p = params.HpeParams.from_beta(alpha=0.3, sigma=0.0, beta=0.35)
+    p = params.HpeParams(alpha=0.3, sigma=0.0, beta=0.35)
     state = run(prob, ppm_solver(prob), p, lambda_floor=1.0,
                 stop=StoppingRule(rho=1e-9))
     return prob, p, state
@@ -360,7 +360,7 @@ def assert_same_bits(trace, expected):
 def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
                                                         sigma, ramp_iters, n):
     prob = operators.make_problem(kind, n, seed=11)
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=sigma, beta=0.4,
+    p = params.HpeParams(alpha=0.2, sigma=sigma, beta=0.4,
                                    ramp_iters=ramp_iters)
     solver, floor = instances.make_inner_solver(
         prob, instances.InstanceConfig(kind=instance), p)
@@ -392,7 +392,7 @@ def separable_box_problem(n, seed, known=True):
 def test_run_matches_its_replay_at_a_million_coordinates(instance):
     n = 10 ** 6
     prob = separable_box_problem(n, seed=12)
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     solver, floor = instances.make_inner_solver(
         prob, instances.InstanceConfig(kind=instance), p)
     stop = StoppingRule(rho=0.0, max_iters=16)
@@ -458,7 +458,7 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
     K = block_steps(known)
     assert K == (3 if known else 6)
     prob = separable_box_problem(BLOCK_N, seed=13, known=known)
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     solver, floor = instances.make_inner_solver(
         prob, instances.InstanceConfig(kind="forward_backward"), p)
     recorded = []
@@ -498,7 +498,7 @@ def test_a_step_that_fails_mid_block_ends_the_run_at_its_step(known, fault,
     # no inner call follows a failed step, whatever the block holds
     last = block_steps(known) + 2
     prob = separable_box_problem(BLOCK_N, seed=14, known=known)
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     solver, floor = instances.make_inner_solver(
         prob, instances.InstanceConfig(kind="forward_backward"), p)
 

@@ -49,7 +49,7 @@ def test_ppm_step_box_projection_displacement():
 def test_tseng_step_stepsize_cap():
     # make_inner_solver refuses before any step runs
     prob = make_problem("bilinear_saddle", 4, seed=0)
-    p0 = params.HpeParams.from_beta(alpha=0.1, sigma=0.0, beta=0.4)
+    p0 = params.HpeParams(alpha=0.1, sigma=0.0, beta=0.4)
     with pytest.raises(ParameterError,
                        match=r"tseng needs sigma in \(0, 1\), got 0\.0"):
         instances.make_inner_solver(prob, InstanceConfig("tseng_fbf"), p0)
@@ -95,7 +95,7 @@ def test_tseng_inclusion_exactness():
 
 def test_tseng_certificates_pass_on_seeded_run():
     prob = make_problem("bilinear_saddle", 8, seed=6)
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.9, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=0.9, beta=0.4)
     state = solve(prob, InstanceConfig(kind="tseng_fbf"), p,
                   stop=hpe_core.StoppingRule(rho=1e-8, max_iters=10 ** 5))
     assert state.verdict == "solved"
@@ -107,8 +107,8 @@ def test_tseng_certificates_pass_on_seeded_run():
 def test_fb_step_requirements():
     # make_inner_solver refuses before any step runs
     prob = make_problem("box_constrained_quadratic", 4, seed=7)
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
-    p0 = params.HpeParams.from_beta(alpha=0.1, sigma=0.0, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
+    p0 = params.HpeParams(alpha=0.1, sigma=0.0, beta=0.4)
     with pytest.raises(
             ParameterError,
             match=r"forward-backward needs sigma in \(0, 1\), got 0\.0"):
@@ -161,12 +161,12 @@ def test_fb_membership_via_enlargement_oracle():
                                   cert.eps)
 
 
-# -- classical reductions (alpha = 0, tau = 1) -------------------------------
+# -- classical reductions (alpha = 0; tau = 1 at the floor of beta') ----------
 
 def test_fb_reduction_to_classical_iterates():
     prob = make_problem("l1_composite", 6, seed=14)
     sigma = 1.0 / math_sqrt2()
-    p = params.HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
+    p = params.HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
     rec = Recorder(
         lambda w, k: fb_step(prob.forward, prob.resolvent, w, lam))
@@ -186,7 +186,7 @@ def test_tseng_difference_does_not_cancel_near_the_solution(alpha, steps):
     # F(z~) - F(P(w)) as two forward values used to cancel and push the
     # ratio past 1 + 1e-9 at k=373 (alpha 0) and k=302 (alpha 0.2)
     prob = make_problem("box_constrained_quadratic", 5, 13)
-    p = params.HpeParams.from_beta(alpha=alpha, sigma=0.9, beta=0.4)
+    p = params.HpeParams(alpha=alpha, sigma=0.9, beta=0.4)
     state = solve(prob, InstanceConfig(kind="tseng_fbf"), p,
                   stop=hpe_core.StoppingRule(rho=1e-8, eps_hat=1e-12))
     assert (state.verdict, state.k) == ("solved", steps)
@@ -197,7 +197,7 @@ def test_tseng_reduction_to_classical_iterates():
     # on B = 0 the scheme is z_k = z~_k - lam (F(z~_k) - F(z_{k-1}))
     prob = make_problem("bilinear_saddle", 6, seed=15)
     sigma = 0.9
-    p = params.HpeParams.from_tau(alpha=0.0, sigma=sigma, tau=1.0)
+    p = params.HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
     lam = sigma / prob.lipschitz_L
     rec = Recorder(
         lambda w, k: tseng_step(prob.forward, prob.resolvent, w, lam))
@@ -223,14 +223,14 @@ def math_sqrt2():
 
 def test_make_inner_solver_enforces_sigma_for_ppm():
     prob = make_problem("affine_inclusion", 4, seed=16)
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
     with pytest.raises(ParameterError):
         instances.make_inner_solver(prob, InstanceConfig(kind="ppm"), p)
 
 
 def test_make_inner_solver_requires_structure():
     prob = make_problem("affine_inclusion", 4, seed=17)
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
     for kind in ("tseng_fbf", "forward_backward"):
         with pytest.raises(ParameterError,
                            match=f"^{kind} needs a forward map with known L$"):
@@ -239,7 +239,7 @@ def test_make_inner_solver_requires_structure():
 
 def test_default_stepsizes_sit_at_the_caps():
     prob = make_problem("box_constrained_quadratic", 4, seed=18)
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
     L = prob.lipschitz_L
     assert instances.default_stepsize("ppm", prob, p) == 1.0
     assert instances.default_stepsize("tseng_fbf", prob, p) == 0.5 / L
@@ -249,7 +249,7 @@ def test_default_stepsizes_sit_at_the_caps():
 def test_a_stepsize_that_underflows_is_refused():
     # 2 sigma^2 / L is 0 at sigma = 1e-200; a step would divide by it
     prob = make_problem("box_constrained_quadratic", 4, seed=19)
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=1e-200, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=1e-200, beta=0.4)
     with pytest.raises(ParameterError,
                        match=r"^stepsize must be positive, got 0\.0$"):
         instances.make_inner_solver(

@@ -83,47 +83,17 @@ def test_q_value_cases():
     assert params.q_value(0.5, 3.0) == 0.0
 
 
-def test_inverse_map_values():
-    assert params.inverse_map(1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    # forward map of beta = 0.5 at sigma = 0 is t = 0.5
-    assert params.inverse_map(params.beta_to_t(0.5)) == pytest.approx(
-        0.5, abs=1e-12)
-    # upper endpoint t = 1 + sigma lands on the beta_prime floor
-    assert params.inverse_map(1.5, sigma=0.5) == pytest.approx(
-        params.beta_prime_lower_bound(0.5), abs=1e-10)
-    with pytest.raises(ParameterError):
-        params.inverse_map(1.2, sigma=0.0)
-    with pytest.raises(ParameterError):
-        params.inverse_map(0.0)
-
-
-def test_root_and_roundtrip_on_grid():
-    # 100 x 100 grid: q(beta') = 0 within 1e-10 and the inverse map
-    # recovers beta' from its forward image within 1e-10
-    sigmas = np.linspace(0.0, 0.98, 100)
-    betas = np.linspace(0.02, 0.98, 100)
-    for sigma in sigmas:
-        for beta in betas:
-            bp = params.beta_prime(sigma, beta)
-            tau = params.tau_of(sigma, beta)
-            eta = params.eta_of(sigma, tau)
-            assert abs(params.q_value(bp, eta)) <= 1e-10
-            t = (1.0 + sigma) * tau
-            assert params.inverse_map(t, sigma) == pytest.approx(
-                bp, rel=1e-10, abs=1e-10)
-
-
 # -- bundle construction and validation -------------------------------------
 
 def test_from_beta_plain_case():
-    p = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
+    p = params.HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
     assert p.tau == pytest.approx(1.0, abs=1e-12)
     assert p.eta == pytest.approx(1.0, abs=1e-12)
     assert p.q_alpha == pytest.approx(1.0, abs=1e-12)
 
 
 def test_from_beta_high_sigma_case():
-    p = params.HpeParams.from_beta(alpha=0.3, sigma=0.99, beta=1.0 / 3.0)
+    p = params.HpeParams(alpha=0.3, sigma=0.99, beta=1.0 / 3.0)
     assert p.tau == pytest.approx(1.0 / 1.99, abs=1e-12)
     assert p.eta == pytest.approx(1.0, abs=1e-12)
     assert p.q_alpha == pytest.approx(0.1, abs=1e-12)
@@ -131,7 +101,7 @@ def test_from_beta_high_sigma_case():
 
 def test_from_beta_rejects_alpha_at_least_beta():
     with pytest.raises(ParameterError):
-        params.HpeParams.from_beta(alpha=0.4, sigma=0.0, beta=1.0 / 3.0)
+        params.HpeParams(alpha=0.4, sigma=0.0, beta=1.0 / 3.0)
 
 
 @pytest.mark.parametrize("alpha", [10 ** 400, -(10 ** 400)],
@@ -139,37 +109,38 @@ def test_from_beta_rejects_alpha_at_least_beta():
 def test_alpha_beyond_the_float_range_is_refused_by_its_range(alpha):
     # the range check must come before q(alpha), which overflows here
     with pytest.raises(ParameterError, match="need 0 <= alpha < beta < 1"):
-        params.HpeParams.from_beta(alpha, 0.5, 0.4)
+        params.HpeParams(alpha, 0.5, 0.4)
 
 
-def test_from_tau_rejects_q_nonpositive():
-    # tau = 1 at sigma = 0 gives eta = 1, q(a) = 1 - 3a <= 0 for a >= 1/3
-    with pytest.raises(ParameterError):
-        params.HpeParams.from_tau(alpha=0.4, sigma=0.0, tau=1.0)
-
-
-def test_from_tau_matches_from_beta():
-    p1 = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.45)
-    p2 = params.HpeParams.from_tau(alpha=0.1, sigma=0.5, tau=p1.tau)
-    assert p2.beta_prime == pytest.approx(p1.beta_prime, rel=1e-10)
-    assert p2.eta == pytest.approx(p1.eta, rel=1e-12)
+def _chosen(bundle):
+    """The values a caller chooses, as ``from_dict`` takes them."""
+    return {k: v for k, v in bundle.to_dict().items() if k != "tau"}
 
 
 def test_dict_roundtrip():
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.7, beta=0.5,
-                                   ramp_iters=10)
+    p = params.HpeParams(alpha=0.2, sigma=0.7, beta=0.5, ramp_iters=10)
     assert p.to_dict() == {"alpha": 0.2, "sigma": 0.7, "beta": 0.5,
                            "tau": p.tau, "ramp_iters": 10}
-    assert params.HpeParams.from_dict(p.to_dict()) == p
-    q = params.HpeParams.from_tau(alpha=0.2, sigma=0.7, tau=p.tau)
-    assert params.HpeParams.from_dict(q.to_dict()) == q
+    assert params.HpeParams.from_dict(_chosen(p)) == p
+
+
+def test_to_dict_writes_the_trace_meta_bit_for_bit():
+    # a trace header records the bundle in this order, tau as tau_of
+    for sigma in SIGMAS:
+        for beta in (0.05, 1.0 / 3.0, 0.45, 0.9):
+            d = params.HpeParams(0.01, sigma, beta, 3).to_dict()
+            assert list(d) == ["alpha", "sigma", "beta", "tau", "ramp_iters"]
+            assert d["tau"].hex() == params.tau_of(sigma, beta).hex()
 
 
 def test_from_dict_refuses_tau_off_the_closed_form_at_beta():
-    # tau(0.5, 0.4) = 0.5217...; a dict giving both is built from both
-    with pytest.raises(ParameterError, match="closed form"):
-        params.HpeParams.from_dict(
-            {"alpha": 0.1, "sigma": 0.5, "beta": 0.4, "tau": 0.3})
+    # tau is derived: a dict that names it is refused, even at its closed
+    # form, rather than silently ignored
+    for tau in (0.3, 0.5, params.tau_of(0.5, 0.4)):
+        for d in ({"tau": tau}, {"alpha": 0.1, "sigma": 0.5, "beta": 0.4,
+                                 "tau": tau}):
+            with pytest.raises(ParameterError, match="tau is derived"):
+                params.HpeParams.from_dict(d)
 
 
 @given(alpha=st.floats(0.0, 1.0, exclude_max=True),
@@ -179,71 +150,63 @@ def test_from_dict_refuses_tau_off_the_closed_form_at_beta():
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_bundle_roundtrips_or_is_refused(alpha, sigma, beta, ramp_iters):
     try:
-        p = params.HpeParams.from_beta(alpha, sigma, beta, ramp_iters)
+        p = params.HpeParams(alpha, sigma, beta, ramp_iters)
     except ParameterError:
         return
-    assert params.HpeParams.from_dict(p.to_dict()) == p
-    assert params.HpeParams.from_tau(alpha, sigma, p.tau).eta == \
-        pytest.approx(p.eta, rel=1e-12, abs=1e-12)
+    assert params.HpeParams.from_dict(_chosen(p)) == p
+    assert p.tau == params.tau_of(sigma, beta)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 0.9])
 def test_admissibility_near_beta_one_is_one_clean_cut(sigma):
-    # 3000 log-spaced 1 - beta: from_beta accepts every beta up to the
-    # named gap and refuses every one beyond it, always with one message;
-    # a tau off its closed form is refused everywhere.
+    # 3000 log-spaced 1 - beta: the bundle accepts every beta up to the
+    # named gap and refuses every one beyond it, always with one message
     gaps = np.logspace(-15, -1, 3000)[::-1]
     accepted = []
     for gap in gaps:
-        beta = 1.0 - gap
         try:
-            p = params.HpeParams.from_beta(0.0, sigma, beta)
+            params.HpeParams(0.0, sigma, 1.0 - gap)
         except ParameterError as exc:
             accepted.append(False)
             assert re.fullmatch(r"beta' = \S+ is within 0\.001 of 1",
                                 str(exc))
         else:
             accepted.append(True)
-            assert params.HpeParams.from_tau(0.0, sigma, p.tau).eta == \
-                pytest.approx(p.eta, rel=1e-12)
-        tau = params.tau_of(sigma, beta)
-        for f in (1.0 + 1e-9, 3.0, 10.0):
-            with pytest.raises(ParameterError):
-                params.HpeParams(0.0, sigma, beta, f * tau)
     cut = accepted.index(False)
     assert not any(accepted[cut:])
     assert gaps[cut] < params.MIN_BETA_PRIME_GAP <= gaps[cut - 1]
 
 
 def test_derived_values_are_not_settable():
-    p = params.HpeParams.from_beta(alpha=0.1, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
     assert [f.name for f in dataclasses.fields(p)] == [
-        "alpha", "sigma", "beta", "tau", "ramp_iters"]
-    with pytest.raises(TypeError):
-        params.HpeParams(0.1, 0.5, 0.4, p.tau, 0, eta=p.eta)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.eta = 2.0
+        "alpha", "sigma", "beta", "ramp_iters"]
+    for name in ("tau", "eta", "beta_prime", "q_alpha"):
+        with pytest.raises(TypeError):
+            params.HpeParams(0.1, 0.5, 0.4, 0, **{name: getattr(p, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0.5)
 
 
 def test_schedule_constant_and_ramp():
-    const = params.HpeParams.from_beta(0.3, 0.0, 0.4)
+    const = params.HpeParams(0.3, 0.0, 0.4)
     assert const.is_constant
     assert const.alpha_at(1) == 0.3 and const.alpha_at(100) == 0.3
-    assert params.HpeParams.from_beta(0.0, 0.0, 0.4, ramp_iters=10).is_constant
-    ramp = params.HpeParams.from_beta(0.3, 0.0, 0.4, ramp_iters=10)
+    assert params.HpeParams(0.0, 0.0, 0.4, ramp_iters=10).is_constant
+    ramp = params.HpeParams(0.3, 0.0, 0.4, ramp_iters=10)
     assert not ramp.is_constant
     vals = [ramp.alpha_at(k) for k in range(1, 30)]
     assert vals[0] == 0.0
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(0.3)
     with pytest.raises(ParameterError, match="ramp_iters"):
-        params.HpeParams.from_beta(0.3, 0.0, 0.4, ramp_iters=-1)
+        params.HpeParams(0.3, 0.0, 0.4, ramp_iters=-1)
 
 
 def test_energy_inflation_plain_case():
-    p = params.HpeParams.from_beta(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
+    p = params.HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
     assert p.energy_inflation() == 1.0
-    p = params.HpeParams.from_beta(alpha=0.3, sigma=0.0, beta=1.0 / 3.0)
+    p = params.HpeParams(alpha=0.3, sigma=0.0, beta=1.0 / 3.0)
     # 1 + 2*0.3*1.3 / (0.49 * 0.1)
     assert p.energy_inflation() == pytest.approx(
         1.0 + 0.78 / 0.049, rel=1e-12)

@@ -107,7 +107,7 @@ def test_writers_match_the_row_by_row_oracle(tmp_path_factory, trace, chunk):
 
 def test_solver_trace_matches_the_oracle(tmp_path):
     prob = operators.make_problem("l1_composite", 5, 3)
-    p = params.HpeParams.from_beta(alpha=0.2, sigma=0.5, beta=0.4)
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     state = instances.solve(
         prob, instances.InstanceConfig(kind="tseng_fbf"), p,
         stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
