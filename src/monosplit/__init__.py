@@ -12,14 +12,14 @@ from .errors import (CertificationError, ConfigError, DimensionMismatch,
                      MonosplitError, OracleError, ParameterError,
                      TheoremViolation)
 from .hpe_core import (Certificate, IterationTrace, SolverState, StoppingRule,
-                       certify, run)
+                       run)
 from .instances import (INSTANCE_KINDS, InstanceConfig, fb_step,
                         make_inner_solver, ppm_step, solve, tseng_step)
 from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
                         ForwardMap, L1Resolvent, TestProblem, ZeroResolvent,
-                        make_problem, resolve)
-from .params import (HpeParams, beta_prime, beta_prime_lower_bound,
-                     beta_to_t, eta_of, q_value, tau_of)
+                        make_problem)
+from .params import (HpeParams, beta_prime, beta_prime_lower_bound, eta_of,
+                     q_value, tau_of)
 
 __version__ = "0.1.0"
 
@@ -32,8 +32,7 @@ __all__ = [
     "MonosplitError", "OracleError", "ParameterError", "SolverState",
     "StoppingRule", "TestProblem", "TheoremViolation", "ZeroResolvent",
     "assert_bounds", "audit", "beta_prime", "beta_prime_lower_bound",
-    "beta_to_t", "certify", "ergodic_bounds", "eta_of", "fb_step",
-    "iteration_budget", "make_inner_solver", "make_problem",
-    "pointwise_bounds", "ppm_step", "q_value", "resolve", "run", "solve",
-    "tau_of", "tseng_step",
+    "ergodic_bounds", "eta_of", "fb_step", "iteration_budget",
+    "make_inner_solver", "make_problem", "pointwise_bounds", "ppm_step",
+    "q_value", "run", "solve", "tau_of", "tseng_step",
 ]

@@ -104,16 +104,23 @@ def ergodic_bounds(inp, k):
 
 
 def iteration_budget(rho, eps_hat, inp):
-    """Smallest k at which both pointwise bounds fall below ``(rho, eps_hat)``."""
+    """Smallest k at which both pointwise bounds fall below ``(rho, eps_hat)``;
+    a bound or a budget that overflows raises :class:`ParameterError`."""
     if not (rho > 0.0 and eps_hat > 0.0):  # so that a NaN fails
         raise ParameterError("tolerances must be positive")
-    v1, e1 = pointwise_bounds(inp, 1)
-    k = 1
-    if v1 > rho:
-        k = max(k, math.ceil((v1 / rho) ** 2))
-    if e1 > 0.0 and math.isfinite(eps_hat) and e1 > eps_hat:
-        k = max(k, math.ceil(e1 / eps_hat))
-    return int(k)
+    # a numpy k keeps the quotients in numpy, where a stepsize floor whose
+    # product with tau underflows to 0 gives an inf bound, not an exception
+    v1, e1 = _finite(inp, *pointwise_bounds(inp, np.float64(1.0)))
+    k = 1.0
+    with np.errstate(over="ignore"):
+        if v1 > rho:
+            k = max(k, (v1 / rho) ** 2)
+        if e1 > 0.0 and math.isfinite(eps_hat) and e1 > eps_hat:
+            k = max(k, e1 / eps_hat)
+    if not math.isfinite(k):
+        raise ParameterError(f"the iteration budget overflows at rho = "
+                             f"{rho:.3g}, eps_hat = {eps_hat:.3g}")
+    return math.ceil(k)
 
 
 def _peak(values, bound):

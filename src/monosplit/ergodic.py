@@ -2,8 +2,8 @@
 
 The aggregated error uses the algebraic expansion
 
-    eps_avg = (sum_j lam_j eps_j + sum_j lam_j <z~_j, v_j>) / Lambda
-              - <z~_avg, v_avg>,
+    eps_a = (sum_j lam_j eps_j + sum_j lam_j <z~_j, v_j>) / Lambda
+            - <z~_a, v_a>,
 
 which lets the state advance in O(1) memory per step; the direct O(k)
 summation and the transportation formula stay in the test suite as the
@@ -20,7 +20,8 @@ class ErgodicState:
     of ``dim``-vectors.
 
     The sums of ``lam z~`` and ``lam v`` are the two rows of one array
-    ``sums``.  :meth:`fold` takes a block of steps, :meth:`update` one.
+    ``sums``; divided by ``aggregate_stepsize`` they are the averages.
+    :meth:`fold` takes a block of steps, :meth:`update` one.
     """
 
     def __init__(self, dim):
@@ -38,7 +39,7 @@ class ErgodicState:
         """Fold a block of steps into the state, in step order: their
         stepsizes ``lam``, errors ``eps`` and the ``(K, 2, dim)`` array
         ``pairs`` of their ``z~`` and ``v``.  Returns the aggregate
-        stepsize, ``||v_avg||^2`` and :attr:`eps_avg_raw` after each step.
+        stepsize, ``||v_a||^2`` and the aggregated error after each step.
 
         Every running sum adds in step order, starting from the sum so
         far, so a block leaves the bits of that many one-step folds.
@@ -66,17 +67,3 @@ class ErgodicState:
         avgs = sums / total[:, None, None]
         cross, v_avg_sq = linalg.row_dots(avgs, avgs[:, 1:]).T
         return total, v_avg_sq, (eps_sums + cross_sums) / total - cross
-
-    @property
-    def z_avg(self):
-        return self.sums[0] / self.aggregate_stepsize
-
-    @property
-    def v_avg(self):
-        return self.sums[1] / self.aggregate_stepsize
-
-    @property
-    def eps_avg_raw(self):
-        """Aggregated error: >= 0 analytically, round-off aside."""
-        return ((self.eps_sum + self.cross_sum) / self.aggregate_stepsize
-                - linalg.dot(self.z_avg, self.v_avg))

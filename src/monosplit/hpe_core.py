@@ -7,10 +7,10 @@ floor, ``eps >= 0`` and the relative-error criterion
 
     ||lam v + z~ - w||^2 + 2 lam eps <= sigma^2 ||z~ - w||^2),
 
-then take the relaxed step ``z_next = w - tau lam v``.  :func:`run`,
-:func:`certify` and :func:`monosplit.bounds.audit` all check a certificate
-through that one law.  Every iteration is recorded in a columnar trace,
-which the audit replays against every post-hoc inequality.
+then take the relaxed step ``z_next = w - tau lam v``.  :func:`run` and
+:func:`monosplit.bounds.audit` both check a certificate through that one
+law.  Every iteration is recorded in a columnar trace, which the audit
+replays against every post-hoc inequality.
 """
 
 import json
@@ -24,7 +24,6 @@ import numpy as np
 from . import linalg
 from .ergodic import ErgodicState
 from .errors import CertificationError, DimensionMismatch, ParameterError
-from .params import check_sigma
 
 # Round-off allowance for exactly-zero residuals (inner solvers that
 # reconstruct v = (w - z~)/lam reassemble lam*v with a few ulp of error).
@@ -88,13 +87,6 @@ class IterationTrace:
 
     def column(self, name):
         return np.asarray(self.columns[name], dtype=float)
-
-    def rows(self):
-        n = len(self)
-        for i in range(n):
-            row = {"k": i + 1}
-            row.update({name: self.columns[name][i] for name in self.columns})
-            yield row
 
     # -- export / import --------------------------------------------------
 
@@ -338,22 +330,6 @@ def _energy_term(relax_sq, dz_sq, params):
     """
     scale = (1.0 - params.sigma * params.sigma) * params.tau
     return np.maximum(params.eta * relax_sq, scale * dz_sq)
-
-
-def certify(cert, w, sigma):
-    """Check one certificate at ``w`` by the law of :func:`_error_ratio`,
-    with no stepsize floor beyond ``lam > 0``; return the lhs/rhs ratio.
-
-    The convention 0/0 -> 0 covers exact fixed points.  A ``z~`` or ``v``
-    of another shape than ``w`` raises :class:`DimensionMismatch`.
-    """
-    check_sigma(sigma)
-    shape = np.shape(w)
-    _check_shape(cert, shape)
-    rows = np.empty((2,) + shape)
-    _criterion_terms(cert, w, *rows)
-    resid_sq, dz_sq = linalg.RowDots(rows, rows)()
-    return _error_ratio(resid_sq, dz_sq, cert.lam, cert.eps, sigma, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,13 @@ class AffineOperator:
             raise OracleError(f"affine zero-point solve failed: {exc}")
 
 
-class SaddleOperator(AffineOperator):
+class SaddleOperator:
     """Skew affine map ``(x, y) -> (K y + c, -K^T x + d)`` of a saddle.
 
     Its matrix ``S = [[0, K], [-K^T, 0]]`` is half zeros, so products read
     only the blocks ``K`` and ``-K^T``, stacked into one ``(2, h, h)``
-    array and applied to the swapped halves in one batched product.
-    ``matrix`` builds the dense ``S`` on first use, for the test suite's
-    oracles.
+    array and applied to the swapped halves in one batched product; the
+    dense ``S`` is never built.
     """
 
     def __init__(self, coupling, offset):
@@ -72,20 +71,18 @@ class SaddleOperator(AffineOperator):
         self.half = K.shape[0]
         self.blocks = np.stack([K, -K.T])
         self.offset = linalg.as_vector(offset)
+        self.dim = self.offset.shape[0]
         if self.dim != 2 * self.half:
             raise ParameterError(
                 f"coupling shape {K.shape} does not match offset "
                 f"dimension {self.dim}")
 
-    @functools.cached_property
-    def matrix(self):
-        K, minus_KT = self.blocks
-        zero = np.zeros_like(K)
-        return np.block([[zero, K], [minus_KT, zero]])
-
     def linear(self, d):
         swapped = d.reshape(2, self.half, 1)[::-1]  # (y, x)
         return np.matmul(self.blocks, swapped).reshape(-1)
+
+    def __call__(self, z):
+        return self.linear(z) + self.offset
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +189,6 @@ class L1Resolvent:
         return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
     resolve = _resolve_via_point
-
-
-def resolve(B, lam, w):
-    """Evaluate a resolvent oracle: ``z_tilde = (lam B + I)^{-1} w``.
-
-    Returns ``(z_tilde, v)`` with ``v = (w - z_tilde)/lam`` in ``B(z_tilde)``.
-    The oracles' own ``point`` and ``resolve`` methods trust ``lam > 0``:
-    the inner solvers check their stepsize once, before any step runs.
-    """
-    if not lam > 0.0:  # so that a NaN fails
-        raise ParameterError(f"lambda must be positive, got {lam}")
-    return B.resolve(lam, linalg.as_vector(w))
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +457,12 @@ class TestProblem:
     construction could compute.
     """
 
-    def __init__(self, kind, dim, resolvent, forward=None, affine_T=None,
+    def __init__(self, kind, dim, resolvent, forward=None,
                  known_solution=None, data=None):
         self.kind = kind
         self.dim = dim
         self.resolvent = resolvent
         self.forward = forward
-        self.affine_T = affine_T
         self.known_solution = known_solution
         self.data = data or {}
 
@@ -532,7 +516,6 @@ def make_problem(kind, dimension, seed):
         return TestProblem(
             kind, dimension,
             resolvent=AffineResolvent(T),
-            affine_T=T,
             known_solution=T.zero_point(),
             data={"matrix": A, "offset": b})
 
@@ -570,7 +553,7 @@ def make_problem(kind, dimension, seed):
         F = ForwardMap(T, L, cocoercive=False, linear=T.linear)
         return TestProblem(
             kind, dimension,
-            resolvent=ZeroResolvent(), forward=F, affine_T=T,
+            resolvent=ZeroResolvent(), forward=F,
             known_solution=np.concatenate([x_star, y_star]),
             data={"coupling": T.blocks[0], "offset": b})
 

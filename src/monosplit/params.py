@@ -48,16 +48,6 @@ def beta_prime(sigma, beta):
     return max(beta, beta_prime_lower_bound(sigma))
 
 
-def beta_to_t(beta):
-    """Scalar map ``beta -> 2(beta-1)^2 / (2(beta-1)^2 + 3 beta - 1)``.
-
-    This is ``(1 + sigma) * tau_of(sigma, beta)`` whenever
-    ``beta >= beta_prime_lower_bound(sigma)``.
-    """
-    d = beta - 1.0
-    return 2.0 * d * d / (2.0 * d * d + 3.0 * beta - 1.0)
-
-
 def tau_of(sigma, beta):
     """Relaxation factor as a function of ``(sigma, beta)``.
 
@@ -67,8 +57,10 @@ def tau_of(sigma, beta):
     """
     check_sigma(sigma)
     bp = beta_prime(sigma, beta)
+    d = bp - 1.0
     # analytically <= 1; rounding at the beta_prime floor can add a few ulp
-    return min(1.0, beta_to_t(bp) / (1.0 + sigma))
+    return min(1.0, 2.0 * d * d / (2.0 * d * d + 3.0 * bp - 1.0)
+               / (1.0 + sigma))
 
 
 def eta_of(sigma, tau):

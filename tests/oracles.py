@@ -4,10 +4,11 @@ and the closed-form checks of a point against an operator."""
 import numpy as np
 import scipy.linalg
 
-from monosplit import linalg
+from monosplit import hpe_core, linalg
 from monosplit.errors import ParameterError
 from monosplit.operators import (AffineResolvent, BoxResolvent, ZeroResolvent,
                                  solve_box_qp_bruteforce)
+from monosplit.params import check_sigma
 
 # Round-off allowance on the transport weights summing to 1.
 WEIGHT_SUM_TOL = 1e-12
@@ -22,6 +23,19 @@ def bits(x):
         return None
     x = np.asarray(x)
     return x.shape, x.dtype.str, x.tobytes()
+
+
+def certify(cert, w, sigma):
+    """The lhs/rhs ratio of one certificate at ``w`` by the driver's law,
+    :func:`monosplit.hpe_core._error_ratio`, with no floor beyond lam > 0.
+    0/0 counts as 0; a ``z~`` or ``v`` not of the shape of ``w`` raises
+    :class:`DimensionMismatch`."""
+    check_sigma(sigma)
+    hpe_core._check_shape(cert, np.shape(w))
+    rows = np.empty((2,) + np.shape(w))
+    hpe_core._criterion_terms(cert, w, *rows)
+    return hpe_core._error_ratio(*linalg.RowDots(rows, rows)(), cert.lam,
+                                 cert.eps, sigma, 0.0)
 
 
 def transport(points, weights):

@@ -36,3 +36,12 @@ def solve_recorded(problem, config, params, stop=None):
     state = hpe_core.run(problem, recorder, params, stop=stop,
                          lambda_floor=floor)
     return state, recorder
+
+
+def classical_iterates(problem, step, params, lam, steps=1000):
+    """``z_1 .. z_steps`` of a run with ``alpha = 0`` and no stopping rule
+    whose inner solver is ``step(w)``, at the stepsize floor ``lam``."""
+    recorder = Recorder(lambda w, k: step(w))
+    state = hpe_core.run(problem, recorder, params, lambda_floor=lam,
+                         stop=hpe_core.StoppingRule(rho=-1.0, max_iters=steps))
+    return recorder.iterates(state)

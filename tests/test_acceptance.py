@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from monosplit import (BoundInputs, ErgodicState, HpeParams, InstanceConfig,
-                       StoppingRule, assert_bounds, audit, bounds,
-                       hpe_core, instances, operators, params, solve)
+                       StoppingRule, assert_bounds, audit, bounds, instances,
+                       operators, params, solve)
 from oracles import enlargement_member
-from recorder import Recorder, solve_recorded
+from recorder import classical_iterates, solve_recorded
 
 STOP = StoppingRule(rho=1e-8, eps_hat=1e-10, max_iters=10 ** 5)
 SIGMAS = (0.0, 0.25, 0.5, 0.75, 0.99)
@@ -150,17 +150,18 @@ def test_criterion_6_oracle_equivalence(suite):
     rng = np.random.default_rng(0)
     prefixes_checked = 0
     for run in suite["ppm"]:
-        T = run["problem"].affine_T
+        T = run["problem"].resolvent.operator
         certs = run["recorder"].certificates
         n = len(certs)
         picks = sorted(set(rng.integers(1, n + 1, size=50).tolist()))
         erg = ErgodicState(dim=run["problem"].dim)
         targets = set(picks)
         for j, cert in enumerate(certs, start=1):
-            erg.update(cert)
+            _, _, eps_avg = erg.update(cert)
             if j in targets:
-                assert enlargement_member(
-                    T, erg.z_avg, erg.v_avg, max(erg.eps_avg_raw, 0.0))
+                z_avg, v_avg = erg.sums / erg.aggregate_stepsize
+                assert enlargement_member(T, z_avg, v_avg,
+                                          max(eps_avg[-1], 0.0))
                 prefixes_checked += 1
     mismatch = 0.0
     for run in suite["forward_backward"]:
@@ -180,10 +181,8 @@ def test_criterion_7_reduction_checks():
     # exact proximal point: alpha=0, tau=1, sigma=0
     prob = operators.make_problem("affine_inclusion", 6, seed=100)
     plain = HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
-    rec = Recorder(lambda w, k: instances.ppm_step(prob.resolvent, w, 1.0))
-    state = hpe_core.run(prob, rec, plain, lambda_floor=1.0,
-                         stop=StoppingRule(rho=-1.0, max_iters=1000))
-    iterates = rec.iterates(state)
+    iterates = classical_iterates(
+        prob, lambda w: instances.ppm_step(prob.resolvent, w, 1.0), plain, 1.0)
     z = np.zeros(6)
     for k in range(1000):
         z, _ = prob.resolvent.resolve(1.0, z)
@@ -194,11 +193,8 @@ def test_criterion_7_reduction_checks():
     sigma = 1.0 / math.sqrt(2.0)
     p = HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
-    rec = Recorder(lambda w, k: instances.fb_step(prob.forward,
-                                                  prob.resolvent, w, lam))
-    state = hpe_core.run(prob, rec, p, lambda_floor=lam,
-                         stop=StoppingRule(rho=-1.0, max_iters=1000))
-    iterates = rec.iterates(state)
+    iterates = classical_iterates(prob, lambda w: instances.fb_step(
+        prob.forward, prob.resolvent, w, lam), p, lam)
     z = np.zeros(6)
     for k in range(1000):
         z, _ = prob.resolvent.resolve(lam, z - lam * prob.forward(z))
@@ -209,11 +205,8 @@ def test_criterion_7_reduction_checks():
     sigma = 0.9
     p = HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
     lam = sigma / prob.lipschitz_L
-    rec = Recorder(lambda w, k: instances.tseng_step(prob.forward,
-                                                     prob.resolvent, w, lam))
-    state = hpe_core.run(prob, rec, p, lambda_floor=lam,
-                         stop=StoppingRule(rho=-1.0, max_iters=1000))
-    iterates = rec.iterates(state)
+    iterates = classical_iterates(prob, lambda w: instances.tseng_step(
+        prob.forward, prob.resolvent, w, lam), p, lam)
     F = prob.forward
     z = np.zeros(6)
     for k in range(1000):

@@ -1,7 +1,6 @@
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from monosplit import bounds, hpe_core, instances, operators, params
@@ -127,6 +126,25 @@ def test_iteration_budget_refuses_nan_tolerances(rho, eps_hat):
         iteration_budget(rho, eps_hat, inp)
 
 
+@pytest.mark.parametrize("rho, d0, floor, sigma, beta, message", [
+    (0.1, None, 5e-324, 5e-324, 1.0 / 3.0,
+     r"the closed-form bounds overflow at lambda_floor \* tau = 4.94e-324"),
+    (0.1, 1.0, 5e-324, 0.9, 0.45,
+     r"the closed-form bounds overflow at lambda_floor \* tau = 0"),
+    (1e-300, 1e10, 1e-10, 0.5, 0.4,
+     "the iteration budget overflows at rho = 1e-300, eps_hat = 1"),
+], ids=["subnormal_floor", "floor_times_tau_underflows",
+        "budget_beyond_float_range"])
+def test_iteration_budget_refuses_an_overflow(rho, d0, floor, sigma, beta,
+                                              message, recwarn):
+    # a bound or a budget of inf has no integer; None is the saddle's d0
+    d0 = d0 or operators.make_problem("bilinear_saddle", 4, 1).d0()
+    inp = BoundInputs(d0, floor, params.HpeParams(0.0, sigma, beta))
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        iteration_budget(rho, 1.0, inp)
+    assert not recwarn.list
+
+
 def test_bounds_need_known_d0(certified_run):
     state, _ = certified_run
     inp = BoundInputs(d0=None, lambda_floor=1.0, params=PLAIN)
@@ -198,10 +216,7 @@ def test_assert_bounds_matches_prefix_loop(certified_run):
 def test_audit_detects_negative_eps_a(certified_run):
     state, inp = certified_run
     trace = hpe_core.IterationTrace()
-    for row in state.trace.rows():
-        row = dict(row)
-        row.pop("k")
-        trace.append(**row)
+    trace.extend(**state.trace.columns)
     trace.columns["eps_a"][5] = -1.0
     checks = {c.name: c for c in bounds.audit(trace, inp)}
     check = checks["aggregated_error_nonneg"]

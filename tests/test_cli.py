@@ -40,6 +40,12 @@ FIXTURES = [
 ]
 
 
+def solve_config(tmp_path, cfg):
+    """Exit code of ``solve`` on ``cfg``, with its output under ``o``."""
+    return cli.main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")])
+
+
 def solve_and_certify(tmp_path, capsys, cfg):
     """Solve, then certify the trace; return the summary and the
     ``(name, status)`` pairs that each command reports."""
@@ -140,19 +146,34 @@ def test_solve_determinism_byte_identical(tmp_path):
         out2 / "summary.json").read_bytes()
 
 
-def test_certify_detects_corrupted_eps(tmp_path):
-    cfg = base_config(kind="box_constrained_quadratic",
-                      instance="forward_backward", sigma=0.7, beta=0.4)
+def certify_edited(tmp_path, capsys, cfg, edit, solved=(0, 1)):
+    """Solve ``cfg`` (exit code in ``solved``), ``edit`` the row of step 5
+    of its trace in place and certify the trace; return the exit code and
+    the printed lines, stdout's then stderr's."""
     path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
-    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) in solved
     lines = (out / "trace.jsonl").read_text().splitlines()
     row = json.loads(lines[5])
-    row["eps"] = row["eps"] * 100.0 + 1.0
+    assert row["k"] == 5
+    edit(row)
     lines[5] = json.dumps(row)
     (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
-    assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
-                     "--config", path]) == 3
+    capsys.readouterr()
+    code = cli.main(["certify", "--trace", str(out / "trace.jsonl"),
+                     "--config", path])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines() + captured.err.splitlines()
+
+
+def test_certify_detects_corrupted_eps(tmp_path, capsys):
+    cfg = base_config(kind="box_constrained_quadratic",
+                      instance="forward_backward", sigma=0.7, beta=0.4)
+
+    def corrupt(row):
+        row["eps"] = row["eps"] * 100.0 + 1.0
+
+    assert certify_edited(tmp_path, capsys, cfg, corrupt, solved=(0,))[0] == 3
 
 
 def law_config(kind, instance, dim):
@@ -188,20 +209,10 @@ def _halved_stepsize(row, cfg):
                          ids=[c["problem"]["kind"] for c in LAW_CONFIGS])
 def test_certify_applies_the_certificate_law(tmp_path, capsys, cfg,
                                                      edit, message):
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "run"
-    assert cli.main(["solve", "--config", path, "--out", str(out)]) in (0, 1)
-    lines = (out / "trace.jsonl").read_text().splitlines()
-    row = json.loads(lines[5])
-    assert row["k"] == 5
-    edit(row, cfg)
-    lines[5] = json.dumps(row)
-    (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
-                     "--config", path]) == 3
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if line.startswith("[FAIL]")]
+    code, printed = certify_edited(tmp_path, capsys, cfg,
+                                   lambda row: edit(row, cfg))
+    assert code == 3
+    failed = [line for line in printed if line.startswith("[FAIL]")]
     assert len(failed) == 1
     assert re.fullmatch(r"\[FAIL\] error_criterion: " + message, failed[0])
 
@@ -228,19 +239,8 @@ def _nudged(column, step):
 def test_certify_audits_every_recorded_column(tmp_path, capsys, cfg, edit,
                                               message):
     # no check read these three columns: each edit passed certify
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "run"
-    assert cli.main(["solve", "--config", path, "--out", str(out)]) in (0, 1)
-    lines = (out / "trace.jsonl").read_text().splitlines()
-    row = json.loads(lines[5])
-    edit(row)
-    lines[5] = json.dumps(row)
-    (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert cli.main(["certify", "--trace", str(out / "trace.jsonl"),
-                     "--config", path]) == 3
-    captured = capsys.readouterr()
-    printed = captured.out.splitlines() + captured.err.splitlines()
+    code, printed = certify_edited(tmp_path, capsys, cfg, edit)
+    assert code == 3
     assert [line for line in printed
             if line.startswith(("[FAIL]", "error:"))] == [message]
 
@@ -401,18 +401,14 @@ def test_certify_refuses_a_trace_that_records_no_config(tmp_path, capsys,
 def test_config_rejects_unknown_fields(tmp_path):
     cfg = base_config()
     cfg["problem"]["extra_knob"] = 1
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
+    assert solve_config(tmp_path, cfg) == 2
 
 
 def test_config_refuses_an_instance_lambda_floor(tmp_path, capsys):
     # the floor of a bundled instance is its stepsize; there is no knob
     cfg = base_config()
     cfg["instance"]["lambda_floor"] = 0.5
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
+    assert solve_config(tmp_path, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: unknown fields in instance: "
                    "['lambda_floor']"]
@@ -450,9 +446,7 @@ def test_config_refuses_a_removed_field(tmp_path, capsys, section, field,
 def test_config_rejects_wrong_schema_version(tmp_path):
     cfg = base_config()
     cfg["schema_version"] = 99
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
+    assert solve_config(tmp_path, cfg) == 2
 
 
 def test_config_undecodable_reported(tmp_path, capsys):
@@ -477,9 +471,7 @@ def test_config_undecodable_reported(tmp_path, capsys):
 
 def test_config_invalid_params_reported(tmp_path):
     cfg = base_config(alpha=0.5, beta=1.0 / 3.0)  # alpha >= beta
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 3
+    assert solve_config(tmp_path, cfg) == 3
 
 
 @pytest.mark.parametrize("section,field,value", [
@@ -496,9 +488,7 @@ def test_config_invalid_params_reported(tmp_path):
 def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
     cfg = base_config()
     cfg.setdefault(section, {})[field] = value
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
+    assert solve_config(tmp_path, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert field in err[0]
@@ -519,9 +509,7 @@ def test_config_out_of_range_reported(tmp_path, capsys, section, field,
                                       value):
     cfg = base_config()
     cfg[section][field] = value
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
+    assert solve_config(tmp_path, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert field in err[0]
@@ -586,9 +574,7 @@ def test_seed_option_is_a_usage_error(tmp_path, capsys):
 def test_config_negative_ramp_reported(tmp_path):
     cfg = base_config()
     cfg["params"]["ramp_iters"] = -5
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 3
+    assert solve_config(tmp_path, cfg) == 3
 
 
 @pytest.mark.parametrize("kind, dim", [("box_constrained_quadratic", 5),
@@ -597,9 +583,7 @@ def test_config_negative_ramp_reported(tmp_path):
 def test_ppm_on_a_structured_problem_is_refused(tmp_path, capsys, kind, dim):
     # a ppm step certifies v in B(z~) alone, which is no certificate for F + B
     cfg = base_config(kind=kind, instance="ppm", dim=dim, seed=1, sigma=0.0)
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 3
+    assert solve_config(tmp_path, cfg) == 3
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1

@@ -27,10 +27,12 @@ def test_single_step_average_equals_pointwise():
     cert = Certificate(z_tilde=np.array([1.0, 2.0]), v=np.array([0.5, 0.0]),
                        eps=0.3, lam=2.0)
     st = ErgodicState(dim=2)
-    st.update(cert)
-    np.testing.assert_allclose(st.z_avg, cert.z_tilde, atol=1e-15)
-    np.testing.assert_allclose(st.v_avg, cert.v, atol=1e-15)
-    assert st.eps_avg_raw == pytest.approx(cert.eps, abs=1e-12)
+    _, v_avg_sq, eps_avg = st.update(cert)
+    z_avg, v_avg = st.sums / st.aggregate_stepsize
+    np.testing.assert_allclose(z_avg, cert.z_tilde, atol=1e-15)
+    np.testing.assert_allclose(v_avg, cert.v, atol=1e-15)
+    assert v_avg_sq[-1] == pytest.approx(linalg.norm_sq(cert.v), abs=1e-15)
+    assert eps_avg[-1] == pytest.approx(cert.eps, abs=1e-12)
     assert st.aggregate_stepsize == 2.0
 
 
@@ -41,12 +43,14 @@ def test_two_step_antisymmetric_case():
     c2 = Certificate(z_tilde=-z, v=-v, eps=0.0, lam=1.0)
     st = ErgodicState(dim=2)
     st.update(c1)
-    st.update(c2)
-    np.testing.assert_allclose(st.z_avg, np.zeros(2), atol=1e-15)
-    np.testing.assert_allclose(st.v_avg, np.zeros(2), atol=1e-15)
+    _, v_avg_sq, eps_avg = st.update(c2)
+    z_avg, v_avg = st.sums / st.aggregate_stepsize
+    np.testing.assert_allclose(z_avg, np.zeros(2), atol=1e-15)
+    np.testing.assert_allclose(v_avg, np.zeros(2), atol=1e-15)
+    assert v_avg_sq[-1] == pytest.approx(0.0, abs=1e-30)
     _, _, _, eps_a, eps_b = direct_ergodic([c1, c2])
-    assert st.eps_avg_raw == pytest.approx(eps_a, abs=1e-12)
-    assert st.eps_avg_raw == pytest.approx(linalg.inner(z, v), abs=1e-12)
+    assert eps_avg[-1] == pytest.approx(eps_a, abs=1e-12)
+    assert eps_avg[-1] == pytest.approx(linalg.inner(z, v), abs=1e-12)
     assert eps_a == pytest.approx(eps_b, abs=1e-12)
 
 
@@ -60,12 +64,15 @@ def test_streaming_matches_direct_summation_on_a_run():
     for prefix in {1, 2, 5, len(certs) // 2, len(certs)}:
         st = ErgodicState(dim=prob.dim)
         for c in certs[:prefix]:
-            st.update(c)
+            _, v_avg_sq, eps_avg = st.update(c)
         Lam, z_a, v_a, eps_a, eps_b = direct_ergodic(certs[:prefix])
         assert st.aggregate_stepsize == pytest.approx(Lam, rel=1e-12)
-        np.testing.assert_allclose(st.z_avg, z_a, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(st.v_avg, v_a, rtol=1e-10, atol=1e-12)
-        assert st.eps_avg_raw == pytest.approx(eps_a, rel=1e-10, abs=1e-10)
+        z_avg, v_avg = st.sums / st.aggregate_stepsize
+        np.testing.assert_allclose(z_avg, z_a, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(v_avg, v_a, rtol=1e-10, atol=1e-12)
+        assert v_avg_sq[-1] == pytest.approx(linalg.norm_sq(v_a), rel=1e-10,
+                                             abs=1e-24)
+        assert eps_avg[-1] == pytest.approx(eps_a, rel=1e-10, abs=1e-10)
         assert eps_a == pytest.approx(eps_b, rel=1e-10, abs=1e-10)
 
 

@@ -10,7 +10,8 @@ from monosplit.ergodic import ErgodicState
 from monosplit.errors import (CertificationError, DimensionMismatch,
                               ParameterError)
 from monosplit.hpe_core import (Certificate, IterationTrace, StoppingRule,
-                                certify, run)
+                                run)
+from oracles import certify
 from recorder import Recorder
 
 PLAIN = params.HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
@@ -107,7 +108,7 @@ def test_run_terminates_immediately_at_a_zero():
     T = operators.AffineOperator(
         np.eye(4) + 0.1 * rng.standard_normal((4, 4)), np.zeros(4))
     prob = operators.TestProblem(
-        "affine_inclusion", 4, operators.AffineResolvent(T), affine_T=T,
+        "affine_inclusion", 4, operators.AffineResolvent(T),
         known_solution=T.zero_point())
     np.testing.assert_array_equal(prob.known_solution, np.zeros(4))
     state = run(prob, ppm_solver(prob), PLAIN, lambda_floor=1.0)
@@ -233,10 +234,7 @@ def test_fejer_check_nonnegative(inertial_run):
 def test_fejer_check_detects_corruption(inertial_run):
     _, _, state = inertial_run
     corrupted = IterationTrace()
-    for row in state.trace.rows():
-        row = dict(row)
-        row.pop("k")
-        corrupted.append(**row)
+    corrupted.extend(**state.trace.columns)
     corrupted.columns["s_k"][3] += 10.0  # overstate the energy term
     check = audited(inertial_run, corrupted)["fejer_descent"]
     assert (check.status, check.detail.endswith("k=4")) == (bounds.FAIL, True)
@@ -298,8 +296,9 @@ def test_trace_read_reports_missing_columns(tmp_path):
 # -- the driver against its single-step functions ----------------------------
 
 def replay(problem, solver, p, stop):
-    """``run`` rebuilt from the public :func:`certify` and the two update
-    formulas, from the origin: its trace."""
+    """``run`` rebuilt from :func:`oracles.certify`, the two update
+    formulas and the ergodic averages read off the running sums, from the
+    origin: its trace."""
     z_prev = z = np.zeros(problem.dim)
     erg = ErgodicState(dim=problem.dim)
     z_star = problem.known_solution
@@ -311,6 +310,7 @@ def replay(problem, solver, p, stop):
         z_next = w - p.tau * cert.lam * cert.v
         dz_sq = linalg.norm_sq(cert.z_tilde - w)
         erg.update(cert)
+        z_a, v_a = erg.sums / erg.aggregate_stepsize
         norm_v = math.sqrt(linalg.norm_sq(cert.v))
         trace.append(
             norm_v=norm_v, eps=cert.eps, lam=cert.lam, error_ratio=ratio,
@@ -324,7 +324,9 @@ def replay(problem, solver, p, stop):
             norm_dz=math.sqrt(dz_sq),
             dist_w=math.nan if z_star is None else linalg.norm(w - z_star),
             aggregate_stepsize=erg.aggregate_stepsize,
-            norm_v_a=linalg.norm(erg.v_avg), eps_a=erg.eps_avg_raw)
+            norm_v_a=linalg.norm(v_a),
+            eps_a=((erg.eps_sum + erg.cross_sum) / erg.aggregate_stepsize
+                   - linalg.dot(z_a, v_a)))
         z_prev, z = z, z_next
         if norm_v <= stop.rho and cert.eps <= stop.eps_hat:
             break

@@ -9,9 +9,9 @@ from monosplit.instances import (InstanceConfig, fb_step, ppm_step, solve,
                                  tseng_step)
 from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, ZeroResolvent, make_problem)
-from oracles import (bits, enlargement_member, old_fb_step, old_ppm_step,
-                     old_tseng_step)
-from recorder import Recorder
+from oracles import (bits, certify, enlargement_member, old_fb_step,
+                     old_ppm_step, old_tseng_step)
+from recorder import classical_iterates
 
 
 def test_instance_config_rejects_unknown_kind():
@@ -33,7 +33,7 @@ def test_ppm_step_affine():
     cert = ppm_step(B, np.array([2.0, 4.0]), 1.0)
     np.testing.assert_allclose(cert.z_tilde, [1.0, 2.0], atol=1e-14)
     np.testing.assert_allclose(cert.v, [1.0, 2.0], atol=1e-14)
-    assert hpe_core.certify(cert, np.array([2.0, 4.0]), sigma=0.0) == 0.0
+    assert certify(cert, np.array([2.0, 4.0]), sigma=0.0) == 0.0
 
 
 def test_ppm_step_box_projection_displacement():
@@ -73,7 +73,7 @@ def test_tseng_step_fixed_point():
     lam = sigma / prob.lipschitz_L
     cert = tseng_step(prob.forward, prob.resolvent, prob.known_solution, lam)
     assert linalg.norm(cert.v) <= 1e-10
-    assert hpe_core.certify(cert, prob.known_solution, sigma) <= 1e-9
+    assert certify(cert, prob.known_solution, sigma) <= 1e-9
 
 
 def test_tseng_inclusion_exactness():
@@ -133,7 +133,7 @@ def test_fb_step_boundary_ratio_and_residual():
         assert cert.eps == pytest.approx(
             prob.lipschitz_L * linalg.norm_sq(cert.z_tilde - w) / 4.0)
         if linalg.norm(cert.z_tilde - w) > 1e-8:
-            ratio = hpe_core.certify(cert, w, sigma)
+            ratio = certify(cert, w, sigma)
             assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-9
 
 
@@ -168,12 +168,8 @@ def test_fb_reduction_to_classical_iterates():
     sigma = 1.0 / math_sqrt2()
     p = params.HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
     lam = 2.0 * sigma ** 2 / prob.lipschitz_L
-    rec = Recorder(
-        lambda w, k: fb_step(prob.forward, prob.resolvent, w, lam))
-    state = hpe_core.run(
-        prob, rec, p, lambda_floor=lam,
-        stop=hpe_core.StoppingRule(rho=-1.0, max_iters=1000))
-    iterates = rec.iterates(state)
+    iterates = classical_iterates(
+        prob, lambda w: fb_step(prob.forward, prob.resolvent, w, lam), p, lam)
     z = np.zeros(6)
     assert len(iterates) == 1000
     for k in range(1000):
@@ -199,12 +195,8 @@ def test_tseng_reduction_to_classical_iterates():
     sigma = 0.9
     p = params.HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
     lam = sigma / prob.lipschitz_L
-    rec = Recorder(
-        lambda w, k: tseng_step(prob.forward, prob.resolvent, w, lam))
-    state = hpe_core.run(
-        prob, rec, p, lambda_floor=lam,
-        stop=hpe_core.StoppingRule(rho=-1.0, max_iters=1000))
-    iterates = rec.iterates(state)
+    iterates = classical_iterates(prob, lambda w: tseng_step(
+        prob.forward, prob.resolvent, w, lam), p, lam)
     F = prob.forward
     z = np.zeros(6)
     assert len(iterates) == 1000

@@ -1,8 +1,11 @@
 """The README's examples run against the library as it is."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from monosplit import cli
@@ -40,3 +43,23 @@ def test_readme_config_loads(tmp_path):
     path.write_text(config)
     cfg = cli.load_config(str(path))
     assert cfg["raw"] == json.loads(config)
+
+
+def test_readme_csv_recipe_writes_the_runs_csv(tmp_path, capsys):
+    # the recipe turns the trace solve wrote into the run's own CSV
+    config = tmp_path / "cfg.json"
+    config.write_text(re.search(r"```json\n(.*?)```", TEXT, re.S).group(1))
+    assert cli.main(["solve", "--config", str(config), "--out",
+                     str(tmp_path / "run")]) in (0, 1)
+    capsys.readouterr()
+    argv = shlex.split(re.search(r"^python3 -c .*write_csv.*$", TEXT,
+                                 re.M).group(0))
+    assert argv[-2:] == ["run/trace.jsonl", "run/trace.csv"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, *argv[1:]], cwd=tmp_path, check=True,
+                   env=dict(os.environ, PYTHONPATH=path))
+    cli._run_config(cli.load_config(str(config))).trace.write_csv(
+        tmp_path / "expected.csv")
+    assert ((tmp_path / "run" / "trace.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())

@@ -23,13 +23,19 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
+def rows(trace):
+    """Each row of ``trace``: its ``k``, then its cells in column order."""
+    for k, cells in enumerate(zip(*trace.columns.values()), start=1):
+        yield {"k": k, **dict(zip(trace.columns, cells))}
+
+
 def oracle_jsonl(trace, path, header=None):
     with open(path, "w") as fh:
         meta = {"schema_version": hpe_core.TRACE_SCHEMA_VERSION}
         if header:
             meta.update(header)
         fh.write(json.dumps({"meta": meta}) + "\n")
-        for row in trace.rows():
+        for row in rows(trace):
             fh.write(json.dumps({name: None if value != value else value
                                  for name, value in row.items()}) + "\n")
 
@@ -38,7 +44,7 @@ def oracle_csv(trace, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(hpe_core.CSV_COLUMNS)
-        for row in trace.rows():
+        for row in rows(trace):
             writer.writerow([
                 row["k"], row["norm_v"], row["eps"], row["lam"],
                 row["error_ratio"], row["step_norm"], row["s_k"],
