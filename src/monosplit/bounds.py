@@ -5,13 +5,15 @@ All evaluators are exact closed forms in ``(d0, lambda_floor, params, k)``.
 certificate law of :func:`monosplit.hpe_core.run` on each step (the
 stepsize floor, ``eps >= 0`` and the error criterion, with the recorded
 ratio and the running stepsize sum), the energy term, Fejer descent, step
-summability, the energy bound, the monotone ``mu`` sequence, the rate
-bounds (through :func:`assert_bounds`) and the sign of the aggregated
-error.  A failed check signals an implementation bug, not bad luck: the
-inequalities are guaranteed.
+summability, the energy bound, the monotone ``mu`` sequence of the
+constant inertial schedule, the rate bounds (through
+:func:`assert_bounds`) and the sign of the aggregated error.  A failed
+check signals an implementation bug, not bad luck: the inequalities are
+guaranteed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count, repeat
 
@@ -35,7 +37,8 @@ class BoundInputs:
     """Everything the closed forms need besides the iteration index.
 
     ``d0`` is None when no solution is known; :func:`audit` then skips the
-    checks that need it.
+    checks that need it.  Every bound squares ``d0``, so a ``d0`` whose
+    square overflows is refused.
     """
 
     d0: float
@@ -44,8 +47,12 @@ class BoundInputs:
 
     def __post_init__(self):
         # pass conditions, so that a NaN fails
-        if self.d0 is not None and not self.d0 >= 0.0:
-            raise ParameterError(f"d0 must be nonnegative, got {self.d0}")
+        if self.d0 is not None:
+            if not self.d0 >= 0.0:
+                raise ParameterError(f"d0 must be nonnegative, got {self.d0}")
+            # an int d0 squares exactly, beyond the float range too
+            if not self.d0 * self.d0 <= sys.float_info.max:
+                raise ParameterError(f"d0 = {self.d0} has no finite square")
         if not self.lambda_floor > 0.0:
             raise ParameterError(
                 f"lambda_floor must be positive, got {self.lambda_floor}")
@@ -88,8 +95,7 @@ def pointwise_bounds(inp, k):
 def ergodic_bounds(inp, k):
     """Averaged-sequence bounds ``(v_a_bound, eps_a_bound)`` at index ``k``.
 
-    ``k`` is an index or an array of indices.  Valid for constant inertial
-    schedules; both scale as 1/k.
+    ``k`` is an index or an array of indices.  Both scale as 1/k.
     """
     p, d0 = inp.params, _known_d0(inp)
     infl = p.energy_inflation()
@@ -138,7 +144,7 @@ def assert_bounds(trace, inp):
     witness is the first iterate minimizing the energy term ``s_k`` so far.
     A prefix whose witness misses the bounds falls back to a search of the
     whole prefix before a violation is declared.  The ergodic bounds are
-    checked only under a constant inertial schedule, the case they cover.
+    checked on every prefix.
 
     Raises
     ------
@@ -173,18 +179,17 @@ def assert_bounds(trace, inp):
     worst["pointwise_v"] = _peak(norm_v[witness], vb)
     worst["pointwise_eps"] = _peak(eps[witness], eb)
 
-    if inp.params.is_constant:
-        vab, eab = _finite(inp, *ergodic_bounds(inp, ks))
-        for name, values, bound in (
-                ("ergodic_v", trace.column("norm_v_a"), vab),
-                ("ergodic_eps", trace.column("eps_a"), eab)):
-            over = np.nonzero(~(values <= bound * slack))[0]
-            if over.size:
-                j = over[0]
-                raise TheoremViolation(
-                    f"{name} value {values[j]} exceeds bound {bound[j]} at "
-                    f"k={j + 1}", k=int(j + 1))
-            worst[name] = _peak(values, bound)
+    vab, eab = _finite(inp, *ergodic_bounds(inp, ks))
+    for name, values, bound in (
+            ("ergodic_v", trace.column("norm_v_a"), vab),
+            ("ergodic_eps", trace.column("eps_a"), eab)):
+        over = np.nonzero(~(values <= bound * slack))[0]
+        if over.size:
+            j = over[0]
+            raise TheoremViolation(
+                f"{name} value {values[j]} exceeds bound {bound[j]} at "
+                f"k={j + 1}", k=int(j + 1))
+        worst[name] = _peak(values, bound)
     return {"checked_prefixes": n, "worst_utilization": worst}
 
 
@@ -287,8 +292,6 @@ def _energy_bound(trace, inp):
 
 def _mu_nonincreasing(trace, inp):
     p = inp.params
-    if not p.is_constant:
-        return SKIP, "ramped inertial schedule; proved for constant alpha"
     a = p.alpha
     gamma = (1.0 - p.eta) * a * a + (1.0 + p.eta) * a
     phi = np.concatenate(([inp.d0 ** 2],
@@ -309,10 +312,8 @@ def _rate_bounds(trace, inp):
     except ParameterError as exc:  # the bounds overflow
         return SKIP, str(exc)
     shown = ", ".join(f"{name}={value:.3g}" for name, value in worst.items())
-    detail = f"all {len(trace)} prefixes within bounds; utilization {shown}"
-    if "ergodic_v" not in worst:
-        detail += "; ergodic bounds skipped (ramped inertial schedule)"
-    return PASS, detail, max(worst.values())
+    return (PASS, f"all {len(trace)} prefixes within bounds; utilization "
+                  f"{shown}", max(worst.values()))
 
 
 def _aggregated_error_nonneg(trace, inp):
@@ -337,8 +338,9 @@ _CHECKS = (
 def audit(trace, inp):
     """Replay a trace against every post-hoc inequality.
 
-    Returns one :class:`Check` per inequality, in a fixed order; a check
-    that cannot run on this trace is reported as skipped, with the reason.
+    Returns one :class:`Check` per inequality, in a fixed order.  A check
+    is skipped, with the reason, for one of three: an empty trace, no known
+    solution, or rate bounds that overflow.
     """
     if len(trace) == 0:
         return [Check(name, SKIP, "empty trace: vacuous pass")

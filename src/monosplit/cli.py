@@ -49,6 +49,13 @@ _REQUIRED = _Field(True)
 _INTEGER = ("an integer", lambda x: type(x) is int)
 _REAL = _Field(kind=("a finite real number", _is_real))
 _GRID = _Field(kind=("a list of finite real numbers", _is_vector))
+
+
+def _one_of(kinds):
+    """A required field that names one of ``kinds``."""
+    return _Field(True, (f"one of {', '.join(kinds)}", kinds.__contains__))
+
+
 # Every field of every config section.  A dimension above 4096 exhausts
 # memory or numpy's array limits: every zoo kind builds dense float64
 # matrices of order n or n/2, an affine build three at once (3 x 134 MB).
@@ -56,12 +63,11 @@ _CONFIG_FIELDS = {
     "config": {"schema_version": _REQUIRED, "problem": _REQUIRED,
                "instance": _REQUIRED, "params": _REQUIRED,
                "stopping": _Field(), "sweep": _Field()},
-    "problem": {"kind": _REQUIRED,
+    "problem": {"kind": _one_of(operators.PROBLEM_KINDS),
                 "dimension": _Field(True, _INTEGER, 1, 4096),
                 "seed": _Field(True, _INTEGER, 0)},
-    "instance": {"kind": _REQUIRED},
-    "params": {"alpha": _REAL, "sigma": _REAL, "beta": _REAL,
-               "ramp_iters": _Field(kind=_INTEGER)},
+    "instance": {"kind": _one_of(instances.INSTANCE_KINDS)},
+    "params": {"alpha": _REAL, "sigma": _REAL, "beta": _REAL},
     "stopping": {"rho": _REAL, "eps_hat": _REAL,
                  "max_iters": _Field(False, _INTEGER, 1)},
     # in the bench CSV's column order

@@ -1,6 +1,6 @@
 """Driver for the inertial under-relaxed inexact proximal framework.
 
-One iteration: extrapolate ``w = z + alpha_k (z - z_prev)``, ask the inner
+One iteration: extrapolate ``w = z + alpha (z - z_prev)``, ask the inner
 solver for a certificate ``(z~, v, eps, lam)``, check it against the
 certificate law of :func:`_error_ratio` (``lam`` at least the stepsize
 floor, ``eps >= 0`` and the relative-error criterion
@@ -355,13 +355,12 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     lambda_floor : enforced lower bound on every certificate stepsize.
 
     The inputs are validated once, on entry: the known solution is a
-    finite vector of the problem's dimension.  A bundle keeps every
-    ``alpha_k`` of its schedule in ``[0, alpha]`` and ``tau`` in ``(0, 1]``
-    from its construction on.  Each step checks the shapes of ``z~`` and
-    ``v``, the certificate law of :func:`_error_ratio`, a finite next
-    iterate and the stopping rule.  The trace and the ergodic state are
-    filled a block of steps at a time (see :func:`_record`), bit for bit
-    as step by step.
+    finite vector of the problem's dimension.  A bundle keeps ``alpha`` in
+    ``[0, beta)`` and ``tau`` in ``(0, 1]`` from its construction on.  Each
+    step checks the shapes of ``z~`` and ``v``, the certificate law of
+    :func:`_error_ratio`, a finite next iterate and the stopping rule.  The
+    trace and the ergodic state are filled a block of steps at a time (see
+    :func:`_record`), bit for bit as step by step.
 
     Returns
     -------
@@ -375,7 +374,6 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         linalg.check_same_dim(z, z_star)
 
     sigma, tau, alpha = params.sigma, params.tau, params.alpha
-    ramp = None if params.is_constant else params.alpha_at
     rho, eps_hat = stop.rho, stop.eps_hat
     shape = z.shape
 
@@ -399,8 +397,7 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     verdict = "max_iters"
     k = 0
     for k in range(1, stop.max_iters + 1):
-        alpha_k = alpha if ramp is None else ramp(k)
-        w = z + alpha_k * step
+        w = z + alpha * step
 
         cert = inner_solver(w, k)
         v, lam, eps = cert.v, cert.lam, cert.eps

@@ -1,13 +1,12 @@
 """Admissible parameter bundles for the inertial under-relaxed solver.
 
-A bundle keeps the values a caller chooses: the inertial upper bound
-``alpha``, the relative-error tolerance ``sigma``, the target bound
-``beta`` and the length of the inertial ramp.  It derives the effective
-bound ``beta_prime``, the relaxation ``tau``, the energy weight ``eta``
-and the stability quadratic ``q`` from them.  The closed forms come as a
-package: ``tau`` is the one that makes ``beta_prime`` a root of ``q``,
-so ``q(alpha) > 0`` is exactly the admissibility condition
-``alpha < beta``.
+A bundle keeps the values a caller chooses: the constant inertial factor
+``alpha``, the relative-error tolerance ``sigma`` and the target bound
+``beta``.  It derives the effective bound ``beta_prime``, the relaxation
+``tau``, the energy weight ``eta`` and the stability quadratic ``q`` from
+them.  The closed forms come as a package: ``tau`` is the one that makes
+``beta_prime`` a root of ``q``, so ``q(alpha) > 0`` is exactly the
+admissibility condition ``alpha < beta``.
 """
 
 import dataclasses
@@ -81,24 +80,20 @@ def q_value(alpha_prime, eta):
 class HpeParams:
     """Parameter bundle, admissible by construction.
 
-    The fields are the four values a caller chooses: the inertial bound
-    ``alpha``, the tolerance ``sigma``, the target bound ``beta`` and the
-    length ``ramp_iters`` of the inertial ramp.  Construction derives the
-    relaxation ``tau = tau_of(sigma, beta)``, the effective bound
-    ``beta_prime``, the energy weight ``eta`` and ``q_alpha = q(alpha)``
-    once, as plain attributes, then calls :meth:`validate`; an
-    inadmissible choice raises :class:`ParameterError`.
+    The fields are the three values a caller chooses: the inertial factor
+    ``alpha``, the tolerance ``sigma`` and the target bound ``beta``.
+    Construction derives the relaxation ``tau = tau_of(sigma, beta)``, the
+    effective bound ``beta_prime``, the energy weight ``eta`` and
+    ``q_alpha = q(alpha)`` once, as plain attributes, then calls
+    :meth:`validate`; an inadmissible choice raises :class:`ParameterError`.
 
-    The inertial schedule ``k -> alpha_{k-1}`` is nondecreasing in
-    ``[0, alpha]``: ``ramp_iters = 0`` (or ``alpha = 0``) is the constant
-    schedule the ergodic rate guarantees need, ``is_constant``; a positive
-    value ramps linearly from 0 up to ``alpha`` over that many iterations.
+    Every step extrapolates by the same ``alpha``: the constant schedule,
+    under which every rate guarantee holds.
     """
 
     alpha: float
     sigma: float
     beta: float
-    ramp_iters: int = 0
 
     def __post_init__(self):
         # the derivations range-check sigma and beta, in that order; alpha
@@ -112,8 +107,6 @@ class HpeParams:
                 f"need 0 <= alpha < beta < 1, got alpha={self.alpha}, "
                 f"beta={self.beta}")
         setattr_(self, "q_alpha", q_value(self.alpha, self.eta))
-        setattr_(self, "is_constant",
-                 self.ramp_iters == 0 or self.alpha == 0.0)
         self.validate()
 
     # -- validation -------------------------------------------------------
@@ -134,17 +127,8 @@ class HpeParams:
             raise ParameterError(
                 f"q(alpha) = {self.q_alpha} <= 0 (alpha too large for this "
                 f"sigma/beta)")
-        if self.ramp_iters < 0:
-            raise ParameterError(
-                f"ramp_iters must be >= 0, got {self.ramp_iters}")
 
     # -- derived quantities ----------------------------------------------
-
-    def alpha_at(self, k):
-        """Extrapolation factor of the schedule at iteration ``k`` (k >= 1)."""
-        if self.is_constant:
-            return self.alpha
-        return self.alpha * min(1.0, (k - 1) / self.ramp_iters)
 
     def energy_inflation(self):
         """Factor ``1 + 2 alpha (1+alpha) / ((1-alpha)^2 q(alpha))``.
@@ -157,17 +141,22 @@ class HpeParams:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self):
-        """The four chosen values and the derived ``tau``, as a trace
+        """The three chosen values and the derived ``tau``, as a trace
         header records them."""
         return {"alpha": self.alpha, "sigma": self.sigma, "beta": self.beta,
-                "tau": self.tau, "ramp_iters": self.ramp_iters}
+                # trace schema 1 records an inertial ramp; 0 is no ramp
+                "tau": self.tau, "ramp_iters": 0}
 
     @classmethod
     def from_dict(cls, d):
-        """The bundle of a dict of the four chosen values; absent ones
-        default.  ``tau`` is derived, so a dict that names it is refused."""
+        """The bundle of a dict of the three chosen values; absent ones
+        default.  ``tau`` is derived, so a dict that names it is refused,
+        as is one that names a key the bundle does not take."""
         if "tau" in d:
             raise ParameterError("tau is derived from (sigma, beta); "
                                  "give beta instead")
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ParameterError(f"unknown parameters: {sorted(unknown)}")
         return cls(d.get("alpha", 0.0), d.get("sigma", 0.0),
-                   d.get("beta", 1.0 / 3.0), d.get("ramp_iters", 0))
+                   d.get("beta", 1.0 / 3.0))

@@ -112,7 +112,12 @@ def test_bound_inputs_validation():
 @pytest.mark.parametrize("d0, floor, message", [
     (math.nan, 1.0, "d0 must be nonnegative, got nan"),
     (1.0, math.nan, "lambda_floor must be positive, got nan"),
-], ids=["d0", "lambda_floor"])
+    # every bound squares d0, which would overflow or pass against inf
+    (math.inf, 1.0, "d0 = inf has no finite square"),
+    (1e200, 1.0, r"d0 = 1e\+200 has no finite square"),
+    (10 ** 200, 1.0, "d0 = 10{200} has no finite square"),
+], ids=["d0", "lambda_floor", "d0_inf", "d0_square_overflows",
+        "int_d0_square_overflows"])
 def test_bound_inputs_refuse_nan(d0, floor, message):
     with pytest.raises(ParameterError, match=message):
         BoundInputs(d0=d0, lambda_floor=floor, params=PLAIN)
@@ -174,6 +179,8 @@ def test_assert_bounds_passes_and_reports(certified_run):
     state, inp = certified_run
     report = assert_bounds(state.trace, inp)
     assert report["checked_prefixes"] == len(state.trace)
+    assert list(report["worst_utilization"]) == [
+        "pointwise_v", "pointwise_eps", "ergodic_v", "ergodic_eps"]
     assert max(report["worst_utilization"].values()) <= 1.0 + 1e-8
 
 

@@ -81,6 +81,10 @@ def test_solve_certify_roundtrip(tmp_path, capsys, cfg):
     # the same audit, with the same inputs, behind both commands
     assert solved == certified
     assert {status for _, status in solved} == {"pass"}
+    rate = next(c["detail"] for c in summary["checks"]
+                if c["name"] == "rate_bounds")
+    for bound in ("pointwise_v", "pointwise_eps", "ergodic_v", "ergodic_eps"):
+        assert f"{bound}=" in rate
 
 
 def no_solution_config():
@@ -420,12 +424,13 @@ def test_config_refuses_an_instance_lambda_floor(tmp_path, capsys):
     ("instance", "lambda", 0.1),
     ("params", "tau", 0.5),
     ("sweep", "tau", [0.5]),
+    ("params", "ramp_iters", 10),
 ], ids=["problem-matrix", "problem-offset", "instance-lambda", "params-tau",
-        "sweep-tau"])
+        "sweep-tau", "params-ramp_iters"])
 def test_config_refuses_a_removed_field(tmp_path, capsys, section, field,
                                         value):
     # a run is a seeded zoo problem at its instance's own stepsize, with
-    # tau derived from (sigma, beta)
+    # tau derived from (sigma, beta) and a constant inertial schedule
     cfg = _config_with(section, field, value)
     path = write_config(tmp_path, cfg)
     trace = tmp_path / "trace.jsonl"
@@ -483,8 +488,14 @@ def test_config_invalid_params_reported(tmp_path):
     ("params", "alpha", "0.1"),
     ("stopping", "rho", "1e-6"),
     ("params", "alpha", 10 ** 400),
+    ("problem", "kind", 5),
+    ("problem", "kind", [1]),
+    ("instance", "kind", {}),
+    ("instance", "kind", "nope"),
 ], ids=["max_iters_float", "max_iters_bool", "dimension_str", "seed_str",
-        "nested_alpha_grid", "alpha_str", "rho_str", "alpha_beyond_float"])
+        "nested_alpha_grid", "alpha_str", "rho_str", "alpha_beyond_float",
+        "problem_kind_int", "problem_kind_list", "instance_kind_object",
+        "instance_kind_unknown"])
 def test_config_wrong_type_reported(tmp_path, capsys, section, field, value):
     cfg = base_config()
     cfg.setdefault(section, {})[field] = value
@@ -569,12 +580,6 @@ def test_seed_option_is_a_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
-
-
-def test_config_negative_ramp_reported(tmp_path):
-    cfg = base_config()
-    cfg["params"]["ramp_iters"] = -5
-    assert solve_config(tmp_path, cfg) == 3
 
 
 @pytest.mark.parametrize("kind, dim", [("box_constrained_quadratic", 5),

@@ -304,7 +304,7 @@ def replay(problem, solver, p, stop):
     z_star = problem.known_solution
     trace = IterationTrace()
     for k in range(1, stop.max_iters + 1):
-        w = z + p.alpha_at(k) * (z - z_prev)
+        w = z + p.alpha * (z - z_prev)
         cert = solver(w, k)
         ratio = certify(cert, w, p.sigma)
         z_next = w - p.tau * cert.lam * cert.v
@@ -341,29 +341,28 @@ def assert_same_bits(trace, expected):
                 ), name
 
 
-@pytest.mark.parametrize("kind, instance, sigma, ramp_iters, n", [
-    pytest.param("affine_inclusion", "ppm", 0.0, 0, 6,
-                 id="affine_inclusion-ppm-0.0-0"),
-    pytest.param("box_constrained_quadratic", "forward_backward", 0.5, 0, 6,
-                 id="box_constrained_quadratic-forward_backward-0.5-0"),
-    pytest.param("bilinear_saddle", "tseng_fbf", 0.5, 0, 6,
-                 id="bilinear_saddle-tseng_fbf-0.5-0"),
-    pytest.param("l1_composite", "forward_backward", 0.7, 0, 6,
-                 id="l1_composite-forward_backward-0.7-0"),
-    pytest.param("l1_composite", "tseng_fbf", 0.5, 25, 6,
-                 id="l1_composite-tseng_fbf-0.5-25"),
+@pytest.mark.parametrize("kind, instance, sigma, n", [
+    pytest.param("affine_inclusion", "ppm", 0.0, 6,
+                 id="affine_inclusion-ppm-0.0"),
+    pytest.param("box_constrained_quadratic", "forward_backward", 0.5, 6,
+                 id="box_constrained_quadratic-forward_backward-0.5"),
+    pytest.param("bilinear_saddle", "tseng_fbf", 0.5, 6,
+                 id="bilinear_saddle-tseng_fbf-0.5"),
+    pytest.param("l1_composite", "forward_backward", 0.7, 6,
+                 id="l1_composite-forward_backward-0.7"),
+    pytest.param("l1_composite", "tseng_fbf", 0.5, 6,
+                 id="l1_composite-tseng_fbf-0.5"),
     # no known solution above n = 12: the run takes its 5-row path and
     # records NaN distances
-    pytest.param("box_constrained_quadratic", "forward_backward", 0.5, 0, 13,
-                 id="box_constrained_quadratic-forward_backward-0.5-0-n13"),
-    pytest.param("bilinear_saddle", "tseng_fbf", 0.5, 0, 64,
-                 id="bilinear_saddle-tseng_fbf-0.5-0-n64"),
+    pytest.param("box_constrained_quadratic", "forward_backward", 0.5, 13,
+                 id="box_constrained_quadratic-forward_backward-0.5-n13"),
+    pytest.param("bilinear_saddle", "tseng_fbf", 0.5, 64,
+                 id="bilinear_saddle-tseng_fbf-0.5-n64"),
 ])
 def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
-                                                        sigma, ramp_iters, n):
+                                                        sigma, n):
     prob = operators.make_problem(kind, n, seed=11)
-    p = params.HpeParams(alpha=0.2, sigma=sigma, beta=0.4,
-                                   ramp_iters=ramp_iters)
+    p = params.HpeParams(alpha=0.2, sigma=sigma, beta=0.4)
     solver, floor = instances.make_inner_solver(
         prob, instances.InstanceConfig(kind=instance), p)
     stop = StoppingRule(rho=1e-9, eps_hat=1e-12, max_iters=150)

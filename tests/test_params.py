@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -114,23 +115,26 @@ def test_alpha_beyond_the_float_range_is_refused_by_its_range(alpha):
 
 def _chosen(bundle):
     """The values a caller chooses, as ``from_dict`` takes them."""
-    return {k: v for k, v in bundle.to_dict().items() if k != "tau"}
+    return {k: v for k, v in bundle.to_dict().items()
+            if k not in ("tau", "ramp_iters")}
 
 
 def test_dict_roundtrip():
-    p = params.HpeParams(alpha=0.2, sigma=0.7, beta=0.5, ramp_iters=10)
+    p = params.HpeParams(alpha=0.2, sigma=0.7, beta=0.5)
     assert p.to_dict() == {"alpha": 0.2, "sigma": 0.7, "beta": 0.5,
-                           "tau": p.tau, "ramp_iters": 10}
+                           "tau": p.tau, "ramp_iters": 0}
     assert params.HpeParams.from_dict(_chosen(p)) == p
 
 
 def test_to_dict_writes_the_trace_meta_bit_for_bit():
-    # a trace header records the bundle in this order, tau as tau_of
+    # a trace header records the bundle in this order, tau as tau_of and
+    # the ramp length of trace schema 1 as the integer 0
     for sigma in SIGMAS:
         for beta in (0.05, 1.0 / 3.0, 0.45, 0.9):
-            d = params.HpeParams(0.01, sigma, beta, 3).to_dict()
+            d = params.HpeParams(0.01, sigma, beta).to_dict()
             assert list(d) == ["alpha", "sigma", "beta", "tau", "ramp_iters"]
             assert d["tau"].hex() == params.tau_of(sigma, beta).hex()
+            assert json.dumps(d["ramp_iters"]) == "0"
 
 
 def test_from_dict_refuses_tau_off_the_closed_form_at_beta():
@@ -141,16 +145,21 @@ def test_from_dict_refuses_tau_off_the_closed_form_at_beta():
                                  "tau": tau}):
             with pytest.raises(ParameterError, match="tau is derived"):
                 params.HpeParams.from_dict(d)
+    # a key the bundle does not take is refused, not quietly defaulted
+    for key, value in (("ramp_iters", 10), ("ramp_iters", 0),
+                       ("sigam", 0.5)):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"unknown parameters: ['{key}']")):
+            params.HpeParams.from_dict({"alpha": 0.3, key: value})
 
 
 @given(alpha=st.floats(0.0, 1.0, exclude_max=True),
        sigma=st.floats(0.0, 1.0, exclude_max=True),
-       beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       ramp_iters=st.integers(0, 50))
+       beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_bundle_roundtrips_or_is_refused(alpha, sigma, beta, ramp_iters):
+def test_bundle_roundtrips_or_is_refused(alpha, sigma, beta):
     try:
-        p = params.HpeParams(alpha, sigma, beta, ramp_iters)
+        p = params.HpeParams(alpha, sigma, beta)
     except ParameterError:
         return
     assert params.HpeParams.from_dict(_chosen(p)) == p
@@ -180,27 +189,12 @@ def test_admissibility_near_beta_one_is_one_clean_cut(sigma):
 def test_derived_values_are_not_settable():
     p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
     assert [f.name for f in dataclasses.fields(p)] == [
-        "alpha", "sigma", "beta", "ramp_iters"]
+        "alpha", "sigma", "beta"]
     for name in ("tau", "eta", "beta_prime", "q_alpha"):
         with pytest.raises(TypeError):
-            params.HpeParams(0.1, 0.5, 0.4, 0, **{name: getattr(p, name)})
+            params.HpeParams(0.1, 0.5, 0.4, **{name: getattr(p, name)})
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, 0.5)
-
-
-def test_schedule_constant_and_ramp():
-    const = params.HpeParams(0.3, 0.0, 0.4)
-    assert const.is_constant
-    assert const.alpha_at(1) == 0.3 and const.alpha_at(100) == 0.3
-    assert params.HpeParams(0.0, 0.0, 0.4, ramp_iters=10).is_constant
-    ramp = params.HpeParams(0.3, 0.0, 0.4, ramp_iters=10)
-    assert not ramp.is_constant
-    vals = [ramp.alpha_at(k) for k in range(1, 30)]
-    assert vals[0] == 0.0
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(0.3)
-    with pytest.raises(ParameterError, match="ramp_iters"):
-        params.HpeParams(0.3, 0.0, 0.4, ramp_iters=-1)
 
 
 def test_energy_inflation_plain_case():
