@@ -13,8 +13,8 @@ from .errors import (CertificationError, ConfigError, DimensionMismatch,
                      TheoremViolation)
 from .hpe_core import (Certificate, IterationTrace, SolverState, StoppingRule,
                        run)
-from .instances import (INSTANCE_KINDS, InstanceConfig, fb_step,
-                        make_inner_solver, ppm_step, solve, tseng_step)
+from .instances import (INSTANCE_KINDS, fb_step, make_inner_solver, ppm_step,
+                        solve, tseng_step)
 from .operators import (AffineOperator, AffineResolvent, BoxResolvent,
                         ForwardMap, L1Resolvent, TestProblem, ZeroResolvent,
                         make_problem)
@@ -28,7 +28,7 @@ __all__ = [
     "BoxResolvent", "Certificate", "CertificationError", "Check",
     "ConfigError",
     "DimensionMismatch", "ErgodicState", "ForwardMap", "HpeParams",
-    "INSTANCE_KINDS", "InstanceConfig", "IterationTrace", "L1Resolvent",
+    "INSTANCE_KINDS", "IterationTrace", "L1Resolvent",
     "MonosplitError", "OracleError", "ParameterError", "SolverState",
     "StoppingRule", "TestProblem", "TheoremViolation", "ZeroResolvent",
     "assert_bounds", "audit", "beta_prime", "beta_prime_lower_bound",

@@ -116,8 +116,7 @@ def load_config(path):
     problem = operators.make_problem(prob["kind"], prob["dimension"],
                                      prob["seed"])
 
-    inst = _section(raw["instance"], "instance")
-    config = instances.InstanceConfig(inst["kind"])
+    kind = _section(raw["instance"], "instance")["kind"]
 
     params = params_mod.HpeParams.from_dict(
         _section(raw["params"], "params"))
@@ -131,7 +130,7 @@ def load_config(path):
         if not any(sweep.values()):
             raise ConfigError("sweep present but every grid is empty")
 
-    return {"problem": problem, "instance": config, "params": params,
+    return {"problem": problem, "instance": kind, "params": params,
             "stop": stop, "sweep": sweep, "raw": raw}
 
 

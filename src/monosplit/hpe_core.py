@@ -28,8 +28,6 @@ from .errors import CertificationError, DimensionMismatch, ParameterError
 # Round-off allowance for exactly-zero residuals (inner solvers that
 # reconstruct v = (w - z~)/lam reassemble lam*v with a few ulp of error).
 _ZERO_SLACK = 1e-18
-# Absolute round-off allowance on a stepsize under its floor.
-_BOUND_SLACK = 1e-15
 # Relative round-off allowance on the criterion ratio lhs / rhs <= 1.
 CRITERION_TOL = 1e-9
 
@@ -295,7 +293,7 @@ def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
     Each check is a pass condition, so a NaN fails; the message calls a
     NaN ``lam`` or ``eps`` non-finite, and names step ``k`` when given.
     """
-    if not (lam > 0.0 and lam >= lambda_floor - _BOUND_SLACK):
+    if not (lam > 0.0 and lam >= lambda_floor):
         fault = (f"non-finite stepsize {lam}" if lam != lam else
                  f"stepsize {lam} below the floor {lambda_floor}")
         raise ParameterError(fault + _at(k))
@@ -348,7 +346,9 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     problem : TestProblem
         Supplies the dimension, and the known solution (None when unknown)
         for the distance columns.
-    inner_solver : callable ``(w, k) -> Certificate``
+    inner_solver : callable ``w -> Certificate``
+        Maps the extrapolated point of a step to its certificate; the
+        driver names the step ``k`` in every error it raises.
     params : HpeParams
         Admissible by construction, so the driver does not re-check it.
     stop : StoppingRule, optional
@@ -399,7 +399,7 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     for k in range(1, stop.max_iters + 1):
         w = z + alpha * step
 
-        cert = inner_solver(w, k)
+        cert = inner_solver(w)
         v, lam, eps = cert.v, cert.lam, cert.eps
         _check_shape(cert, shape, k)
         _criterion_terms(cert, w, resid, dz)

@@ -18,26 +18,13 @@ only the resolvent's point map ``B.point``; the proximal step takes
 ``v`` from ``B.resolve``.
 """
 
-from dataclasses import dataclass
+import functools
 
 from . import hpe_core, linalg
 from .errors import ParameterError
 from .hpe_core import Certificate
 
 INSTANCE_KINDS = ("ppm", "tseng_fbf", "forward_backward")
-
-
-@dataclass(frozen=True)
-class InstanceConfig:
-    """Inner-solver selection; its stepsize is :func:`default_stepsize`."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in INSTANCE_KINDS:
-            raise ParameterError(
-                f"unknown instance kind {self.kind!r}; "
-                f"choose from {INSTANCE_KINDS}")
 
 
 def ppm_step(B, w, lam):
@@ -51,19 +38,14 @@ def tseng_step(F, B, w, lam):
 
     ``v = F(z~) - F(P(w)) + (w - z~)/lam`` lies in ``(F+B)(z~)`` exactly;
     the Lipschitz bound plus projection nonexpansiveness give the error
-    criterion with ``eps = 0``.  For an affine ``F`` the difference is its
-    linear part at ``z~ - P(w)``, which does not cancel near the solution.
-    :func:`make_inner_solver` checks the preconditions once; the driver's
-    criterion check certifies each step.
+    criterion with ``eps = 0``.  The difference of the two forward values
+    is taken as ``F.linear(z~ - P(w))``, which does not cancel near the
+    solution.  :func:`make_inner_solver` checks the preconditions once;
+    the driver's criterion check certifies each step.
     """
     w_proj = F.project_domain(w)
-    f_w = F(w_proj)
-    z_tilde = B.point(lam, w - lam * f_w)
-    if F.linear is None:
-        diff = F(z_tilde) - f_w
-    else:
-        diff = F.linear(z_tilde - w_proj)
-    v = diff + (w - z_tilde) / lam
+    z_tilde = B.point(lam, w - lam * F(w_proj))
+    v = F.linear(z_tilde - w_proj) + (w - z_tilde) / lam
     return Certificate(z_tilde=z_tilde, v=v, eps=0.0, lam=lam)
 
 
@@ -83,42 +65,34 @@ def fb_step(F, B, w, lam):
     return Certificate(z_tilde=z_tilde, v=v, eps=eps, lam=lam)
 
 
-def default_stepsize(kind, problem, params):
-    """Constant stepsize at the instance cap (1.0 for the proximal point)."""
-    if kind == "ppm":
-        return 1.0
-    L = problem.lipschitz_L
-    if L is None:
-        raise ParameterError(f"{kind} needs a forward map with known L")
-    if kind == "tseng_fbf":
-        return params.sigma / L
-    return 2.0 * params.sigma ** 2 / L
-
-
-def make_inner_solver(problem, config, params):
-    """Bind a step function to a problem; returns ``(solver, lam)``.
+def make_inner_solver(problem, kind, params):
+    """Bind the step of instance ``kind`` to a problem at its stepsize;
+    returns ``(solver, lam)``, with ``solver`` a map ``w -> Certificate``.
 
     ``lam``, the stepsize of every step and the run's stepsize floor, is
-    the instance's cap (:func:`default_stepsize`).  Checks the problem's
-    structure (``ppm`` resolves a plain operator, the splittings take
-    ``(F, B)``), sigma, cocoercivity and the stepsize before any step runs.
+    the instance's cap: 1 for the proximal point, ``sigma / L`` for Tseng
+    and ``2 sigma^2 / L`` for forward-backward.  Refuses an unknown kind,
+    then checks the problem's structure (``ppm`` resolves a plain
+    operator, the splittings take ``(F, B)``), sigma, cocoercivity and the
+    stepsize before any step runs.
     """
-    kind = config.kind
-    lam = default_stepsize(kind, problem, params)
+    if kind not in INSTANCE_KINDS:
+        raise ParameterError(
+            f"unknown instance kind {kind!r}; choose from {INSTANCE_KINDS}")
+    F, B = problem.forward, problem.resolvent
 
     if kind == "ppm":
         if params.sigma != 0.0:
             raise ParameterError("ppm is the sigma = 0 instance")
-        if problem.forward is not None:
+        if F is not None:
             raise ParameterError("ppm needs a plain operator, not (F, B)")
-        B = problem.resolvent
+        return functools.partial(ppm_step, B, lam=1.0), 1.0
 
-        def solver(w, k):
-            return ppm_step(B, w, lam)
-        return solver, lam
-
-    F, B = problem.forward, problem.resolvent
+    if F is None:
+        raise ParameterError(f"{kind} needs a forward map with known L")
     tseng = kind == "tseng_fbf"
+    lam = (params.sigma / F.lipschitz_L if tseng
+           else 2.0 * params.sigma ** 2 / F.lipschitz_L)
     name = "tseng" if tseng else "forward-backward"
     if not (0.0 < params.sigma < 1.0):
         raise ParameterError(
@@ -127,17 +101,11 @@ def make_inner_solver(problem, config, params):
         raise ParameterError("forward-backward needs a cocoercive map")
     if not lam > 0.0:  # sigma / L or 2 sigma^2 / L can underflow to 0
         raise ParameterError(f"stepsize must be positive, got {lam}")
-
-    if tseng:
-        def solver(w, k):
-            return tseng_step(F, B, w, lam)
-    else:
-        def solver(w, k):
-            return fb_step(F, B, w, lam)
-    return solver, lam
+    step = tseng_step if tseng else fb_step
+    return functools.partial(step, F, B, lam=lam), lam
 
 
-def solve(problem, config, params, stop=None):
-    """Run the driver from the origin with one of the bundled instances."""
-    solver, lam = make_inner_solver(problem, config, params)
+def solve(problem, kind, params, stop=None):
+    """Run the driver from the origin with instance ``kind``."""
+    solver, lam = make_inner_solver(problem, kind, params)
     return hpe_core.run(problem, solver, params, stop=stop, lambda_floor=lam)

@@ -11,6 +11,7 @@ and Tseng) call ``point``; the proximal step, which needs ``v``, calls
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -198,20 +199,25 @@ class L1Resolvent:
 class ForwardMap:
     """Point-to-point monotone map with known Lipschitz/cocoercivity data.
 
-    ``project_domain`` is the projection onto the set where the Lipschitz
-    bound holds (identity when that set is the whole space).  An affine
-    map also carries its ``linear`` part ``d -> F(z + d) - F(z)``, so a
-    difference of two values can be formed without the cancellation of
-    subtracting them.
+    ``lipschitz_L`` must be positive and finite.  ``linear`` is the map's
+    linear part ``d -> F(z + d) - F(z)`` (every zoo map is affine), so a
+    difference of two values is formed without the cancellation of
+    subtracting them.  ``project_domain`` is the projection onto the set
+    where the Lipschitz bound holds (identity when that set is the whole
+    space).
     """
 
-    def __init__(self, fun, lipschitz_L, cocoercive=False,
-                 project_domain=None, linear=None):
+    def __init__(self, fun, lipschitz_L, *, linear, cocoercive=False,
+                 project_domain=None):
         self.fun = fun
         self.lipschitz_L = float(lipschitz_L)
+        if not 0.0 < self.lipschitz_L < math.inf:  # so that a NaN fails
+            raise ParameterError(
+                f"Lipschitz constant must be positive and finite, "
+                f"got {self.lipschitz_L}")
+        self.linear = linear
         self.cocoercive = bool(cocoercive)
         self.project_domain = project_domain or (lambda z: z)
-        self.linear = linear  # linear part of an affine map, or None
 
     def __call__(self, z):
         return self.fun(z)
@@ -465,10 +471,6 @@ class TestProblem:
         self.forward = forward
         self.known_solution = known_solution
         self.data = data or {}
-
-    @property
-    def lipschitz_L(self):
-        return None if self.forward is None else self.forward.lipschitz_L
 
     def d0(self):
         """Distance from the origin, where every run starts, to the known

@@ -176,11 +176,7 @@ def old_tseng_step(F, B, w, lam, project):
     w_proj = project(w)
     f_w = F(w_proj)
     z_tilde, _ = old_resolve(B, lam, w - lam * f_w)
-    if F.linear is None:
-        diff = F(z_tilde) - f_w
-    else:
-        diff = F.linear(z_tilde - w_proj)
-    v = diff + (w - z_tilde) / lam
+    v = F.linear(z_tilde - w_proj) + (w - z_tilde) / lam
     return z_tilde, v, 0.0, lam
 
 

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from monosplit import (BoundInputs, ErgodicState, HpeParams, InstanceConfig,
-                       StoppingRule, assert_bounds, audit, bounds, instances,
-                       operators, params, solve)
+from monosplit import (BoundInputs, ErgodicState, HpeParams, StoppingRule,
+                       assert_bounds, audit, bounds, instances, operators,
+                       params, solve)
 from oracles import enlargement_member
 from recorder import classical_iterates, solve_recorded
 
@@ -26,11 +26,10 @@ def announce(num, detail):
 def _run(kind, instance, dim, seed, alpha, sigma, beta, record=False):
     prob = operators.make_problem(kind, dim, seed)
     p = HpeParams(alpha=alpha, sigma=sigma, beta=beta)
-    config = InstanceConfig(kind=instance)
     if record:
-        state, rec = solve_recorded(prob, config, p, stop=STOP)
+        state, rec = solve_recorded(prob, instance, p, stop=STOP)
     else:
-        state, rec = solve(prob, config, p, stop=STOP), None
+        state, rec = solve(prob, instance, p, stop=STOP), None
     assert prob.known_solution is not None
     return {"problem": prob, "params": p, "state": state,
             "instance": instance, "recorder": rec}
@@ -192,7 +191,7 @@ def test_criterion_7_reduction_checks():
     prob = operators.make_problem("box_constrained_quadratic", 6, seed=101)
     sigma = 1.0 / math.sqrt(2.0)
     p = HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
-    lam = 2.0 * sigma ** 2 / prob.lipschitz_L
+    lam = 2.0 * sigma ** 2 / prob.forward.lipschitz_L
     iterates = classical_iterates(prob, lambda w: instances.fb_step(
         prob.forward, prob.resolvent, w, lam), p, lam)
     z = np.zeros(6)
@@ -204,7 +203,7 @@ def test_criterion_7_reduction_checks():
     prob = operators.make_problem("bilinear_saddle", 6, seed=102)
     sigma = 0.9
     p = HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
-    lam = sigma / prob.lipschitz_L
+    lam = sigma / prob.forward.lipschitz_L
     iterates = classical_iterates(prob, lambda w: instances.tseng_step(
         prob.forward, prob.resolvent, w, lam), p, lam)
     F = prob.forward

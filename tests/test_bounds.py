@@ -167,8 +167,8 @@ def test_bounds_need_known_d0(certified_run):
 def certified_run():
     prob = operators.make_problem("box_constrained_quadratic", 6, seed=30)
     p = params.HpeParams(alpha=0.15, sigma=0.8, beta=0.4)
-    state = instances.solve(prob, instances.InstanceConfig(
-        kind="forward_backward"), p,
+    state = instances.solve(
+        prob, "forward_backward", p,
         stop=hpe_core.StoppingRule(rho=1e-8, max_iters=10 ** 5))
     d0 = prob.d0()
     return state, BoundInputs(d0=d0, lambda_floor=state.lambda_floor,
@@ -188,8 +188,7 @@ def test_assert_bounds_detects_understated_d0():
     # the first exact proximal step uses > 50% of the pointwise bound on
     # this instance, so halving d0 must trip the harness
     prob = operators.make_problem("affine_inclusion", 8, seed=3)
-    state = instances.solve(prob, instances.InstanceConfig(kind="ppm"),
-                            PLAIN,
+    state = instances.solve(prob, "ppm", PLAIN,
                             stop=hpe_core.StoppingRule(rho=1e-8))
     d0 = prob.d0()
     good = BoundInputs(d0=d0, lambda_floor=state.lambda_floor, params=PLAIN)

@@ -57,8 +57,8 @@ def test_two_step_antisymmetric_case():
 def test_streaming_matches_direct_summation_on_a_run():
     prob = operators.make_problem("box_constrained_quadratic", 6, seed=20)
     p = params.HpeParams(alpha=0.1, sigma=0.7, beta=0.4)
-    _, rec = solve_recorded(prob, instances.InstanceConfig(
-        kind="forward_backward"), p,
+    _, rec = solve_recorded(
+        prob, "forward_backward", p,
         stop=hpe_core.StoppingRule(rho=1e-7, max_iters=10 ** 4))
     certs = rec.certificates
     for prefix in {1, 2, 5, len(certs) // 2, len(certs)}:
@@ -79,8 +79,8 @@ def test_streaming_matches_direct_summation_on_a_run():
 def test_eps_avg_nonnegative_along_whole_run():
     prob = operators.make_problem("l1_composite", 6, seed=21)
     p = params.HpeParams(alpha=0.2, sigma=0.9, beta=0.45)
-    state = instances.solve(prob, instances.InstanceConfig(
-        kind="forward_backward"), p,
+    state = instances.solve(
+        prob, "forward_backward", p,
         stop=hpe_core.StoppingRule(rho=1e-7, max_iters=10 ** 4))
     assert state.trace.column("eps_a").min() >= -1e-9
 

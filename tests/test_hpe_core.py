@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -18,7 +19,7 @@ PLAIN = params.HpeParams(alpha=0.0, sigma=0.0, beta=1.0 / 3.0)
 
 
 def ppm_solver(problem, lam=1.0):
-    def solver(w, k):
+    def solver(w):
         return instances.ppm_step(problem.resolvent, w, lam)
     return solver
 
@@ -121,7 +122,7 @@ def test_a_step_whose_norm_v_underflows_is_refused():
     # run would "solve" at k=1 and its audit would fail
     prob = operators.make_problem("affine_inclusion", 6, seed=1)
 
-    def tiny(w, k):
+    def tiny(w):
         v = np.full(6, 1e-300)
         return Certificate(z_tilde=w - v, v=v, eps=0.0, lam=1.0)
 
@@ -162,12 +163,27 @@ def test_run_rejects_stepsize_below_floor():
     prob = operators.make_problem("affine_inclusion", 4, seed=5)
     with pytest.raises(ParameterError):
         run(prob, ppm_solver(prob, lam=0.5), PLAIN, lambda_floor=1.0)
+    # the floor is exact: a step 100 times below a floor of 1e-15 fails
+    with pytest.raises(ParameterError, match=r"^stepsize 1e-17 below the "
+                                             r"floor 1e-15 at k=1$"):
+        run(prob, ppm_solver(prob, lam=1e-17), PLAIN, lambda_floor=1e-15)
+
+
+def test_audit_rejects_stepsize_below_floor():
+    prob = operators.make_problem("affine_inclusion", 4, seed=5)
+    state = run(prob, ppm_solver(prob, lam=1e-17), PLAIN, lambda_floor=1e-17,
+                stop=StoppingRule(max_iters=3))
+    checks = bounds.audit(state.trace, bounds.BoundInputs(
+        d0=prob.d0(), lambda_floor=1e-15, params=PLAIN))
+    check = next(c for c in checks if c.name == "error_criterion")
+    assert (check.status, check.detail) == (
+        bounds.FAIL, "stepsize 1e-17 below the floor 1e-15 at k=1")
 
 
 def test_run_rejects_negative_eps():
     prob = operators.make_problem("affine_inclusion", 4, seed=6)
 
-    def bad(w, k):
+    def bad(w):
         z, v = prob.resolvent.resolve(1.0, w)
         return Certificate(z_tilde=z, v=v, eps=-1e-3, lam=1.0)
 
@@ -178,7 +194,7 @@ def test_run_rejects_negative_eps():
 def test_run_aborts_on_uncertified_inner_solver():
     prob = operators.make_problem("affine_inclusion", 4, seed=7)
 
-    def sloppy(w, k):
+    def sloppy(w):
         z, v = prob.resolvent.resolve(1.0, w)
         return Certificate(z_tilde=z + 0.5, v=v, eps=0.0, lam=1.0)
 
@@ -193,8 +209,8 @@ def test_criterion_residual_does_not_cancel_near_the_solution(alpha, steps):
     # ratio past 1 + 1e-9 at k=81 (alpha 0) and k=61 (alpha 0.2)
     prob = operators.make_problem("box_constrained_quadratic", 5, 13)
     p = params.HpeParams(alpha=alpha, sigma=0.5, beta=0.4)
-    state = instances.solve(prob, instances.InstanceConfig(kind="tseng_fbf"),
-                            p, stop=StoppingRule(rho=1e-8, eps_hat=1e-12))
+    state = instances.solve(prob, "tseng_fbf", p,
+                            stop=StoppingRule(rho=1e-8, eps_hat=1e-12))
     assert (state.verdict, state.k) == ("solved", steps)
     assert state.trace.column("error_ratio").max() <= 1.0 + 1e-9
 
@@ -305,7 +321,7 @@ def replay(problem, solver, p, stop):
     trace = IterationTrace()
     for k in range(1, stop.max_iters + 1):
         w = z + p.alpha * (z - z_prev)
-        cert = solver(w, k)
+        cert = solver(w)
         ratio = certify(cert, w, p.sigma)
         z_next = w - p.tau * cert.lam * cert.v
         dz_sq = linalg.norm_sq(cert.z_tilde - w)
@@ -363,8 +379,7 @@ def test_run_matches_its_single_step_replay_bit_for_bit(kind, instance,
                                                         sigma, n):
     prob = operators.make_problem(kind, n, seed=11)
     p = params.HpeParams(alpha=0.2, sigma=sigma, beta=0.4)
-    solver, floor = instances.make_inner_solver(
-        prob, instances.InstanceConfig(kind=instance), p)
+    solver, floor = instances.make_inner_solver(prob, instance, p)
     stop = StoppingRule(rho=1e-9, eps_hat=1e-12, max_iters=150)
     state = run(prob, solver, p, stop=stop, lambda_floor=floor)
     assert state.k > 30
@@ -394,8 +409,7 @@ def test_run_matches_its_replay_at_a_million_coordinates(instance):
     n = 10 ** 6
     prob = separable_box_problem(n, seed=12)
     p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
-    solver, floor = instances.make_inner_solver(
-        prob, instances.InstanceConfig(kind=instance), p)
+    solver, floor = instances.make_inner_solver(prob, instance, p)
     stop = StoppingRule(rho=0.0, max_iters=16)
     state = run(prob, solver, p, stop=stop, lambda_floor=floor)
     assert state.k == 16
@@ -414,14 +428,14 @@ def test_run_refuses_a_certificate_of_another_dimension():
     # in a CertificationError about sigma=0
     prob = operators.make_problem("affine_inclusion", 4, seed=9)
 
-    def short(w, k):
+    def short(w):
         return Certificate(z_tilde=np.ones(1), v=-np.ones(1), eps=0.0,
                            lam=1.0)
 
     with pytest.raises(DimensionMismatch, match="k=1"):
         run(prob, short, PLAIN, lambda_floor=1.0)
 
-    def short_v(w, k):
+    def short_v(w):
         z, v = prob.resolvent.resolve(1.0, w)
         return Certificate(z_tilde=z, v=v[:1], eps=0.0, lam=1.0)
 
@@ -441,11 +455,13 @@ def block_steps(known):
 
 
 def stopping_at(solver, last):
-    """``solver``, except that step ``last`` returns ``v = 0`` at
+    """``solver``, except that its call ``last`` returns ``v = 0`` at
     ``z~ = w``, an exact zero that fires any stopping rule."""
-    def stepped(w, k):
-        cert = solver(w, k)
-        if k != last:
+    calls = itertools.count(1)
+
+    def stepped(w):
+        cert = solver(w)
+        if next(calls) != last:
             return cert
         return Certificate(z_tilde=w.copy(), v=np.zeros_like(w), eps=0.0,
                            lam=cert.lam)
@@ -460,8 +476,7 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
     assert K == (3 if known else 6)
     prob = separable_box_problem(BLOCK_N, seed=13, known=known)
     p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
-    solver, floor = instances.make_inner_solver(
-        prob, instances.InstanceConfig(kind="forward_backward"), p)
+    solver, floor = instances.make_inner_solver(prob, "forward_backward", p)
     recorded = []
     record = hpe_core._record
 
@@ -471,12 +486,14 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
 
     monkeypatch.setattr(hpe_core, "_record", counted)
     for length in (1, K - 1, K, K + 1, 2 * K + 3):
-        if ending == "stop":
-            steps, stop = stopping_at(solver, length), StoppingRule()
-        else:
-            steps, stop = solver, StoppingRule(rho=0.0, max_iters=length)
+        def steps():
+            # the run and its replay each count their own calls
+            return stopping_at(solver, length) if ending == "stop" else solver
+
+        stop = (StoppingRule() if ending == "stop"
+                else StoppingRule(rho=0.0, max_iters=length))
         recorded.clear()
-        state = run(prob, steps, p, stop=stop, lambda_floor=floor)
+        state = run(prob, steps(), p, stop=stop, lambda_floor=floor)
         assert state.k == len(state.trace) == length
         assert state.verdict == ("solved" if ending == "stop"
                                  else "max_iters")
@@ -485,7 +502,7 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
         assert recorded == ([size] * (length // size)
                             + [length % size] * (length % size > 0))
         assert_same_bits(state.trace,
-                         replay(prob, steps, p, stop))
+                         replay(prob, steps(), p, stop))
 
 
 @pytest.mark.parametrize("fault, error", [
@@ -500,12 +517,13 @@ def test_a_step_that_fails_mid_block_ends_the_run_at_its_step(known, fault,
     last = block_steps(known) + 2
     prob = separable_box_problem(BLOCK_N, seed=14, known=known)
     p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
-    solver, floor = instances.make_inner_solver(
-        prob, instances.InstanceConfig(kind="forward_backward"), p)
+    solver, floor = instances.make_inner_solver(prob, "forward_backward", p)
 
-    def failing(w, k):
-        cert = solver(w, k)
-        if k != last:
+    calls = itertools.count(1)
+
+    def failing(w):
+        cert = solver(w)
+        if next(calls) != last:
             return cert
         return dataclasses.replace(cert, **fault)
 

@@ -5,8 +5,7 @@ import pytest
 
 from monosplit import hpe_core, instances, linalg, operators, params
 from monosplit.errors import ParameterError
-from monosplit.instances import (InstanceConfig, fb_step, ppm_step, solve,
-                                 tseng_step)
+from monosplit.instances import fb_step, ppm_step, solve, tseng_step
 from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, ZeroResolvent, make_problem)
 from oracles import (bits, certify, enlargement_member, old_fb_step,
@@ -15,8 +14,14 @@ from recorder import classical_iterates
 
 
 def test_instance_config_rejects_unknown_kind():
+    prob = make_problem("box_constrained_quadratic", 4, seed=0)
+    p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
+    with pytest.raises(ParameterError) as exc:
+        instances.make_inner_solver(prob, "nope", p)
+    assert str(exc.value) == (f"unknown instance kind 'nope'; choose from "
+                              f"{instances.INSTANCE_KINDS}")
     with pytest.raises(ParameterError):
-        InstanceConfig(kind="momentum")
+        solve(prob, "momentum", p)
 
 
 # -- ppm ---------------------------------------------------------------------
@@ -52,12 +57,13 @@ def test_tseng_step_stepsize_cap():
     p0 = params.HpeParams(alpha=0.1, sigma=0.0, beta=0.4)
     with pytest.raises(ParameterError,
                        match=r"tseng needs sigma in \(0, 1\), got 0\.0"):
-        instances.make_inner_solver(prob, InstanceConfig("tseng_fbf"), p0)
+        instances.make_inner_solver(prob, "tseng_fbf", p0)
 
 
 def test_tseng_step_zero_forward_reduces_to_ppm():
     prob = make_problem("affine_inclusion", 4, seed=1)
-    F0 = operators.ForwardMap(lambda z: np.zeros_like(z), lipschitz_L=1.0)
+    F0 = operators.ForwardMap(lambda z: np.zeros_like(z), lipschitz_L=1.0,
+                              linear=lambda d: np.zeros_like(d))
     rng = np.random.default_rng(2)
     w = rng.standard_normal(4)
     c1 = tseng_step(F0, prob.resolvent, w, lam=0.4)
@@ -70,7 +76,7 @@ def test_tseng_step_zero_forward_reduces_to_ppm():
 def test_tseng_step_fixed_point():
     prob = make_problem("bilinear_saddle", 4, seed=3)
     sigma = 0.5
-    lam = sigma / prob.lipschitz_L
+    lam = sigma / prob.forward.lipschitz_L
     cert = tseng_step(prob.forward, prob.resolvent, prob.known_solution, lam)
     assert linalg.norm(cert.v) <= 1e-10
     assert certify(cert, prob.known_solution, sigma) <= 1e-9
@@ -81,7 +87,7 @@ def test_tseng_inclusion_exactness():
     # of B(z~)
     prob = make_problem("box_constrained_quadratic", 5, seed=4)
     sigma = 0.5
-    lam = sigma / prob.lipschitz_L
+    lam = sigma / prob.forward.lipschitz_L
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = rng.standard_normal(5)
@@ -96,7 +102,7 @@ def test_tseng_inclusion_exactness():
 def test_tseng_certificates_pass_on_seeded_run():
     prob = make_problem("bilinear_saddle", 8, seed=6)
     p = params.HpeParams(alpha=0.1, sigma=0.9, beta=0.4)
-    state = solve(prob, InstanceConfig(kind="tseng_fbf"), p,
+    state = solve(prob, "tseng_fbf", p,
                   stop=hpe_core.StoppingRule(rho=1e-8, max_iters=10 ** 5))
     assert state.verdict == "solved"
     assert state.trace.column("error_ratio").max() <= 1.0 + 1e-9
@@ -112,26 +118,25 @@ def test_fb_step_requirements():
     with pytest.raises(
             ParameterError,
             match=r"forward-backward needs sigma in \(0, 1\), got 0\.0"):
-        instances.make_inner_solver(
-            prob, InstanceConfig("forward_backward"), p0)
+        instances.make_inner_solver(prob, "forward_backward", p0)
     saddle = make_problem("bilinear_saddle", 4, seed=8)
     with pytest.raises(ParameterError, match="needs a cocoercive map"):
-        instances.make_inner_solver(
-            saddle, InstanceConfig("forward_backward"), p)
+        instances.make_inner_solver(saddle, "forward_backward", p)
 
 
 def test_fb_step_boundary_ratio_and_residual():
     prob = make_problem("box_constrained_quadratic", 5, seed=9)
     sigma = 0.7
-    lam = 2.0 * sigma ** 2 / prob.lipschitz_L
+    lam = 2.0 * sigma ** 2 / prob.forward.lipschitz_L
     rng = np.random.default_rng(10)
     for _ in range(20):
         w = rng.standard_normal(5) * 2
         cert = fb_step(prob.forward, prob.resolvent, w, lam)
         # the residual lam v + z~ - w vanishes identically
         assert linalg.norm(cert.lam * cert.v + cert.z_tilde - w) <= 1e-14
-        assert cert.eps == pytest.approx(
-            prob.lipschitz_L * linalg.norm_sq(cert.z_tilde - w) / 4.0)
+        assert cert.eps == pytest.approx(prob.forward.lipschitz_L
+                                         * linalg.norm_sq(cert.z_tilde - w)
+                                         / 4.0)
         if linalg.norm(cert.z_tilde - w) > 1e-8:
             ratio = certify(cert, w, sigma)
             assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-9
@@ -140,7 +145,7 @@ def test_fb_step_boundary_ratio_and_residual():
 def test_fb_step_fixed_point():
     prob = make_problem("box_constrained_quadratic", 5, seed=11)
     sigma = 0.6
-    lam = 2.0 * sigma ** 2 / prob.lipschitz_L
+    lam = 2.0 * sigma ** 2 / prob.forward.lipschitz_L
     cert = fb_step(prob.forward, prob.resolvent, prob.known_solution, lam)
     assert linalg.norm(cert.v) <= 1e-9
     assert cert.eps <= 1e-18
@@ -152,7 +157,7 @@ def test_fb_membership_via_enlargement_oracle():
     M, y = prob.data["matrix"], prob.data["observation"]
     F_affine = AffineOperator(M.T @ M, -(M.T @ y))
     sigma = 0.8
-    lam = 2.0 * sigma ** 2 / prob.lipschitz_L
+    lam = 2.0 * sigma ** 2 / prob.forward.lipschitz_L
     rng = np.random.default_rng(13)
     for _ in range(20):
         w = rng.standard_normal(5)
@@ -167,7 +172,7 @@ def test_fb_reduction_to_classical_iterates():
     prob = make_problem("l1_composite", 6, seed=14)
     sigma = 1.0 / math_sqrt2()
     p = params.HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
-    lam = 2.0 * sigma ** 2 / prob.lipschitz_L
+    lam = 2.0 * sigma ** 2 / prob.forward.lipschitz_L
     iterates = classical_iterates(
         prob, lambda w: fb_step(prob.forward, prob.resolvent, w, lam), p, lam)
     z = np.zeros(6)
@@ -183,7 +188,7 @@ def test_tseng_difference_does_not_cancel_near_the_solution(alpha, steps):
     # ratio past 1 + 1e-9 at k=373 (alpha 0) and k=302 (alpha 0.2)
     prob = make_problem("box_constrained_quadratic", 5, 13)
     p = params.HpeParams(alpha=alpha, sigma=0.9, beta=0.4)
-    state = solve(prob, InstanceConfig(kind="tseng_fbf"), p,
+    state = solve(prob, "tseng_fbf", p,
                   stop=hpe_core.StoppingRule(rho=1e-8, eps_hat=1e-12))
     assert (state.verdict, state.k) == ("solved", steps)
     assert state.trace.column("error_ratio").max() <= 1.0 + 1e-9
@@ -194,7 +199,7 @@ def test_tseng_reduction_to_classical_iterates():
     prob = make_problem("bilinear_saddle", 6, seed=15)
     sigma = 0.9
     p = params.HpeParams(0.0, sigma, params.beta_prime_lower_bound(sigma))
-    lam = sigma / prob.lipschitz_L
+    lam = sigma / prob.forward.lipschitz_L
     iterates = classical_iterates(prob, lambda w: tseng_step(
         prob.forward, prob.resolvent, w, lam), p, lam)
     F = prob.forward
@@ -217,7 +222,7 @@ def test_make_inner_solver_enforces_sigma_for_ppm():
     prob = make_problem("affine_inclusion", 4, seed=16)
     p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
     with pytest.raises(ParameterError):
-        instances.make_inner_solver(prob, InstanceConfig(kind="ppm"), p)
+        instances.make_inner_solver(prob, "ppm", p)
 
 
 def test_make_inner_solver_requires_structure():
@@ -226,16 +231,19 @@ def test_make_inner_solver_requires_structure():
     for kind in ("tseng_fbf", "forward_backward"):
         with pytest.raises(ParameterError,
                            match=f"^{kind} needs a forward map with known L$"):
-            instances.make_inner_solver(prob, InstanceConfig(kind=kind), p)
+            instances.make_inner_solver(prob, kind, p)
 
 
 def test_default_stepsizes_sit_at_the_caps():
     prob = make_problem("box_constrained_quadratic", 4, seed=18)
     p = params.HpeParams(alpha=0.1, sigma=0.5, beta=0.4)
-    L = prob.lipschitz_L
-    assert instances.default_stepsize("ppm", prob, p) == 1.0
-    assert instances.default_stepsize("tseng_fbf", prob, p) == 0.5 / L
-    assert instances.default_stepsize("forward_backward", prob, p) == 0.5 / L
+    plain = make_problem("affine_inclusion", 4, seed=18)
+    p0 = params.HpeParams(alpha=0.1, sigma=0.0, beta=0.4)
+    L = prob.forward.lipschitz_L
+    assert instances.make_inner_solver(plain, "ppm", p0)[1] == 1.0
+    assert instances.make_inner_solver(prob, "tseng_fbf", p)[1] == 0.5 / L
+    assert instances.make_inner_solver(
+        prob, "forward_backward", p)[1] == 0.5 / L
 
 
 def test_a_stepsize_that_underflows_is_refused():
@@ -244,8 +252,7 @@ def test_a_stepsize_that_underflows_is_refused():
     p = params.HpeParams(alpha=0.1, sigma=1e-200, beta=0.4)
     with pytest.raises(ParameterError,
                        match=r"^stepsize must be positive, got 0\.0$"):
-        instances.make_inner_solver(
-            prob, InstanceConfig("forward_backward"), p)
+        instances.make_inner_solver(prob, "forward_backward", p)
 
 
 # -- the steps against the steps as first written ----------------------------

@@ -326,6 +326,15 @@ def test_forward_linear_part_is_the_difference(kind, dim):
                                              + np.abs(F(b)).max()))
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
+def test_forward_map_refuses_a_lipschitz_constant_not_positive_finite(L):
+    # a zero L used to reach make_inner_solver's sigma / L as a bare
+    # ZeroDivisionError
+    with pytest.raises(ParameterError, match=(
+            f"^Lipschitz constant must be positive and finite, got {L}$")):
+        operators.ForwardMap(lambda z: z, L, linear=lambda d: d)
+
+
 @pytest.mark.parametrize("kind,dim", [
     ("affine_inclusion", 7),
     ("box_constrained_quadratic", 6),
@@ -379,7 +388,8 @@ def test_dense_build_is_the_direct_expression_bit_for_bit(kind, n):
         assert problem.data.keys() == data.keys()
         for key, value in data.items():
             assert bits(problem.data[key]) == bits(value), key
-        assert bits(problem.lipschitz_L) == bits(L)
+        F = problem.forward
+        assert bits(None if F is None else F.lipschitz_L) == bits(L)
         assert bits(problem.known_solution) == bits(known)
 
 

@@ -115,7 +115,7 @@ def test_solver_trace_matches_the_oracle(tmp_path):
     prob = operators.make_problem("l1_composite", 5, 3)
     p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     state = instances.solve(
-        prob, instances.InstanceConfig(kind="tseng_fbf"), p,
+        prob, "tseng_fbf", p,
         stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
     assert len(state.trace) > 2 * hpe_core._CHUNK_ROWS
     state.trace.write_jsonl(tmp_path / "a.jsonl", header={"seed": 3})
