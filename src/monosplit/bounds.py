@@ -256,8 +256,8 @@ def _energy_term_consistency(trace, inp):
     relax_sq = (p.tau * trace.column("lam") * trace.column("norm_v")) ** 2
     dz_sq = trace.column("norm_dz") ** 2
     expected = hpe_core._energy_term(relax_sq, dz_sq, p)
-    ok = (np.abs(trace.column("s_k") - expected)
-          <= ENERGY_TERM_RTOL * (1.0 + np.abs(expected)))
+    tol = ENERGY_TERM_RTOL * (1.0 + np.abs(expected))
+    ok = np.isfinite(tol) & (np.abs(trace.column("s_k") - expected) <= tol)
     return _first_failure(ok, "s_k differs from its definition",
                           "s_k matches its definition on every step")
 
@@ -266,7 +266,8 @@ def _fejer_descent(trace, inp):
     w_sq = trace.column("dist_w") ** 2
     resid = (w_sq - trace.column("dist_to_solution") ** 2
              - trace.column("s_k"))
-    return _first_failure(resid >= -np.maximum(ATOL, DESCENT_RTOL * w_sq),
+    tol = np.maximum(ATOL, DESCENT_RTOL * w_sq)
+    return _first_failure(np.isfinite(resid) & (resid >= -tol),
                           "||w-z*||^2 - ||z-z*||^2 < s_k",
                           f"min residual {resid.min():.3e}")
 
@@ -345,8 +346,10 @@ def audit(trace, inp):
     if len(trace) == 0:
         return [Check(name, SKIP, "empty trace: vacuous pass")
                 for name, _, _ in _CHECKS]
-    return [Check(name, SKIP, "no known solution: d0 and the distances to "
-                              "z* are unknown")
-            if needs_solution and inp.d0 is None else
-            Check(name, *check(trace, inp))
-            for name, needs_solution, check in _CHECKS]
+    # an overflowing square is inf and inf - inf NaN, which the checks fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [Check(name, SKIP, "no known solution: d0 and the distances "
+                                  "to z* are unknown")
+                if needs_solution and inp.d0 is None else
+                Check(name, *check(trace, inp))
+                for name, needs_solution, check in _CHECKS]

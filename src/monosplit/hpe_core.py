@@ -91,8 +91,8 @@ class IterationTrace:
     def write_jsonl(self, path, header=None):
         """Write a meta line, then one JSON object per row.
 
-        The bytes are those of ``json.dumps`` on each row dict, except
-        that NaN (no known solution) is written as null: strict JSON.
+        The bytes are those of ``json.dumps`` on each row dict of floats,
+        except that NaN (no known solution) is written as null: strict JSON.
         """
         with open(path, "w") as fh:
             meta = {"schema_version": TRACE_SCHEMA_VERSION}
@@ -125,9 +125,9 @@ class IterationTrace:
     def read_jsonl(cls, path):
         """Read a JSONL trace, line by line; return ``(trace, meta)``.
 
-        A null value reads as NaN.  An unreadable file raises
-        :class:`ParameterError`, and so does, naming its line, a line that
-        is not strict UTF-8 (a byte-order mark included) or not a JSON
+        A null cell reads as NaN and an int as a float.  An unreadable file
+        raises :class:`ParameterError`, and so does, naming its line, a line
+        that is not strict UTF-8 (a byte-order mark included) or not a JSON
         object, a meta that is not an object, a missing column, a cell
         that is neither null nor a number (an int or a float, within the
         float range), or a ``k`` that does not run 1, 2, ....
@@ -176,33 +176,30 @@ class IterationTrace:
         """Move rows of :data:`TRACE_COLUMNS` values into the columns.
 
         ``linenos`` holds the line of each row.  Each column's cells are
-        type-checked together; a null value becomes NaN.  ``k`` must go
-        on from the rows read so far.
+        type-checked together.  ``k`` must go on from the rows read so far.
         """
-        first_k = len(self) + 1
-        for name, column_values in zip(TRACE_COLUMNS, zip(*rows)):
-            if not _FLOAT_OR_NULL.issuperset(map(type, column_values)):
-                bad = [i for i, value in enumerate(column_values)
-                       if not _is_cell(value)]
-                if bad:
-                    raise ParameterError(
-                        f"trace line {linenos[bad[0]]}, column {name!r}: "
-                        f"{json.dumps(column_values[bad[0]])} is not a "
-                        f"number or null")
+        steps = tuple(range(len(self) + 1, len(self) + 1 + len(rows)))
+        for name, cells in zip(TRACE_COLUMNS, zip(*rows)):
+            kinds = set(map(type, cells))
+            if name == "k" and kinds == _INT and cells == steps:
+                continue  # the step numbers, as the writer writes them
+            if not kinds <= _FLOAT_OR_NULL:
+                for lineno, cell in zip(linenos, cells):
+                    if not _is_cell(cell):
+                        raise ParameterError(
+                            f"trace line {lineno}, column {name!r}: "
+                            f"{json.dumps(cell)} is not a number or null")
             if name == "k":
-                steps = range(first_k, first_k + len(column_values))
-                if column_values != tuple(steps):
-                    i = next(i for i, step in enumerate(steps)
-                             if column_values[i] != step)
-                    raise ParameterError(
-                        f"trace line {linenos[i]}, column 'k': "
-                        f"{json.dumps(column_values[i])} is not step "
-                        f"{steps[i]}")
-                continue
-            if None in column_values:
-                column_values = [math.nan if value is None else value
-                                 for value in column_values]
-            self.columns[name].extend(column_values)
+                for lineno, cell, step in zip(linenos, cells, steps):
+                    if cell != step:
+                        raise ParameterError(
+                            f"trace line {lineno}, column 'k': "
+                            f"{json.dumps(cell)} is not step {step}")
+            elif kinds == _FLOAT:
+                self.columns[name].extend(cells)
+            else:  # null reads as NaN, an int as a float
+                self.columns[name].extend(
+                    [math.nan if c is None else float(c) for c in cells])
         rows.clear()
         linenos.clear()
 
@@ -216,6 +213,7 @@ _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
 _CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\r\n"
 _JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_INT, _FLOAT = frozenset({int}), frozenset({float})
 _FLOAT_OR_NULL = frozenset({float, type(None)})
 
 
@@ -227,24 +225,11 @@ def _is_cell(value):
     return type(value) in _FLOAT_OR_NULL
 
 
-def _number_text(value):
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    raise TypeError(f"trace values must be ints or floats, got {value!r}")
-
-
 def _texts(values, non_finite):
-    """``repr`` of each int or float, with ``non_finite`` respelling the
-    reprs ``nan``, ``inf`` and ``-inf``."""
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # an int, e.g. a "lam": 1 read back from a trace
-        texts = list(map(_number_text, values))
-    else:
-        if math.isfinite(sum(values)):  # then every value is finite
-            return texts
+    """``repr`` of each float; ``non_finite`` respells nan, inf and -inf."""
+    texts = list(map(float.__repr__, values))
+    if math.isfinite(sum(values)):  # then every value is finite
+        return texts
     return [non_finite.get(text, text) for text in texts]
 
 
@@ -288,10 +273,11 @@ def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
     """The certificate law of step ``k``; returns the criterion's lhs/rhs.
 
     ``lam`` must be positive and at least ``lambda_floor`` (else
-    :class:`ParameterError`), ``eps`` nonnegative and the ratio at most
-    ``1 + CRITERION_TOL``, with 0/0 -> 0 (else :class:`CertificationError`).
-    Each check is a pass condition, so a NaN fails; the message calls a
-    NaN ``lam`` or ``eps`` non-finite, and names step ``k`` when given.
+    :class:`ParameterError`), ``eps`` nonnegative, both sides' terms finite
+    and the ratio at most ``1 + CRITERION_TOL``, with 0/0 -> 0 (else
+    :class:`CertificationError`).  Each check is a pass condition, so a NaN
+    fails; the message calls a NaN ``lam`` or ``eps`` non-finite, and names
+    step ``k`` when given.
     """
     if not (lam > 0.0 and lam >= lambda_floor):
         fault = (f"non-finite stepsize {lam}" if lam != lam else
@@ -301,6 +287,10 @@ def _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor, k=None):
         fault = "non-finite" if eps != eps else "negative"
         raise CertificationError(f"{fault} eps {eps}{_at(k)}", k=k)
     lhs = resid_sq + 2.0 * lam * eps
+    # an infinite ||z~ - w||^2 would make the slack infinite, the ratio 0
+    if not (math.isfinite(lhs) and math.isfinite(dz_sq)):
+        raise CertificationError(f"non-finite criterion terms{_at(k)}: "
+                                 f"lhs={lhs}, ||z~ - w||^2={dz_sq}", k=k)
     rhs = sigma * sigma * dz_sq
     slack = _ZERO_SLACK * (1.0 + dz_sq)
     if lhs <= slack:
@@ -338,6 +328,9 @@ def _energy_term(relax_sq, dz_sq, params):
 _BLOCK_FLOATS = 2 ** 15
 
 
+# numpy's overflow warnings are off while a run steps: a step whose
+# criterion terms or ||v||^2 overflow is refused, naming its k
+@np.errstate(over="ignore")
 def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     """Iterate from the origin until the stopping rule fires or the cap hits.
 
@@ -414,9 +407,11 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         # ||z_next - w||^2 is finite only if every z_next coordinate is
         if not math.isfinite(relax_sq) and not np.isfinite(z_next).all():
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
-        # the trace would record a nonzero v whose ||v||^2 underflows as 0
-        if v_sq < sys.float_info.min and v.any():
-            raise CertificationError(f"||v||^2 underflows at k={k}", k=k)
+        # the trace would record a nonzero v whose ||v||^2 underflows as 0,
+        # or a finite v whose ||v||^2 overflows as inf
+        if not sys.float_info.min <= v_sq <= sys.float_info.max and v.any():
+            flow = "overflows" if v_sq > 1.0 else "underflows"
+            raise CertificationError(f"||v||^2 {flow} at k={k}", k=k)
 
         held = block[len(steps)]
         held[0], held[1] = cert.z_tilde, v
@@ -441,10 +436,11 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
 
 def _record(trace, erg, block, steps, params, z_star):
     """Fold ``steps``, whose vectors the first rows of ``block`` hold, into
-    the trace and the ergodic state column by column, keeping each
-    certificate's own ``lam`` and ``eps`` objects; empty ``steps``."""
+    the trace and the ergodic state column by column, each certificate's
+    ``lam`` and ``eps`` as a float (a float as itself); empty ``steps``."""
     (lam, eps, ratio, norm_v, step_sq, relax_sq, resid_sq,
      dz_sq) = zip(*steps)
+    lam, eps = list(map(float, lam)), list(map(float, eps))
     held = block[:len(steps)]
     total, v_avg_sq, eps_a = erg.fold(lam, eps, held[:, :2])
     dz_sq = np.array(dz_sq)

@@ -150,18 +150,18 @@ def test_solve_determinism_byte_identical(tmp_path):
         out2 / "summary.json").read_bytes()
 
 
-def certify_edited(tmp_path, capsys, cfg, edit, solved=(0, 1)):
-    """Solve ``cfg`` (exit code in ``solved``), ``edit`` the row of step 5
-    of its trace in place and certify the trace; return the exit code and
-    the printed lines, stdout's then stderr's."""
+def certify_edited(tmp_path, capsys, cfg, edit, solved=(0, 1), step=5):
+    """Solve ``cfg`` (exit code in ``solved``), ``edit`` the row of
+    ``step`` of its trace in place and certify the trace; return the exit
+    code and the printed lines, stdout's then stderr's."""
     path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) in solved
     lines = (out / "trace.jsonl").read_text().splitlines()
-    row = json.loads(lines[5])
-    assert row["k"] == 5
+    row = json.loads(lines[step])
+    assert row["k"] == step
     edit(row)
-    lines[5] = json.dumps(row)
+    lines[step] = json.dumps(row)
     (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = cli.main(["certify", "--trace", str(out / "trace.jsonl"),
@@ -249,6 +249,43 @@ def test_certify_audits_every_recorded_column(tmp_path, capsys, cfg, edit,
             if line.startswith(("[FAIL]", "error:"))] == [message]
 
 
+# box, n=5, seed 1, Tseng: a trace that passes every check
+OVERFLOW_CONFIG = base_config(kind="box_constrained_quadratic",
+                              instance="tseng_fbf", dim=5, seed=1, alpha=0.2,
+                              sigma=0.5, beta=0.4)
+OVERFLOW_CONFIG["stopping"].update(rho=1e-6, eps_hat=1e-9, max_iters=200)
+
+
+def _overflowing(**cells):
+    return lambda row: row.update(cells)
+
+
+NORM_DZ_FAILS = [
+    "[FAIL] error_criterion: non-finite criterion terms at k=20: "
+    "lhs={lhs}, ||z~ - w||^2=inf",
+    "[FAIL] energy_term_consistency: s_k differs from its definition at k=20"]
+
+
+@pytest.mark.parametrize("edit, failed", [
+    (_overflowing(norm_dz=1e200, error_ratio=0.0), NORM_DZ_FAILS),
+    (_overflowing(norm_dz=1e200), NORM_DZ_FAILS),
+    (_overflowing(dist_w=1e200),
+     ["[FAIL] fejer_descent: ||w-z*||^2 - ||z-z*||^2 < s_k at k=20"]),
+], ids=["norm_dz_and_error_ratio", "norm_dz", "dist_w"])
+def test_certify_fails_a_term_whose_square_overflows(tmp_path, capsys, edit,
+                                                     failed):
+    # each edit passed all eight checks, or all but error_criterion, with
+    # numpy overflow warnings on stderr: an infinite square made the
+    # criterion's slack and the checks' allowances infinite
+    lhs = []
+    code, printed = certify_edited(
+        tmp_path, capsys, OVERFLOW_CONFIG,
+        lambda row: (lhs.append(row["resid_sq"]), edit(row)), step=20)
+    assert code == 3
+    assert [line for line in printed if not line.startswith("[PASS]")] == [
+        line.format(lhs=lhs[0]) for line in failed]
+
+
 # every column an audit check reads
 AUDITED_COLUMNS = ("norm_v", "eps", "lam", "step_norm", "s_k",
                    "dist_to_solution", "resid_sq", "norm_dz", "dist_w",
@@ -288,6 +325,28 @@ def test_certify_fails_non_finite_value(tmp_path, capsys, solved_box,
     if column in NAMED_FAULTS:
         assert (f"[FAIL] error_criterion: {NAMED_FAULTS[column]} at k=5"
                 in out.splitlines())
+
+
+def test_certify_reads_int_cells_as_floats(tmp_path, capsys):
+    # a proximal point trace at sigma 0 records lam 1.0 and eps 0.0 on
+    # every row; written as the ints 1 and 0 they certify alike
+    cfg = base_config()
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    text = (out / "trace.jsonl").read_text()
+    floats = '"eps": 0.0, "lam": 1.0, '
+    assert text.count(floats) == len(text.splitlines()) - 1
+    ints = tmp_path / "ints.jsonl"
+    ints.write_text(text.replace(floats, '"eps": 0, "lam": 1, '))
+    printed = []
+    for trace in (out / "trace.jsonl", ints):
+        capsys.readouterr()
+        assert cli.main(["certify", "--trace", str(trace),
+                         "--config", path]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].err == "" and printed[0].out.count("[PASS]") == 8
 
 
 def _set_cell(column, value):

@@ -131,6 +131,39 @@ def test_a_step_whose_norm_v_underflows_is_refused():
         run(prob, tiny, PLAIN, lambda_floor=1.0)
 
 
+@pytest.mark.parametrize("scale, lam, message", [
+    # ||z~ - w||^2 overflows: the law's slack was inf and its ratio 0, and
+    # the run wrote Infinity cells and a null eps_a
+    (1e160, 0.1, r"non-finite criterion terms at k=1: lhs=0\.0, "
+                 r"\|\|z~ - w\|\|\^2=inf"),
+    # only ||v||^2 overflows: the run recorded norm_v = inf
+    (1e155, 1e-150, r"\|\|v\|\|\^2 overflows at k=1"),
+], ids=["dz", "v"])
+def test_a_step_whose_squares_overflow_is_refused(scale, lam, message):
+    # numpy's overflow warnings are errors in this suite
+    prob = operators.make_problem("bilinear_saddle", 4, 1)
+
+    def huge(w):
+        v = np.full(prob.dim, scale)
+        return Certificate(z_tilde=w - lam * v, v=v, eps=0.0, lam=lam)
+
+    with pytest.raises(CertificationError, match="^" + message + "$") as exc:
+        run(prob, huge, params.HpeParams(0.0, 0.5, 0.4),
+            StoppingRule(max_iters=2), lambda_floor=lam)
+    assert exc.value.k == 1
+
+
+def test_the_law_refuses_non_finite_terms():
+    # an infinite ||z~ - w||^2 made the slack infinite and the ratio 0
+    for resid_sq, dz_sq in ((0.0, math.inf), (math.inf, 1.0),
+                            (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(CertificationError,
+                           match="^non-finite criterion terms at k=3: "):
+            hpe_core._error_ratio(resid_sq, dz_sq, 0.1, 0.0, 0.5, 0.1, k=3)
+    with pytest.raises(CertificationError, match="lhs=nan"):
+        hpe_core._error_ratio(0.0, 1.0, math.inf, 0.0, 0.5, 0.1)
+
+
 def test_update_rule_holds_bitwise():
     prob = operators.make_problem("affine_inclusion", 5, seed=3)
     p = params.HpeParams(alpha=0.2, sigma=0.0, beta=0.4)

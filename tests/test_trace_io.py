@@ -57,16 +57,13 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                0.1, 1.0, -1.0, 1e16, 1e-5)
 reals = st.one_of(st.sampled_from(EDGE_FLOATS),
                   st.floats(allow_nan=False, allow_infinity=False))
-# a "lam": 1 read back from a trace, or a library step's lam=1, is an int
-stepsizes = st.one_of(reals, st.integers(-10 ** 6, 10 ** 6))
 # no known solution gives all-NaN distance columns; a trace read back from
 # a file mixes NaN and finite values in one column; a norm can overflow
 distances = st.one_of(st.just(math.nan), reals,
                       st.sampled_from([math.inf, -math.inf]))
 
-COLUMN_VALUES = {"lam": stepsizes, "dist_to_solution": distances,
-                 "dist_w": distances, "norm_v": st.one_of(reals,
-                                                           st.just(math.nan))}
+COLUMN_VALUES = {"dist_to_solution": distances, "dist_w": distances,
+                 "norm_v": st.one_of(reals, st.just(math.nan))}
 
 
 @st.composite
@@ -133,8 +130,9 @@ def test_writer_refuses_a_non_number(tmp_path):
     for name in trace.columns:
         trace.columns[name] = [1.0]
     trace.columns["lam"] = [True]
-    with pytest.raises(TypeError, match="ints or floats"):
-        trace.write_csv(tmp_path / "trace.csv")
+    for write in (trace.write_csv, trace.write_jsonl):
+        with pytest.raises(TypeError, match="requires a 'float' object"):
+            write(tmp_path / "trace.out")
 
 
 def test_reader_keeps_column_order(tmp_path):
@@ -192,6 +190,10 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
     ((1, 1), "trace line 3, column 'k': 1 is not step 2"),
     ((1, 3), "trace line 3, column 'k': 3 is not step 2"),
     ((1, None), "trace line 3, column 'k': null is not step 2"),
+    ((True,), "trace line 2, column 'k': true is not a number or null"),
+    ((1, "x"), """trace line 3, column 'k': "x" is not a number or null"""),
+    ((1, 10 ** 400),
+     f"trace line 3, column 'k': {10 ** 400} is not a number or null"),
 ])
 @pytest.mark.parametrize("chunk", [1, 128])
 def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
@@ -204,3 +206,49 @@ def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
         IterationTrace.read_jsonl(path)
     assert str(err.value) == message
 
+
+def test_reader_reads_an_int_cell_as_a_float(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    row = json.loads(ROW)
+    lines = [json.dumps(dict(row, k=1, lam=1, eps=0, s_k=None)),
+             json.dumps(dict(row, k=2, lam=1.0, eps=-(10 ** 20), s_k=2))]
+    path.write_text("\n".join([META.decode()] + lines) + "\n")
+    trace, _ = IterationTrace.read_jsonl(path)
+    assert trace.columns["lam"] == [1.0, 1.0]
+    assert trace.columns["eps"] == [0.0, -1e20]
+    assert math.isnan(trace.columns["s_k"][0])
+    assert trace.columns["s_k"][1] == 2.0
+    assert {type(cell) for col in trace.columns.values() for cell in col} \
+        == {float}
+    # read back as floats, the cells write as floats
+    trace.write_jsonl(tmp_path / "again.jsonl")
+    again = (tmp_path / "again.jsonl").read_text().splitlines()[1]
+    assert '"lam": 1.0, ' in again and '"eps": 0.0, ' in again
+
+
+def test_reader_accepts_a_float_step_number(tmp_path):
+    # the fast path takes a k column of ints only; "k": 1.0 is step 1 too
+    path = tmp_path / "trace.jsonl"
+    row = json.loads(ROW)
+    path.write_text("\n".join([META.decode()] + [
+        json.dumps(dict(row, k=k)) for k in (1.0, 2)]) + "\n")
+    assert len(IterationTrace.read_jsonl(path)[0]) == 2
+
+
+@pytest.mark.parametrize("kind", ["l1_composite", "box_constrained_quadratic"])
+def test_a_solver_trace_reads_without_a_cell_by_cell_check(tmp_path, kind):
+    # l1 at n = 5 has a known solution; box at n = 13 has none, so its
+    # distance columns are all null
+    dim = 5 if kind == "l1_composite" else 13
+    prob = operators.make_problem(kind, dim, 3)
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
+    state = instances.solve(
+        prob, "tseng_fbf", p,
+        stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
+    state.trace.write_jsonl(tmp_path / "a.jsonl")
+    with mock.patch.object(hpe_core, "_is_cell",
+                           side_effect=AssertionError("cell by cell")):
+        again, _ = IterationTrace.read_jsonl(tmp_path / "a.jsonl")
+    assert len(again) == len(state.trace) == 300
+    assert (prob.known_solution is None) == math.isnan(
+        again.columns["dist_w"][0])
