@@ -8,7 +8,6 @@ against the config it records.
 import argparse
 import collections
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -198,16 +197,16 @@ def cmd_solve(args):
     state.trace.write_jsonl(os.path.join(out_dir, "trace.jsonl"),
                             header=header)
 
+    checks = certify_trace(state.trace, cfg)
     summary = {
         "verdict": state.verdict,
         "iterations": state.k,
-        "final_norm_v": state.trace.column("norm_v")[-1],
-        "final_eps": state.trace.column("eps")[-1],
+        "final_norm_v": state.trace.columns["norm_v"][-1],
+        "final_eps": state.trace.columns["eps"][-1],
+        "checks": [vars(c) for c in checks],
     }
-    checks = certify_trace(state.trace, cfg)
-    summary["checks"] = [dataclasses.asdict(c) for c in checks]
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        fh.write(json.dumps(summary, indent=2))
 
     print(f"verdict={state.verdict} k={state.k} "
           f"norm_v={summary['final_norm_v']:.3e} "
@@ -290,6 +289,23 @@ def certify_trace(trace, cfg):
         d0=problem.d0(), lambda_floor=lam, params=params))
 
 
+def _check_end(trace, stop, path):
+    """Refuse, with :class:`ConfigError`, a trace that does not end where
+    a run of its stopping rule does: at the first row whose ``norm_v``
+    and ``eps`` meet the rule, or at ``max_iters`` when no row does."""
+    met = list(map(stop.met, trace.columns["norm_v"], trace.columns["eps"]))
+    if True in met:
+        end = met.index(True) + 1
+        where = f"at k={end}, the first step that meets its stopping rule"
+    else:
+        end = stop.max_iters
+        where = (f"at max_iters={end}, as no recorded step meets its "
+                 f"stopping rule")
+    if len(trace) != end:
+        raise ConfigError(f"trace {path} ends at k={len(trace)}, but a run "
+                          f"of its config ends {where}")
+
+
 def cmd_certify(args):
     cfg = load_config(args.config)
     trace, meta = hpe_core.IterationTrace.read_jsonl(args.trace)
@@ -298,6 +314,7 @@ def cmd_certify(args):
     if meta["config"] != cfg["raw"]:
         raise ConfigError(f"trace {args.trace} was recorded with another "
                           f"config than {args.config}")
+    _check_end(trace, cfg["stop"], args.trace)
     checks = certify_trace(trace, cfg)
     for check in checks:
         print(_line(check))

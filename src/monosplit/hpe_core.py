@@ -13,11 +13,13 @@ law.  Every iteration is recorded in a columnar trace, which the audit
 replays against every post-hoc inequality.
 """
 
+import itertools
 import json
 import math
 import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +34,12 @@ _ZERO_SLACK = 1e-18
 CRITERION_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(NamedTuple):
     """One inner-solver output claimed to satisfy the error criterion.
 
     ``z_tilde`` and ``v`` are arrays of the shape of the point ``w`` the
-    inner solver was given.
+    inner solver was given.  A named tuple: immutable, and built
+    positionally at about a third of a frozen dataclass's cost.
     """
 
     z_tilde: np.ndarray
@@ -53,6 +55,11 @@ class StoppingRule:
     rho: float = 1e-8
     eps_hat: float = 1e-10
     max_iters: int = 10 ** 6
+
+    def met(self, norm_v, eps):
+        """Whether a step of ``||v|| = norm_v`` and error ``eps`` stops
+        the run: the one predicate of :func:`run` and of a trace's end."""
+        return norm_v <= self.rho and eps <= self.eps_hat
 
 
 # Fixed export order; ergodic columns appended last.
@@ -125,15 +132,17 @@ class IterationTrace:
     def read_jsonl(cls, path):
         """Read a JSONL trace, line by line; return ``(trace, meta)``.
 
-        A null cell reads as NaN and an int as a float.  An unreadable file
-        raises :class:`ParameterError`, and so does, naming its line, a line
-        that is not strict UTF-8 (a byte-order mark included) or not a JSON
-        object, a meta that is not an object, a missing column, a cell
-        that is neither null nor a number (an int or a float, within the
-        float range), or a ``k`` that does not run 1, 2, ....
+        The meta line, if any, is the first non-blank line; ``meta`` is
+        ``{}`` without one.  A null cell reads as NaN and an int as a
+        float.  An unreadable file raises :class:`ParameterError`, and so
+        does, naming its line, a line that is not strict UTF-8 (a byte-order
+        mark included) or not a JSON object, a meta that is not an object
+        or not on the first line, a missing column, a cell that is neither
+        null nor a number (an int or a float, within the float range), or a
+        ``k`` that does not run 1, 2, ....
         """
         trace = cls()
-        meta = {}
+        meta = None
         row_values = operator.itemgetter(*TRACE_COLUMNS)
         rows = []
         linenos = []
@@ -155,6 +164,10 @@ class IterationTrace:
                     raise ParameterError(
                         f"trace line {lineno} is not a JSON object")
                 if "meta" in row:
+                    if meta is not None or rows or len(trace):
+                        raise ParameterError(
+                            f"trace line {lineno}: a meta line after the "
+                            f"first line")
                     meta = row["meta"]
                     if not isinstance(meta, dict):
                         raise ParameterError(
@@ -170,7 +183,7 @@ class IterationTrace:
                 if len(rows) == _CHUNK_ROWS:
                     trace._extend_read(rows, linenos)
         trace._extend_read(rows, linenos)
-        return trace, meta
+        return trace, {} if meta is None else meta
 
     def _extend_read(self, rows, linenos):
         """Move rows of :data:`TRACE_COLUMNS` values into the columns.
@@ -226,7 +239,17 @@ def _is_cell(value):
 
 
 def _texts(values, non_finite):
-    """``repr`` of each float; ``non_finite`` respells nan, inf and -inf."""
+    """``repr`` of each float of a nonempty chunk; ``non_finite`` respells
+    nan, inf and -inf.
+
+    A chunk whose cells are all one float object (a run's constant ``lam``,
+    or the ``0.0`` of an exact step's ``eps``) is formatted once.  The test
+    is identity, not equality, so that 0.0 and -0.0 keep their own text.
+    """
+    first = values[0]
+    if all(map(operator.is_, values, itertools.repeat(first))):
+        text = float.__repr__(first)
+        return [non_finite.get(text, text)] * len(values)
     texts = list(map(float.__repr__, values))
     if math.isfinite(sum(values)):  # then every value is finite
         return texts
@@ -367,8 +390,13 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         linalg.check_same_dim(z, z_star)
 
     sigma, tau, alpha = params.sigma, params.tau, params.alpha
-    rho, eps_hat = stop.rho, stop.eps_hat
+    met = stop.met
     shape = z.shape
+    # bound here, not at import, so that a wrapper installed on a module
+    # function before the run (a profiler's) sees every call
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    error_ratio, isfinite, sqrt = _error_ratio, math.isfinite, math.sqrt
+    tiny, huge = sys.float_info.min, sys.float_info.max
 
     # Every vector whose squared norm a step needs is written into one row
     # of this array, so that the step takes all of them in one call.  The
@@ -390,39 +418,44 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     verdict = "max_iters"
     k = 0
     for k in range(1, stop.max_iters + 1):
-        w = z + alpha * step
+        # w = z + alpha (z - z_prev), in an array of this step's own
+        w = multiply(alpha, step)
+        add(z, w, w)
 
         cert = inner_solver(w)
-        v, lam, eps = cert.v, cert.lam, cert.eps
-        _check_shape(cert, shape, k)
+        z_tilde, v, eps, lam = cert
+        if z_tilde.shape != shape or v.shape != shape:
+            _check_shape(cert, shape, k)
         _criterion_terms(cert, w, resid, dz)
-        z_next = w - tau * lam * v
-        np.subtract(z_next, w, relax)
-        np.subtract(z_next, z, step)
+        # z_next = w - tau lam v
+        z_next = multiply(tau * lam, v)
+        subtract(w, z_next, z_next)
+        subtract(z_next, w, relax)
+        subtract(z_next, z, step)
         v_row[...] = v
         resid_sq, dz_sq, relax_sq, step_sq, v_sq = squared_norms()
 
-        ratio = _error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor,
-                             k=k)
+        ratio = error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor,
+                            k=k)
         # ||z_next - w||^2 is finite only if every z_next coordinate is
-        if not math.isfinite(relax_sq) and not np.isfinite(z_next).all():
+        if not isfinite(relax_sq) and not np.isfinite(z_next).all():
             raise CertificationError(f"non-finite iterate at k={k}", k=k)
         # the trace would record a nonzero v whose ||v||^2 underflows as 0,
         # or a finite v whose ||v||^2 overflows as inf
-        if not sys.float_info.min <= v_sq <= sys.float_info.max and v.any():
+        if not tiny <= v_sq <= huge and v.any():
             flow = "overflows" if v_sq > 1.0 else "underflows"
             raise CertificationError(f"||v||^2 {flow} at k={k}", k=k)
 
         held = block[len(steps)]
-        held[0], held[1] = cert.z_tilde, v
+        held[0], held[1] = z_tilde, v
         if z_star is not None:
             held[2], held[3] = z_next, w
-        norm_v = math.sqrt(v_sq)
+        norm_v = sqrt(v_sq)
         steps.append((lam, eps, ratio, norm_v, step_sq, relax_sq, resid_sq,
                       dz_sq))
 
         z = z_next
-        if norm_v <= rho and eps <= eps_hat:
+        if met(norm_v, eps):
             verdict = "solved"
             break
         if len(steps) == len(block):

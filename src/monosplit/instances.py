@@ -15,10 +15,13 @@ relative-error criterion for its stepsize range:
 
 The two splitting steps build ``v`` from forward values, so they take
 only the resolvent's point map ``B.point``; the proximal step takes
-``v`` from ``B.resolve``.
+``v`` from ``B.resolve``.  Each step writes only into arrays it allocated
+itself, never into one that ``F``, ``F.linear`` or ``B.point`` returned.
 """
 
 import functools
+
+import numpy as np
 
 from . import hpe_core, linalg
 from .errors import ParameterError
@@ -30,7 +33,7 @@ INSTANCE_KINDS = ("ppm", "tseng_fbf", "forward_backward")
 def ppm_step(B, w, lam):
     """One exact proximal step on the full operator via its resolvent."""
     z_tilde, v = B.resolve(lam, w)
-    return Certificate(z_tilde=z_tilde, v=v, eps=0.0, lam=lam)
+    return Certificate(z_tilde, v, 0.0, lam)
 
 
 def tseng_step(F, B, w, lam):
@@ -40,13 +43,17 @@ def tseng_step(F, B, w, lam):
     the Lipschitz bound plus projection nonexpansiveness give the error
     criterion with ``eps = 0``.  The difference of the two forward values
     is taken as ``F.linear(z~ - P(w))``, which does not cancel near the
-    solution.  :func:`make_inner_solver` checks the preconditions once;
-    the driver's criterion check certifies each step.
+    solution, and added into ``v`` (IEEE addition commutes).
+    :func:`make_inner_solver` checks the preconditions once; the driver's
+    criterion check certifies each step.
     """
     w_proj = F.project_domain(w)
-    z_tilde = B.point(lam, w - lam * F(w_proj))
-    v = F.linear(z_tilde - w_proj) + (w - z_tilde) / lam
-    return Certificate(z_tilde=z_tilde, v=v, eps=0.0, lam=lam)
+    forward = np.multiply(lam, F(w_proj))
+    z_tilde = B.point(lam, np.subtract(w, forward, forward))
+    v = np.subtract(w, z_tilde)
+    np.divide(v, lam, v)
+    np.add(v, F.linear(np.subtract(z_tilde, w_proj)), v)
+    return Certificate(z_tilde, v, 0.0, lam)
 
 
 def fb_step(F, B, w, lam):
@@ -55,14 +62,17 @@ def fb_step(F, B, w, lam):
     The residual ``lam v + z~ - w`` vanishes identically; cocoercivity
     certifies ``F(w) in F^eps(z~)`` with ``eps = L ||z~ - w||^2 / 4``,
     and the stepsize cap makes ``2 lam eps <= sigma^2 ||z~ - w||^2``.
-    :func:`make_inner_solver` checks the preconditions once; the driver's
-    criterion check certifies each step.
+    ``||z~ - w||^2`` is taken of ``w - z~``: negation is exact, so the
+    products and their sum keep their bits.  :func:`make_inner_solver`
+    checks the preconditions once; the driver's criterion check certifies
+    each step.
     """
-    z_tilde = B.point(lam, w - lam * F(w))
-    v = (w - z_tilde) / lam
-    dz = z_tilde - w
-    eps = F.lipschitz_L * linalg.dot(dz, dz) / 4.0
-    return Certificate(z_tilde=z_tilde, v=v, eps=eps, lam=lam)
+    forward = np.multiply(lam, F(w))
+    z_tilde = B.point(lam, np.subtract(w, forward, forward))
+    v = np.subtract(w, z_tilde)
+    eps = F.lipschitz_L * linalg.dot(v, v) / 4.0
+    np.divide(v, lam, v)
+    return Certificate(z_tilde, v, eps, lam)
 
 
 def make_inner_solver(problem, kind, params):

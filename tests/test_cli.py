@@ -434,15 +434,76 @@ def test_certify_refuses_a_trace_line_that_is_not_utf8(tmp_path, capsys,
     assert err[0].startswith("error: malformed trace line 6: ")
 
 
-def test_certify_empty_trace_vacuous(tmp_path, capsys):
+def capped_box(tmp_path):
+    """Exit code, config path and trace lines of a run that stops at its
+    cap: 50 recorded steps, none of which meets the stopping rule."""
+    cfg = base_config(kind="box_constrained_quadratic", instance="tseng_fbf",
+                      dim=5, seed=1, alpha=0.2, sigma=0.5, beta=0.4)
+    cfg["stopping"] = {"rho": 1e-6, "eps_hat": 1e-9, "max_iters": 50}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    rc = cli.main(["solve", "--config", path, "--out", str(out)])
+    return rc, path, (out / "trace.jsonl").read_text().splitlines()
+
+
+def certify_lines(tmp_path, capsys, path, lines):
+    """Exit code and output of ``certify`` on ``lines`` as a trace."""
+    trace = tmp_path / "edited.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["certify", "--trace", str(trace), "--config", path])
+    return rc, capsys.readouterr(), trace
+
+
+@pytest.mark.parametrize("rows", [0, 10], ids=["meta_only", "first_10_rows"])
+def test_certify_refuses_a_trace_cut_short(tmp_path, capsys, rows):
+    # both used to certify: eight vacuous [SKIP] lines, or eight [PASS]
+    rc, path, lines = capped_box(tmp_path)
+    assert rc == 1 and len(lines) == 51
+    rc, captured, trace = certify_lines(tmp_path, capsys, path,
+                                        lines[:1 + rows])
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: trace {trace} ends at k={rows}, but a run of its "
+        f"config ends at max_iters=50, as no recorded step meets its "
+        f"stopping rule"]
+
+
+def test_certify_refuses_a_trace_that_goes_on_after_its_stop(tmp_path,
+                                                             capsys):
     cfg = base_config()
     path = write_config(tmp_path, cfg)
-    trace = tmp_path / "empty.jsonl"
-    trace.write_text(json.dumps({"meta": {"schema_version": 1,
-                                          "config": cfg}}) + "\n")
-    assert cli.main(["certify", "--trace", str(trace),
-                     "--config", path]) == 0
-    assert "vacuous" in capsys.readouterr().out
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])
+    again = dict(last, k=last["k"] + 1)
+    rc, captured, trace = certify_lines(tmp_path, capsys, path,
+                                        lines + [json.dumps(again)])
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: trace {trace} ends at k={last['k'] + 1}, but a run "
+        f"of its config ends at k={last['k']}, the first step that meets "
+        f"its stopping rule"]
+
+
+@pytest.mark.parametrize("where", ["trailing_copy", "other_seed_first"])
+def test_certify_refuses_a_meta_line_after_the_first(tmp_path, capsys,
+                                                      where):
+    # the reader used to keep the last meta line: a copy after the rows,
+    # or the true meta after one of another seed, certified
+    rc, path, lines = capped_box(tmp_path)
+    meta = lines[0]
+    if where == "trailing_copy":
+        edited = lines + [meta]
+    else:
+        other = json.loads(meta)
+        other["meta"]["config"]["problem"]["seed"] = 2
+        edited = [json.dumps(other)] + lines[1:] + [meta]
+    rc, captured, _ = certify_lines(tmp_path, capsys, path, edited)
+    assert rc == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: trace line 52: a meta line after the first line"]
 
 
 def test_certify_refuses_a_trace_that_records_no_config(tmp_path, capsys,

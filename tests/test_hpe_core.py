@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -90,6 +89,15 @@ def test_certify_refuses_a_certificate_of_another_dimension():
         certify(short, w, sigma=0.5)
     assert str(exc.value) == ("certificate has z~ of shape (1,) and v of "
                               "shape (1,), expected (4,)")
+
+
+def test_a_certificate_is_immutable():
+    cert = Certificate(np.ones(2), -np.ones(2), 0.0, 1.0)
+    assert cert == (cert.z_tilde, cert.v, cert.eps, cert.lam)
+    for name in ("z_tilde", "v", "eps", "lam"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, 2.0)
+    assert cert.eps == 0.0 and cert.lam == 1.0
 
 
 # -- the driver --------------------------------------------------------------
@@ -558,7 +566,7 @@ def test_a_step_that_fails_mid_block_ends_the_run_at_its_step(known, fault,
         cert = solver(w)
         if next(calls) != last:
             return cert
-        return dataclasses.replace(cert, **fault)
+        return cert._replace(**fault)
 
     rec = Recorder(failing)
     with pytest.raises(error, match=rf"at k={last}\b"):

@@ -338,3 +338,94 @@ def test_splitting_steps_take_one_point_and_no_resolve(step):
         counting = CountingResolvent(B)
         step(F, counting, rng.standard_normal(dim), 0.5 / F.lipschitz_L)
         assert counting.calls == {"point": 1}, kind
+
+
+# -- steps write only into arrays of their own -------------------------------
+
+class CopyingResolvent:
+    """``oracle``'s point map, handing back a copy of each point."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def point(self, lam, w):
+        return self.oracle.point(lam, w).copy()
+
+
+# The cached values of the constant map and of its linear part.
+SHIFT = np.linspace(-1.0, 2.0, 5)
+ZERO = np.zeros(5)
+
+
+def sharing_problems():
+    """``(name, problem, copying)``: a problem whose forward map's ``fun``
+    and ``linear`` return their argument or a cached array, and whose
+    resolvent's ``point`` may return its input, and the same problem with
+    each of those results copied.
+
+    The identity map (1-cocoercive) goes with a box that excludes the
+    origin, and the constant map ``SHIFT`` (cocoercive at any ``L``) with
+    the box and the zero resolvent, so that every run from the origin
+    moves.
+    """
+    n = SHIFT.shape[0]
+    maps = {"identity": (lambda z: z, lambda d: d),
+            "constant": (lambda z: SHIFT, lambda d: ZERO)}
+    resolvents = {"zero": ZeroResolvent(),
+                  "box": BoxResolvent(np.full(n, 0.5), np.full(n, 2.0))}
+    for fname, bname in (("identity", "box"), ("constant", "box"),
+                         ("constant", "zero")):
+        (fun, linear), B = maps[fname], resolvents[bname]
+        sharing = operators.ForwardMap(fun, 1.0, linear=linear,
+                                       cocoercive=True)
+        copying = operators.ForwardMap(lambda z, f=fun: f(z).copy(), 1.0,
+                                       linear=lambda d, f=linear: f(d).copy(),
+                                       cocoercive=True)
+        yield (f"{fname}-{bname}",
+               operators.TestProblem("sharing", n, B, forward=sharing),
+               operators.TestProblem("copying", n, CopyingResolvent(B),
+                                     forward=copying))
+
+
+class Snapshots:
+    """Wrap an inner solver; keep each point it is handed and each
+    certificate it returns, with the bits of each taken at once."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.kept = []
+
+    def __call__(self, w):
+        cert = self.solver(w)
+        arrays = (w,) + tuple(cert)
+        self.kept.append((arrays, [bits(x) for x in arrays]))
+        return cert
+
+    def assert_unchanged(self):
+        for arrays, taken in self.kept:
+            assert [bits(x) for x in arrays] == taken
+
+
+@pytest.mark.parametrize("kind", ["tseng_fbf", "forward_backward"])
+def test_steps_write_only_into_arrays_of_their_own(kind):
+    # a step that wrote into what F, F.linear or B.point returned would
+    # change a point the driver handed it, a cached array or an earlier
+    # certificate, and the run would differ from one with copying maps
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
+    stop = hpe_core.StoppingRule(rho=1e-9, max_iters=40)
+    for name, sharing, copying in sharing_problems():
+        states = []
+        for prob in (sharing, copying):
+            solver, lam = instances.make_inner_solver(prob, kind, p)
+            kept = Snapshots(solver)
+            states.append(hpe_core.run(prob, kept, p, stop=stop,
+                                       lambda_floor=lam))
+            kept.assert_unchanged()
+        shared, copied = states
+        assert shared.k == copied.k > 1, name
+        assert bits(shared.z_curr) == bits(copied.z_curr), name
+        for column in shared.trace.columns:
+            assert (bits(shared.trace.column(column))
+                    == bits(copied.trace.column(column))), (name, column)
+    assert bits(SHIFT) == bits(np.linspace(-1.0, 2.0, 5))
+    assert bits(ZERO) == bits(np.zeros(5))

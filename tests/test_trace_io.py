@@ -66,6 +66,17 @@ COLUMN_VALUES = {"dist_to_solution": distances, "dist_w": distances,
                  "norm_v": st.one_of(reals, st.just(math.nan))}
 
 
+def alike_columns(n):
+    """Columns of ``n`` cells that a chunk may share: one float object (a
+    run's constant ``lam``), equal but distinct floats, 0.0 and -0.0
+    mixed, and one NaN object."""
+    return st.one_of(
+        reals.map(lambda x: [x] * n),
+        reals.map(lambda x: [float(repr(x)) for _ in range(n)]),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+        st.just([math.nan] * n))
+
+
 @st.composite
 def traces(draw):
     n = draw(st.integers(0, 12))
@@ -75,8 +86,10 @@ def traces(draw):
         if all_nan and name.startswith("dist"):
             values = [math.nan] * n
         else:
-            values = draw(st.lists(COLUMN_VALUES.get(name, reals),
-                                   min_size=n, max_size=n))
+            values = draw(st.one_of(
+                st.lists(COLUMN_VALUES.get(name, reals), min_size=n,
+                         max_size=n),
+                alike_columns(n)))
         trace.columns[name] = values
     return trace
 
