@@ -243,8 +243,8 @@ def _bench_cell(cfg, overrides):
         return row + ["error", "", 0, "nan", "nan", "nan", failed]
     worst = next(c.utilization for c in checks if c.name == "rate_bounds")
     return row + ["ok", state.verdict, state.k,
-                  repr(float(state.trace.column("norm_v")[-1])),
-                  repr(float(state.trace.column("eps")[-1])),
+                  repr(state.trace.columns["norm_v"][-1]),
+                  repr(state.trace.columns["eps"][-1]),
                   repr(math.nan if worst is None else worst), ""]
 
 
@@ -293,9 +293,9 @@ def _check_end(trace, stop, path):
     """Refuse, with :class:`ConfigError`, a trace that does not end where
     a run of its stopping rule does: at the first row whose ``norm_v``
     and ``eps`` meet the rule, or at ``max_iters`` when no row does."""
-    met = list(map(stop.met, trace.columns["norm_v"], trace.columns["eps"]))
-    if True in met:
-        end = met.index(True) + 1
+    met = stop.met(trace.column("norm_v"), trace.column("eps"))
+    if met.any():
+        end = int(met.argmax()) + 1
         where = f"at k={end}, the first step that meets its stopping rule"
     else:
         end = stop.max_iters

@@ -13,6 +13,7 @@ law.  Every iteration is recorded in a columnar trace, which the audit
 replays against every post-hoc inequality.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -56,10 +57,14 @@ class StoppingRule:
     eps_hat: float = 1e-10
     max_iters: int = 10 ** 6
 
+    def __post_init__(self):  # floats, as a column comparison takes them
+        for name in ("rho", "eps_hat"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     def met(self, norm_v, eps):
         """Whether a step of ``||v|| = norm_v`` and error ``eps`` stops
-        the run: the one predicate of :func:`run` and of a trace's end."""
-        return norm_v <= self.rho and eps <= self.eps_hat
+        the run, on :func:`run`'s floats or on a trace's whole columns."""
+        return (norm_v <= self.rho) & (eps <= self.eps_hat)
 
 
 # Fixed export order; ergodic columns appended last.
@@ -106,27 +111,22 @@ class IterationTrace:
             if header:
                 meta.update(header)
             fh.write(json.dumps({"meta": meta}) + "\n")
-            self._write_rows(fh, _JSON_ROW, TRACE_COLUMNS[1:],
-                             _JSON_NON_FINITE)
+            cols = [self.columns[name] for name in TRACE_COLUMNS[1:]]
+            for lo in range(0, len(self), _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, len(self))
+                texts = [map(int.__repr__, range(lo + 1, hi + 1))]
+                texts += [_texts(col[lo:hi]) for col in cols]
+                fh.write("".join(map(_JSON_ROW.__mod__, zip(*texts))))
 
     def write_csv(self, path):
-        """Write the CSV columns as ``csv.writer`` writes each row."""
+        """Write the CSV columns through ``csv.writer``, each cell after
+        ``k`` as ``float.__repr__`` spells it."""
+        cells = [map(float.__repr__, self.columns[name])
+                 for name in _CSV_SOURCES]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\r\n")
-            self._write_rows(fh, _CSV_ROW, _CSV_SOURCES, {})
-
-    def _write_rows(self, fh, template, names, non_finite):
-        """Fill ``template`` with each row's ``k`` and ``names`` values.
-
-        Each value is formatted once, column by column, a bounded chunk of
-        rows at a time.
-        """
-        cols = [self.columns[name] for name in names]
-        for lo in range(0, len(self), _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            texts = [map(int.__repr__, range(lo + 1, min(hi, len(self)) + 1))]
-            texts += [_texts(col[lo:hi], non_finite) for col in cols]
-            fh.write("".join(map(template.__mod__, zip(*texts))))
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(zip(itertools.count(1), *cells))
 
     @classmethod
     def read_jsonl(cls, path):
@@ -152,7 +152,7 @@ class IterationTrace:
             raise ParameterError(f"cannot read trace {path}: {exc}")
         with fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = line.strip(b" \t\r\n")  # JSON's whitespace
                 if not line:
                     continue
                 try:
@@ -224,7 +224,6 @@ _JSON_ROW = "{%s}\n" % ", ".join(f"{json.dumps(name)}: %s"
 # The trace column of each CSV column after k, in CSV order.
 _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
-_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\r\n"
 _JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _INT, _FLOAT = frozenset({int}), frozenset({float})
 _FLOAT_OR_NULL = frozenset({float, type(None)})
@@ -238,9 +237,9 @@ def _is_cell(value):
     return type(value) in _FLOAT_OR_NULL
 
 
-def _texts(values, non_finite):
-    """``repr`` of each float of a nonempty chunk; ``non_finite`` respells
-    nan, inf and -inf.
+def _texts(values):
+    """JSON text of each float of a nonempty chunk: its ``repr``, with
+    nan, inf and -inf respelled by :data:`_JSON_NON_FINITE`.
 
     A chunk whose cells are all one float object (a run's constant ``lam``,
     or the ``0.0`` of an exact step's ``eps``) is formatted once.  The test
@@ -249,11 +248,11 @@ def _texts(values, non_finite):
     first = values[0]
     if all(map(operator.is_, values, itertools.repeat(first))):
         text = float.__repr__(first)
-        return [non_finite.get(text, text)] * len(values)
+        return [_JSON_NON_FINITE.get(text, text)] * len(values)
     texts = list(map(float.__repr__, values))
     if math.isfinite(sum(values)):  # then every value is finite
         return texts
-    return [non_finite.get(text, text) for text in texts]
+    return [_JSON_NON_FINITE.get(text, text) for text in texts]
 
 
 @dataclass

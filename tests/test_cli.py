@@ -357,6 +357,10 @@ def _set_cell(column, value):
     return edit
 
 
+FORM_FEED = ("malformed trace line 2: Expecting value: line 1 column 1 "
+             "(char 0)")
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: lines.__setitem__(5, "5"),
      "trace line 6 is not a JSON object"),
@@ -377,9 +381,15 @@ def _set_cell(column, value):
     (lambda lines: lines.__setitem__(5, lines[5].replace(
         '"k": 5', '"k": ' + "[" * 100000 + "]" * 100000)),
      "malformed trace line 6: maximum recursion depth exceeded"),
+    # form feed and vertical tab are not JSON whitespace: the reader used
+    # to strip them, and each trace certified
+    (lambda lines: lines.__setitem__(1, "\x0c" + lines[1]), FORM_FEED),
+    (lambda lines: lines.__setitem__(1, "\x0b" + lines[1]), FORM_FEED),
+    (lambda lines: lines.insert(1, "\x0c"), FORM_FEED),
 ], ids=["bare_number_row", "meta_not_object", "string_cell", "list_cell",
         "bool_cell", "int_beyond_float_range", "int_beyond_str_limit",
-        "nesting_beyond_recursion_limit"])
+        "nesting_beyond_recursion_limit", "form_feed", "vertical_tab",
+        "form_feed_line"])
 def test_certify_reports_malformed_trace(tmp_path, capsys, solved_box, edit,
                                          message):
     # each used to end certify in a traceback with exit 1

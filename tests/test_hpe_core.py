@@ -125,6 +125,26 @@ def test_run_terminates_immediately_at_a_zero():
     assert state.k == 1
 
 
+def test_the_stopping_rule_takes_floats_or_whole_columns():
+    # certify applies the rule to a trace's columns at once: each row's
+    # verdict must be the driver's on that row's two floats
+    stop = StoppingRule(rho=1e-6, eps_hat=1e-9)
+    odd = [math.nan, math.inf, -math.inf, 0.0]
+    norm_v = [stop.rho, np.nextafter(stop.rho, 0.0),
+              np.nextafter(stop.rho, 1.0)] + odd
+    eps = [stop.eps_hat, np.nextafter(stop.eps_hat, 0.0),
+           np.nextafter(stop.eps_hat, 1.0)] + odd
+    pairs = [(float(a), float(b)) for a in norm_v for b in eps]
+    rows = [stop.met(a, b) for a, b in pairs]
+    assert {type(verdict) for verdict in rows} == {bool}
+    assert rows.count(True) == 4 * 4  # at or below both: 0.0 and -inf too
+    assert stop.met(*np.array(pairs).T).tolist() == rows
+    # an int threshold beyond 2**53 rounds for a column, so for a float too
+    big = StoppingRule(rho=2 ** 53 + 3)
+    assert big.met(2.0 ** 53 + 4, 0.0)
+    assert big.met(np.array([2.0 ** 53 + 4]), np.zeros(1)).tolist() == [True]
+
+
 def test_a_step_whose_norm_v_underflows_is_refused():
     # ||v||^2 of v = 1e-300 * 1 is 0: the trace would record norm_v 0, the
     # run would "solve" at k=1 and its audit would fail

@@ -2,9 +2,11 @@
 and of the reader against ``json.loads``.
 
 The oracle is the plain encoder: one ``json.dumps`` per row dict and one
-``csv.writer`` row per trace row.  The writers format a trace column by
-column, a chunk of rows at a time, and must produce exactly its bytes.
-The reader must read each line as ``json.loads`` reads its bytes.
+``csv.writer`` row per trace row.  The JSONL writer formats a trace column
+by column, a chunk of rows at a time, and must produce exactly its bytes.
+The CSV writer goes through ``csv.writer``, its own oracle, so it is also
+pinned to recorded bytes.  The reader must read each line as
+``json.loads`` reads its bytes.
 """
 
 import csv
@@ -138,6 +140,23 @@ def test_solver_trace_matches_the_oracle(tmp_path):
         (tmp_path / "b.csv").read_bytes()
 
 
+def test_csv_writer_writes_the_recorded_bytes(tmp_path):
+    # the bytes of the hand-built CSV template this writer replaced
+    values = (0.0, -0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
+    trace = IterationTrace()
+    for i, name in enumerate(trace.columns):
+        trace.columns[name] = [values[(i + j) % len(values)]
+                               for j in range(4)]
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"k,norm_v,eps,lambda,error_ratio,step_norm,s_k,dist_to_solution,"
+        b"Lambda,norm_v_a,eps_a\r\n"
+        b"1,0.0,-0.0,5e-324,1e+16,nan,inf,-inf,1e+16,nan,inf\r\n"
+        b"2,-0.0,5e-324,1e+16,nan,inf,-inf,0.0,nan,inf,-inf\r\n"
+        b"3,5e-324,1e+16,nan,inf,-inf,0.0,-0.0,inf,-inf,0.0\r\n"
+        b"4,1e+16,nan,inf,-inf,0.0,-0.0,5e-324,-inf,0.0,-0.0\r\n")
+
+
 def test_writer_refuses_a_non_number(tmp_path):
     trace = IterationTrace()
     for name in trace.columns:
@@ -176,9 +195,17 @@ ROW = json.dumps({name: 1 if name == "k" else 0.5
     (b"\x00" + ROW, False),
     (b"{]", False),
     (ROW[:-1] + ', "note": "\u00e9\U0001f600"}'.encode(), True),
+    # JSON's whitespace is space, tab, CR and LF; not form feed or VT
+    (b" \t\r" + ROW + b" \t\r", True),
+    (b"\x0c" + ROW, False),
+    (b"\x0b" + ROW, False),
+    (ROW + b"\x0c", False),
+    (b"\x0c\n" + ROW, False),
 ], ids=["utf8_bom", "two_boms", "bad_utf8", "int_of_5001_digits",
         "lone_surrogate", "utf16_with_bom", "utf16_without_bom", "utf32",
-        "odd_utf16", "bad_json", "utf8_beyond_ascii"])
+        "odd_utf16", "bad_json", "utf8_beyond_ascii", "json_whitespace",
+        "form_feed", "vertical_tab", "trailing_form_feed",
+        "form_feed_line"])
 def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
     # json.loads of the line decoded as strict UTF-8 is the reference:
     # the decoding's and the parser's error messages
