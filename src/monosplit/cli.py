@@ -186,16 +186,27 @@ def _line(check):
     return f"[{check.status.upper()}] {check.name}: {check.detail}"
 
 
+def trace_meta(cfg, verdict):
+    """The meta line of the trace of a run of ``cfg`` that ends with
+    ``verdict``: ``solve`` writes it, and ``certify`` compares a trace's
+    with it whole.  The stepsize floor is the inner solver's own."""
+    p = cfg["params"]
+    _, lam = instances.make_inner_solver(cfg["problem"], cfg["instance"], p)
+    # trace schema 1 records an inertial ramp; 0 is no ramp
+    return {"schema_version": 1, "config": cfg["raw"],
+            "params": {"alpha": p.alpha, "sigma": p.sigma, "beta": p.beta,
+                       "tau": p.tau, "ramp_iters": 0},
+            "lambda_floor": lam, "verdict": verdict}
+
+
 def cmd_solve(args):
     cfg = load_config(args.config)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     state = _run_config(cfg)
 
-    header = {"config": cfg["raw"], "params": cfg["params"].to_dict(),
-              "lambda_floor": state.lambda_floor, "verdict": state.verdict}
     state.trace.write_jsonl(os.path.join(out_dir, "trace.jsonl"),
-                            header=header)
+                            trace_meta(cfg, state.verdict))
 
     checks = certify_trace(state.trace, cfg)
     summary = {
@@ -292,29 +303,38 @@ def certify_trace(trace, cfg):
 def _check_end(trace, stop, path):
     """Refuse, with :class:`ConfigError`, a trace that does not end where
     a run of its stopping rule does: at the first row whose ``norm_v``
-    and ``eps`` meet the rule, or at ``max_iters`` when no row does."""
+    and ``eps`` meet the rule, or at ``max_iters`` when no row does.
+    Returns the verdict of that run."""
     met = stop.met(trace.column("norm_v"), trace.column("eps"))
     if met.any():
-        end = int(met.argmax()) + 1
+        end, verdict = int(met.argmax()) + 1, "solved"
         where = f"at k={end}, the first step that meets its stopping rule"
     else:
-        end = stop.max_iters
+        end, verdict = stop.max_iters, "max_iters"
         where = (f"at max_iters={end}, as no recorded step meets its "
                  f"stopping rule")
     if len(trace) != end:
         raise ConfigError(f"trace {path} ends at k={len(trace)}, but a run "
                           f"of its config ends {where}")
+    return verdict
 
 
 def cmd_certify(args):
     cfg = load_config(args.config)
     trace, meta = hpe_core.IterationTrace.read_jsonl(args.trace)
-    if "config" not in meta:
-        raise ConfigError(f"trace {args.trace} records no config")
-    if meta["config"] != cfg["raw"]:
-        raise ConfigError(f"trace {args.trace} was recorded with another "
-                          f"config than {args.config}")
-    _check_end(trace, cfg["stop"], args.trace)
+    if meta.get("config") != cfg["raw"]:
+        raise ConfigError(f"trace {args.trace} " + (
+            f"was recorded with another config than {args.config}"
+            if "config" in meta else "records no config"))
+    want = trace_meta(cfg, _check_end(trace, cfg["stop"], args.trace))
+    # repr tells 1 from 1.0 and true; it runs only on a value equal to
+    # the one written, so never on a value nested deeper than that one
+    differ = sorted(meta.keys() ^ want.keys() | {
+        key for key in meta.keys() & want.keys()
+        if meta[key] != want[key] or repr(meta[key]) != repr(want[key])})
+    if differ:
+        raise ConfigError(f"the meta line of trace {args.trace} differs from "
+                          f"the one a run of its config writes in {differ}")
     checks = certify_trace(trace, cfg)
     for check in checks:
         print(_line(check))

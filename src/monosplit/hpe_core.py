@@ -74,13 +74,12 @@ TRACE_COLUMNS = ("k", "norm_v", "eps", "lam", "error_ratio", "step_norm",
 CSV_COLUMNS = ("k", "norm_v", "eps", "lambda", "error_ratio", "step_norm",
                "s_k", "dist_to_solution", "Lambda", "norm_v_a", "eps_a")
 
-TRACE_SCHEMA_VERSION = 1
-
 
 class IterationTrace:
     """Columnar per-iteration record of a run."""
 
     def __init__(self):
+        # in TRACE_COLUMNS order, the order in which the writer takes them
         self.columns = {name: [] for name in TRACE_COLUMNS if name != "k"}
 
     def __len__(self):
@@ -100,22 +99,24 @@ class IterationTrace:
 
     # -- export / import --------------------------------------------------
 
-    def write_jsonl(self, path, header=None):
-        """Write a meta line, then one JSON object per row.
+    def write_jsonl(self, path, meta):
+        """Write ``{"meta": meta}`` as line 1, then one JSON object per row.
 
         The bytes are those of ``json.dumps`` on each row dict of floats,
-        except that NaN (no known solution) is written as null: strict JSON.
+        except that NaN (no known solution) is written as null: strict
+        JSON.  Strict JSON has no infinity, so a column that holds one
+        raises :class:`ParameterError`, naming it, before the file is
+        opened.
         """
+        for name, col in self.columns.items():
+            if not math.isfinite(sum(col)) and math.inf in map(abs, col):
+                raise ParameterError(f"an infinite {name!r} cell is not JSON")
         with open(path, "w") as fh:
-            meta = {"schema_version": TRACE_SCHEMA_VERSION}
-            if header:
-                meta.update(header)
             fh.write(json.dumps({"meta": meta}) + "\n")
-            cols = [self.columns[name] for name in TRACE_COLUMNS[1:]]
             for lo in range(0, len(self), _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, len(self))
                 texts = [map(int.__repr__, range(lo + 1, hi + 1))]
-                texts += [_texts(col[lo:hi]) for col in cols]
+                texts += [_texts(col[lo:hi]) for col in self.columns.values()]
                 fh.write("".join(map(_JSON_ROW.__mod__, zip(*texts))))
 
     def write_csv(self, path):
@@ -130,91 +131,58 @@ class IterationTrace:
 
     @classmethod
     def read_jsonl(cls, path):
-        """Read a JSONL trace, line by line; return ``(trace, meta)``.
+        """Read a trace as :meth:`write_jsonl` writes it; return
+        ``(trace, meta)``.
 
-        The meta line, if any, is the first non-blank line; ``meta`` is
-        ``{}`` without one.  A null cell reads as NaN and an int as a
-        float.  An unreadable file raises :class:`ParameterError`, and so
-        does, naming its line, a line that is not strict UTF-8 (a byte-order
-        mark included) or not a JSON object, a meta that is not an object
-        or not on the first line, a missing column, a cell that is neither
-        null nor a number (an int or a float, within the float range), or a
-        ``k`` that does not run 1, 2, ....
+        Line 1 is ``{"meta": meta}`` alone, ``meta`` an object, and every
+        later line one row: an object of exactly the :data:`TRACE_COLUMNS`,
+        ``k`` the int step number and every other cell a float or null,
+        which reads as NaN.  Each line is decoded as strict UTF-8, then as
+        strict JSON by :data:`_DECODER`.  Anything else raises
+        :class:`ParameterError` naming its line, as does an unreadable file.
         """
-        trace = cls()
-        meta = None
-        row_values = operator.itemgetter(*TRACE_COLUMNS)
-        rows = []
-        linenos = []
+        trace, rows = cls(), []
         try:
             fh = open(path, "rb")  # each line is decoded on its own
         except OSError as exc:
             raise ParameterError(f"cannot read trace {path}: {exc}")
         with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip(b" \t\r\n")  # JSON's whitespace
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line.decode("utf-8"))
-                except (ValueError, RecursionError) as exc:  # bad UTF-8 too
-                    raise ParameterError(
-                        f"malformed trace line {lineno}: {exc}")
-                if not isinstance(row, dict):
-                    raise ParameterError(
-                        f"trace line {lineno} is not a JSON object")
-                if "meta" in row:
-                    if meta is not None or rows or len(trace):
-                        raise ParameterError(
-                            f"trace line {lineno}: a meta line after the "
-                            f"first line")
-                    meta = row["meta"]
-                    if not isinstance(meta, dict):
-                        raise ParameterError(
-                            f"trace line {lineno}: meta must be an object")
-                    continue
-                try:
-                    rows.append(row_values(row))
-                except KeyError:
-                    missing = [c for c in TRACE_COLUMNS if c not in row]
-                    raise ParameterError(
-                        f"trace line {lineno} missing columns {missing}")
-                linenos.append(lineno)
+            head = _decode(next(fh, b""), 1)
+            if (type(head) is not dict or list(head) != ["meta"]
+                    or type(head["meta"]) is not dict):
+                raise ParameterError('trace line 1 is not {"meta": {...}}')
+            for lineno, line in enumerate(fh, start=2):
+                rows.append(_decode(line, lineno))
                 if len(rows) == _CHUNK_ROWS:
-                    trace._extend_read(rows, linenos)
-        trace._extend_read(rows, linenos)
-        return trace, {} if meta is None else meta
+                    trace._extend_read(rows)
+        trace._extend_read(rows)
+        return trace, head["meta"]
 
-    def _extend_read(self, rows, linenos):
-        """Move rows of :data:`TRACE_COLUMNS` values into the columns.
+    def _extend_read(self, rows):
+        """Move the decoded ``rows`` into the columns and empty ``rows``.
 
-        ``linenos`` holds the line of each row.  Each column's cells are
-        type-checked together.  ``k`` must go on from the rows read so far.
+        The rows are checked together, then each column's cells: every
+        row must be an object of exactly the :data:`TRACE_COLUMNS`, ``k``
+        the int step numbers, going on from the rows read so far, and every
+        other cell a float or null.
         """
-        steps = tuple(range(len(self) + 1, len(self) + 1 + len(rows)))
-        for name, cells in zip(TRACE_COLUMNS, zip(*rows)):
+        first = len(self) + 1
+        try:
+            columns = list(zip(*map(_ROW_VALUES, rows)))
+        except (KeyError, TypeError):  # a row is not an object of them all
+            _refuse(rows, first)
+        if sum(map(len, rows)) != len(TRACE_COLUMNS) * len(rows):
+            _refuse(rows, first)  # a row has a column more
+        steps = tuple(range(first, first + len(rows)))
+        for name, cells in zip(TRACE_COLUMNS, columns):
             kinds = set(map(type, cells))
-            if name == "k" and kinds == _INT and cells == steps:
-                continue  # the step numbers, as the writer writes them
-            if not kinds <= _FLOAT_OR_NULL:
-                for lineno, cell in zip(linenos, cells):
-                    if not _is_cell(cell):
-                        raise ParameterError(
-                            f"trace line {lineno}, column {name!r}: "
-                            f"{json.dumps(cell)} is not a number or null")
-            if name == "k":
-                for lineno, cell, step in zip(linenos, cells, steps):
-                    if cell != step:
-                        raise ParameterError(
-                            f"trace line {lineno}, column 'k': "
-                            f"{json.dumps(cell)} is not step {step}")
-            elif kinds == _FLOAT:
-                self.columns[name].extend(cells)
-            else:  # null reads as NaN, an int as a float
-                self.columns[name].extend(
-                    [math.nan if c is None else float(c) for c in cells])
+            if not (kinds == _INT and cells == steps if name == "k"
+                    else kinds <= _FLOAT_OR_NULL):
+                _refuse(rows, first)
+            if name != "k":  # null reads as NaN
+                self.columns[name].extend(cells if kinds == _FLOAT else [
+                    math.nan if c is None else c for c in cells])
         rows.clear()
-        linenos.clear()
 
 
 # Rows are written, or read into the columns, this many at a time.
@@ -224,22 +192,59 @@ _JSON_ROW = "{%s}\n" % ", ".join(f"{json.dumps(name)}: %s"
 # The trace column of each CSV column after k, in CSV order.
 _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
-_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_NON_FINITE = {"nan": "null"}
 _INT, _FLOAT = frozenset({int}), frozenset({float})
 _FLOAT_OR_NULL = frozenset({float, type(None)})
+_ROW_VALUES = operator.itemgetter(*TRACE_COLUMNS)
 
 
-def _is_cell(value):
-    """Whether a JSON value is a trace cell: null, a float, or an int in
-    the float range (``true`` and ``false`` read as bools, not ints)."""
-    if type(value) is int:
-        return abs(value) <= sys.float_info.max
-    return type(value) in _FLOAT_OR_NULL
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Strict JSON: the tokens NaN, Infinity and -Infinity are refused.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _decode(line, lineno):
+    """The JSON value of trace line ``lineno``, given as bytes."""
+    try:
+        return _DECODER.decode(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 too
+        raise ParameterError(f"malformed trace line {lineno}: {exc}")
+
+
+def _refuse(rows, first):
+    """Raise the :class:`ParameterError` of the first of the decoded
+    ``rows``, from step ``first`` on, that the writer does not write; row
+    ``k`` is trace line ``k + 1``."""
+    for lineno, row in enumerate(rows, start=first + 1):
+        if type(row) is not dict:
+            raise ParameterError(f"trace line {lineno} is not a JSON object")
+        if "meta" in row:
+            raise ParameterError(
+                f"trace line {lineno}: a meta line after the first line")
+        missing = [c for c in TRACE_COLUMNS if c not in row]
+        unknown = sorted(row.keys() - set(TRACE_COLUMNS))
+        if missing or unknown:
+            raise ParameterError(f"trace line {lineno} " + (
+                f"missing columns {missing}" if missing else
+                f"has unknown columns {unknown}"))
+        for name, cell in zip(TRACE_COLUMNS, _ROW_VALUES(row)):
+            if name == "k" and not (type(cell) is int and cell == lineno - 1):
+                want = ("a number" if type(cell) in (bool, str, list, dict)
+                        else f"step {lineno - 1}")
+            elif name != "k" and type(cell) not in _FLOAT_OR_NULL:
+                want = "a float or null"
+            else:
+                continue
+            raise ParameterError(f"trace line {lineno}, column {name!r}: "
+                                 f"{json.dumps(cell)} is not {want}")
 
 
 def _texts(values):
     """JSON text of each float of a nonempty chunk: its ``repr``, with
-    nan, inf and -inf respelled by :data:`_JSON_NON_FINITE`.
+    nan respelled null by :data:`_JSON_NON_FINITE`.
 
     A chunk whose cells are all one float object (a run's constant ``lam``,
     or the ``0.0`` of an exact step's ``eps``) is formatted once.  The test
@@ -250,9 +255,9 @@ def _texts(values):
         text = float.__repr__(first)
         return [_JSON_NON_FINITE.get(text, text)] * len(values)
     texts = list(map(float.__repr__, values))
-    if math.isfinite(sum(values)):  # then every value is finite
-        return texts
-    return [_JSON_NON_FINITE.get(text, text) for text in texts]
+    # a finite sum means that every value is finite
+    return texts if math.isfinite(sum(values)) else [
+        _JSON_NON_FINITE.get(text, text) for text in texts]
 
 
 @dataclass

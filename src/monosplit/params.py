@@ -140,13 +140,6 @@ class HpeParams:
 
     # -- serialization ----------------------------------------------------
 
-    def to_dict(self):
-        """The three chosen values and the derived ``tau``, as a trace
-        header records them."""
-        return {"alpha": self.alpha, "sigma": self.sigma, "beta": self.beta,
-                # trace schema 1 records an inertial ramp; 0 is no ramp
-                "tau": self.tau, "ramp_iters": 0}
-
     @classmethod
     def from_dict(cls, d):
         """The bundle of a dict of the three chosen values; absent ones

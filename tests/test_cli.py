@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from monosplit import cli, hpe_core, operators, params
+from monosplit import cli, hpe_core, instances, operators, params
 from monosplit.errors import ConfigError
 
 
@@ -120,7 +120,7 @@ def test_trace_without_solution_is_strict_json(tmp_path):
     assert rows[1]["dist_to_solution"] is None
     trace, meta = hpe_core.IterationTrace.read_jsonl(out / "trace.jsonl")
     assert np.isnan(trace.column("dist_w")).all()
-    trace.write_jsonl(tmp_path / "again.jsonl", header=meta)
+    trace.write_jsonl(tmp_path / "again.jsonl", meta)
     assert (tmp_path / "again.jsonl").read_text() == text
 
 
@@ -320,16 +320,21 @@ def test_certify_fails_non_finite_value(tmp_path, capsys, solved_box,
     trace.write_text("\n".join(lines) + "\n")
     assert cli.main(["certify", "--trace", str(trace),
                      "--config", path]) == 3
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
+    if value == "NaN":  # not JSON: this token used to read as NaN
+        assert out == "" and captured.err.splitlines() == [
+            "error: malformed trace line 6: NaN is not JSON"]
+        return
     assert "[FAIL]" in out
     if column in NAMED_FAULTS:
         assert (f"[FAIL] error_criterion: {NAMED_FAULTS[column]} at k=5"
                 in out.splitlines())
 
 
-def test_certify_reads_int_cells_as_floats(tmp_path, capsys):
+def test_certify_refuses_int_cells(tmp_path, capsys):
     # a proximal point trace at sigma 0 records lam 1.0 and eps 0.0 on
-    # every row; written as the ints 1 and 0 they certify alike
+    # every row; written as the ints 1 and 0 they used to certify alike
     cfg = base_config()
     path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
@@ -339,14 +344,11 @@ def test_certify_reads_int_cells_as_floats(tmp_path, capsys):
     assert text.count(floats) == len(text.splitlines()) - 1
     ints = tmp_path / "ints.jsonl"
     ints.write_text(text.replace(floats, '"eps": 0, "lam": 1, '))
-    printed = []
-    for trace in (out / "trace.jsonl", ints):
-        capsys.readouterr()
-        assert cli.main(["certify", "--trace", str(trace),
-                         "--config", path]) == 0
-        printed.append(capsys.readouterr())
-    assert printed[0] == printed[1]
-    assert printed[0].err == "" and printed[0].out.count("[PASS]") == 8
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(ints), "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: trace line 2, column 'eps': 0 is not a float or null"]
 
 
 def _set_cell(column, value):
@@ -359,19 +361,20 @@ def _set_cell(column, value):
 
 FORM_FEED = ("malformed trace line 2: Expecting value: line 1 column 1 "
              "(char 0)")
+NOT_A_META_LINE = 'trace line 1 is not {"meta": {...}}'
 
 
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: lines.__setitem__(5, "5"),
      "trace line 6 is not a JSON object"),
     (lambda lines: lines.__setitem__(0, '{"meta": 5}'),
-     "trace line 1: meta must be an object"),
+     NOT_A_META_LINE),
     (_set_cell("eps", "abc"),
-     """trace line 6, column 'eps': "abc" is not a number or null"""),
+     """trace line 6, column 'eps': "abc" is not a float or null"""),
     (_set_cell("lam", [1, 2]),
-     "trace line 6, column 'lam': [1, 2] is not a number or null"),
+     "trace line 6, column 'lam': [1, 2] is not a float or null"),
     (_set_cell("norm_v", True),
-     "trace line 6, column 'norm_v': true is not a number or null"),
+     "trace line 6, column 'norm_v': true is not a float or null"),
     (_set_cell("s_k", 10 ** 400), "trace line 6, column 's_k': 1000"),
     # json.loads refuses an integer of more than 4300 digits
     (lambda lines: lines.__setitem__(5, lines[5].replace(
@@ -386,13 +389,24 @@ FORM_FEED = ("malformed trace line 2: Expecting value: line 1 column 1 "
     (lambda lines: lines.__setitem__(1, "\x0c" + lines[1]), FORM_FEED),
     (lambda lines: lines.__setitem__(1, "\x0b" + lines[1]), FORM_FEED),
     (lambda lines: lines.insert(1, "\x0c"), FORM_FEED),
+    # not what solve writes, yet the reader used to take each of these (it
+    # skipped a blank line): each trace certified, but for the one with no
+    # meta line, which was refused for recording no config (exit 2)
+    (_set_cell("junk", 0.5), "trace line 6 has unknown columns ['junk']"),
+    (lambda lines: lines.insert(5, ""),
+     "malformed trace line 6: Expecting value: line 2 column 1 (char 1)"),
+    (_set_cell("k", 5.0), "trace line 6, column 'k': 5.0 is not step 5"),
+    (lambda lines: lines.__setitem__(0, lines[0].replace(
+        '{"meta"', '{"seed": 1, "meta"')), NOT_A_META_LINE),
+    (lambda lines: lines.pop(0), NOT_A_META_LINE),
 ], ids=["bare_number_row", "meta_not_object", "string_cell", "list_cell",
         "bool_cell", "int_beyond_float_range", "int_beyond_str_limit",
         "nesting_beyond_recursion_limit", "form_feed", "vertical_tab",
-        "form_feed_line"])
+        "form_feed_line", "extra_row_key", "blank_line", "float_step",
+        "key_beside_meta", "no_meta_line"])
 def test_certify_reports_malformed_trace(tmp_path, capsys, solved_box, edit,
                                          message):
-    # each used to end certify in a traceback with exit 1
+    # each of the first eight used to end certify in a traceback, exit 1
     path, lines = solved_box
     lines = list(lines)
     edit(lines)
@@ -532,6 +546,86 @@ def test_certify_refuses_a_trace_that_records_no_config(tmp_path, capsys,
             f"config error: trace {trace} records no config"]
 
 
+@pytest.mark.parametrize("key, edit", [
+    ("schema_version", lambda meta: meta.update(schema_version=99)),
+    ("lambda_floor", lambda meta: meta.update(lambda_floor=123)),
+    ("params", lambda meta: meta["params"].update(tau=0.001)),
+    ("verdict", lambda meta: meta.update(verdict="solved")),
+    ("verdict", lambda meta: meta.pop("verdict")),
+    ("note", lambda meta: meta.update(note="x")),
+    # equal in value, not in type
+    ("schema_version", lambda meta: meta.update(schema_version=1.0)),
+    ("params", lambda meta: meta["params"].update(ramp_iters=False)),
+    ("config", lambda meta: meta["config"]["problem"].update(seed=1.0)),
+], ids=["schema_version", "lambda_floor", "params_tau", "verdict",
+        "no_verdict", "extra_key", "float_schema_version", "bool_ramp_iters",
+        "float_seed"])
+def test_certify_refuses_an_edited_meta_line(tmp_path, capsys, key, edit):
+    # each edit used to certify: of the meta line, only its config was
+    # compared, and by value
+    rc, path, lines = capped_box(tmp_path)
+    assert rc == 1
+    head = json.loads(lines[0])
+    edit(head["meta"])
+    rc, captured, trace = certify_lines(tmp_path, capsys, path,
+                                        [json.dumps(head)] + lines[1:])
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: the meta line of trace {trace} differs from the "
+        f"one a run of its config writes in ['{key}']"]
+
+
+def test_the_meta_line_is_the_one_solve_writes(tmp_path):
+    rc, path, lines = capped_box(tmp_path)
+    cfg = cli.load_config(path)
+    _, lam = instances.make_inner_solver(cfg["problem"], cfg["instance"],
+                                         cfg["params"])
+    meta = cli.trace_meta(cfg, "max_iters")
+    assert meta["lambda_floor"] == lam
+    assert lines[0] == json.dumps({"meta": meta})
+
+
+def test_trace_meta_writes_the_params_bit_for_bit():
+    # a trace's meta line records the bundle in this order, tau as tau_of
+    # and the ramp length of trace schema 1 as the integer 0
+    plain = {"problem": operators.make_problem("affine_inclusion", 2, 1),
+             "instance": "ppm"}
+    split = {"problem": operators.make_problem("bilinear_saddle", 2, 1),
+             "instance": "tseng_fbf"}
+    for sigma in (0.0, 0.25, 0.5, 0.75, 0.99):
+        for beta in (0.05, 1.0 / 3.0, 0.45, 0.9):
+            cfg = dict(split if sigma else plain, raw={},
+                       params=params.HpeParams(0.01, sigma, beta))
+            meta = cli.trace_meta(cfg, "solved")
+            assert list(meta) == ["schema_version", "config", "params",
+                                  "lambda_floor", "verdict"]
+            d = meta["params"]
+            assert list(d) == ["alpha", "sigma", "beta", "tau", "ramp_iters"]
+            assert d["tau"].hex() == params.tau_of(sigma, beta).hex()
+            assert json.dumps(d["ramp_iters"]) == "0"
+
+
+def test_solve_refuses_a_trace_it_cannot_write(tmp_path, capsys,
+                                               monkeypatch):
+    # a far-out known solution makes ||z - z*|| overflow: solve used to
+    # write "dist_to_solution": Infinity, which is not JSON
+    make = operators.make_problem
+
+    def far(kind, dim, seed):
+        prob = make(kind, dim, seed)
+        prob.known_solution = np.full(dim, 1e155)
+        return prob
+
+    monkeypatch.setattr(operators, "make_problem", far)
+    cfg = base_config(dim=4, seed=1)
+    cfg["stopping"]["max_iters"] = 2
+    assert solve_config(tmp_path, cfg) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: an infinite 'dist_to_solution' cell is not JSON"]
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_config_rejects_unknown_fields(tmp_path):
     cfg = base_config()
     cfg["problem"]["extra_knob"] = 1
@@ -564,7 +658,7 @@ def test_config_refuses_a_removed_field(tmp_path, capsys, section, field,
     cfg = _config_with(section, field, value)
     path = write_config(tmp_path, cfg)
     trace = tmp_path / "trace.jsonl"
-    hpe_core.IterationTrace().write_jsonl(trace, header={"config": cfg})
+    hpe_core.IterationTrace().write_jsonl(trace, {"config": cfg})
     before = sorted(tmp_path.iterdir())
     out = str(tmp_path / "o")
     for argv in (["solve", "--config", path, "--out", out],

@@ -337,10 +337,9 @@ def test_energy_check(inertial_run):
 def test_trace_jsonl_roundtrip(tmp_path, inertial_run):
     _, _, state = inertial_run
     path = tmp_path / "trace.jsonl"
-    state.trace.write_jsonl(path, header={"note": "x"})
+    state.trace.write_jsonl(path, {"note": "x"})
     trace, meta = IterationTrace.read_jsonl(path)
-    assert meta["schema_version"] == hpe_core.TRACE_SCHEMA_VERSION
-    assert meta["note"] == "x"
+    assert meta == {"note": "x"}
     assert len(trace) == len(state.trace)
     for name in trace.columns:
         np.testing.assert_array_equal(trace.column(name),
@@ -365,8 +364,9 @@ def test_trace_read_reports_malformed_line(tmp_path):
 
 def test_trace_read_reports_missing_columns(tmp_path):
     path = tmp_path / "short.jsonl"
-    path.write_text(json.dumps({"k": 1, "norm_v": 0.1}) + "\n")
-    with pytest.raises(ParameterError, match="missing columns"):
+    path.write_text('{"meta": {}}\n' + json.dumps({"k": 1, "norm_v": 0.1})
+                    + "\n")
+    with pytest.raises(ParameterError, match="line 2 missing columns"):
         IterationTrace.read_jsonl(path)
 
 

@@ -1,6 +1,8 @@
 """tools/same_outputs.py against a git revision of this repository."""
 
+import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +51,36 @@ def test_unknown_revision_exits_with_gits_error():
     assert run.returncode == 1
     assert "git archive no-such-revision failed" in run.stderr
     assert run.stdout == ""
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("old, new, differs", [
+    ('"final_norm_v", "final_eps"', '"final_norm", "final_eps"',
+     ["job000.csv: differs", "job001.csv: differs"]),
+    ('f"wrote {len(cells)} rows', 'f"wrote {len(cells)} cells',
+     ["job000 bench: stdout differs: ", "job001 bench: stdout differs: "]),
+], ids=["bench_csv_header", "bench_stdout"])
+def test_a_changed_output_is_named(tmp_path, capsys, monkeypatch, old, new,
+                                   differs):
+    # the copy stands for the parent tree: one output of it is changed
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "monosplit" / "cli.py"
+    text = cli.read_text()
+    assert text.count(old) == 1
+    cli.write_text(text.replace(old, new))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # compare extends it
+    code = load_tool().compare(tmp_path / "src", ["sweep_exact"], [1])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1] == ("sweep_exact seed 1: 2 jobs, 2 commands, 2 files: "
+                         "2 differences")
+    assert len(lines) == 3
+    for line, start in zip(lines, differs):
+        assert line.startswith(start), lines

@@ -1,19 +1,22 @@
 """Byte-for-byte checks of the trace writers against a row-by-row oracle,
-and of the reader against ``json.loads``.
+and of the reader against json's strict decoder.
 
 The oracle is the plain encoder: one ``json.dumps`` per row dict and one
 ``csv.writer`` row per trace row.  The JSONL writer formats a trace column
 by column, a chunk of rows at a time, and must produce exactly its bytes.
 The CSV writer goes through ``csv.writer``, its own oracle, so it is also
-pinned to recorded bytes.  The reader must read each line as
-``json.loads`` reads its bytes.
+pinned to recorded bytes.  The reader must read each line as json's
+decoder reads its UTF-8 text with NaN and Infinity refused, and take
+exactly what the JSONL writer writes.
 """
 
 import csv
 import json
 import math
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from monosplit import hpe_core, instances, operators, params
@@ -31,11 +34,8 @@ def rows(trace):
         yield {"k": k, **dict(zip(trace.columns, cells))}
 
 
-def oracle_jsonl(trace, path, header=None):
+def oracle_jsonl(trace, path, meta):
     with open(path, "w") as fh:
-        meta = {"schema_version": hpe_core.TRACE_SCHEMA_VERSION}
-        if header:
-            meta.update(header)
         fh.write(json.dumps({"meta": meta}) + "\n")
         for row in rows(trace):
             fh.write(json.dumps({name: None if value != value else value
@@ -60,9 +60,8 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 reals = st.one_of(st.sampled_from(EDGE_FLOATS),
                   st.floats(allow_nan=False, allow_infinity=False))
 # no known solution gives all-NaN distance columns; a trace read back from
-# a file mixes NaN and finite values in one column; a norm can overflow
-distances = st.one_of(st.just(math.nan), reals,
-                      st.sampled_from([math.inf, -math.inf]))
+# a file mixes NaN and finite values in one column
+distances = st.one_of(st.just(math.nan), reals)
 
 COLUMN_VALUES = {"dist_to_solution": distances, "dist_w": distances,
                  "norm_v": st.one_of(reals, st.just(math.nan))}
@@ -105,20 +104,20 @@ def _written(writer, trace, path, *args):
 @given(trace=traces(), chunk=st.sampled_from([1, 2, 5, 1024]))
 def test_writers_match_the_row_by_row_oracle(tmp_path_factory, trace, chunk):
     tmp = tmp_path_factory.mktemp("trace")
-    header = {"note": "x", "lambda_floor": 0.5}
+    meta = {"note": "x", "lambda_floor": 0.5}
     with mock.patch.object(hpe_core, "_CHUNK_ROWS", chunk):
         jsonl = _written(IterationTrace.write_jsonl, trace,
-                         tmp / "trace.jsonl", header)
+                         tmp / "trace.jsonl", meta)
         csv_bytes = _written(IterationTrace.write_csv, trace,
                              tmp / "trace.csv")
         assert jsonl == _written(oracle_jsonl, trace, tmp / "oracle.jsonl",
-                                 header)
+                                 meta)
         assert csv_bytes == _written(oracle_csv, trace, tmp / "oracle.csv")
 
-        again, meta = IterationTrace.read_jsonl(tmp / "trace.jsonl")
-        assert len(again) == len(trace)
+        again, read = IterationTrace.read_jsonl(tmp / "trace.jsonl")
+        assert len(again) == len(trace) and read == meta
         assert _written(IterationTrace.write_jsonl, again,
-                        tmp / "again.jsonl", meta) == jsonl
+                        tmp / "again.jsonl", read) == jsonl
         assert _written(IterationTrace.write_csv, again,
                         tmp / "again.csv") == csv_bytes
 
@@ -130,8 +129,8 @@ def test_solver_trace_matches_the_oracle(tmp_path):
         prob, "tseng_fbf", p,
         stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
     assert len(state.trace) > 2 * hpe_core._CHUNK_ROWS
-    state.trace.write_jsonl(tmp_path / "a.jsonl", header={"seed": 3})
-    oracle_jsonl(state.trace, tmp_path / "b.jsonl", header={"seed": 3})
+    state.trace.write_jsonl(tmp_path / "a.jsonl", {"seed": 3})
+    oracle_jsonl(state.trace, tmp_path / "b.jsonl", {"seed": 3})
     state.trace.write_csv(tmp_path / "a.csv")
     oracle_csv(state.trace, tmp_path / "b.csv")
     assert (tmp_path / "a.jsonl").read_bytes() == \
@@ -162,16 +161,31 @@ def test_writer_refuses_a_non_number(tmp_path):
     for name in trace.columns:
         trace.columns[name] = [1.0]
     trace.columns["lam"] = [True]
-    for write in (trace.write_csv, trace.write_jsonl):
+    for write in (trace.write_csv, lambda path: trace.write_jsonl(path, {})):
         with pytest.raises(TypeError, match="requires a 'float' object"):
             write(tmp_path / "trace.out")
+
+
+@pytest.mark.parametrize("column", ["norm_v", "dist_to_solution", "eps_a"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_writer_refuses_an_infinite_cell(tmp_path, column, value):
+    # JSON has no infinity: the writer used to write Infinity and -Infinity
+    trace = IterationTrace()
+    for name in trace.columns:
+        trace.columns[name] = [0.5, math.nan, 1e308]
+    trace.columns[column][1] = value
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(ParameterError, match=re.escape(
+            f"an infinite {column!r} cell is not JSON")):
+        trace.write_jsonl(path, {})
+    assert not path.exists()
 
 
 def test_reader_keeps_column_order(tmp_path):
     path = tmp_path / "trace.jsonl"
     row = {name: float(i) for i, name in enumerate(reversed(TRACE_COLUMNS))}
-    lines = [json.dumps(dict(row, k=k)) for k in (1, 2)]
-    path.write_text(lines[0] + "\n\n" + lines[1] + "\n")
+    lines = ['{"meta": {}}'] + [json.dumps(dict(row, k=k)) for k in (1, 2)]
+    path.write_text("\n".join(lines) + "\n")
     trace, meta = IterationTrace.read_jsonl(path)
     assert meta == {}
     assert list(trace.columns) == list(TRACE_COLUMNS[1:])
@@ -194,7 +208,8 @@ ROW = json.dumps({name: 1 if name == "k" else 0.5
     (ROW.decode().encode("utf-32"), False),
     (b"\x00" + ROW, False),
     (b"{]", False),
-    (ROW[:-1] + ', "note": "\u00e9\U0001f600"}'.encode(), True),
+    # a row holds no string, so the text beyond ASCII is a meta line's
+    (META[:-2] + ', "note": "\u00e9\U0001f600"}}'.encode(), True),
     # JSON's whitespace is space, tab, CR and LF; not form feed or VT
     (b" \t\r" + ROW + b" \t\r", True),
     (b"\x0c" + ROW, False),
@@ -207,21 +222,25 @@ ROW = json.dumps({name: 1 if name == "k" else 0.5
         "form_feed", "vertical_tab", "trailing_form_feed",
         "form_feed_line"])
 def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
-    # json.loads of the line decoded as strict UTF-8 is the reference:
-    # the decoding's and the parser's error messages
+    # json's decoder of the line decoded as strict UTF-8 is the reference:
+    # the decoding's and the parser's error messages (json.loads adds its
+    # own to a line that starts with a byte-order mark, which the reader,
+    # like the decoder, refuses as an unexpected value)
+    lines = [line, ROW] if line.startswith(b'{"meta"') else [META, line]
     path = tmp_path / "trace.jsonl"
-    path.write_bytes(META + b"\n" + line + b"\n")
+    path.write_bytes(b"".join(text + b"\n" for text in lines))
     try:
-        json.loads(line.decode("utf-8"))
+        json.JSONDecoder().decode(line.decode("utf-8"))
     except ValueError as exc:
         assert not accepted
         with pytest.raises(ParameterError) as err:
             IterationTrace.read_jsonl(path)
-        assert str(err.value) == f"malformed trace line 2: {exc}"
+        assert str(err.value) == (f"malformed trace line "
+                                  f"{lines.index(line) + 1}: {exc}")
         return
     assert accepted
     trace, meta = IterationTrace.read_jsonl(path)
-    assert meta == {"schema_version": 1}
+    assert meta == json.loads(lines[0])["meta"]
     assert trace.columns == {name: [0.5] for name in TRACE_COLUMNS[1:]}
 
 
@@ -230,10 +249,11 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
     ((1, 1), "trace line 3, column 'k': 1 is not step 2"),
     ((1, 3), "trace line 3, column 'k': 3 is not step 2"),
     ((1, None), "trace line 3, column 'k': null is not step 2"),
-    ((True,), "trace line 2, column 'k': true is not a number or null"),
-    ((1, "x"), """trace line 3, column 'k': "x" is not a number or null"""),
-    ((1, 10 ** 400),
-     f"trace line 3, column 'k': {10 ** 400} is not a number or null"),
+    ((True,), "trace line 2, column 'k': true is not a number"),
+    ((1, "x"), """trace line 3, column 'k': "x" is not a number"""),
+    ((1, 10 ** 400), f"trace line 3, column 'k': {10 ** 400} is not step 2"),
+    # the writer writes the int 1; "k": 1.0 used to read as step 1
+    ((1.0, 2), "trace line 2, column 'k': 1.0 is not step 1"),
 ])
 @pytest.mark.parametrize("chunk", [1, 128])
 def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
@@ -247,32 +267,52 @@ def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
     assert str(err.value) == message
 
 
-def test_reader_reads_an_int_cell_as_a_float(tmp_path):
+def test_reader_refuses_an_int_cell(tmp_path):
+    # the writer writes floats only; an int cell used to read as a float
     path = tmp_path / "trace.jsonl"
     row = json.loads(ROW)
     lines = [json.dumps(dict(row, k=1, lam=1, eps=0, s_k=None)),
              json.dumps(dict(row, k=2, lam=1.0, eps=-(10 ** 20), s_k=2))]
     path.write_text("\n".join([META.decode()] + lines) + "\n")
-    trace, _ = IterationTrace.read_jsonl(path)
-    assert trace.columns["lam"] == [1.0, 1.0]
-    assert trace.columns["eps"] == [0.0, -1e20]
-    assert math.isnan(trace.columns["s_k"][0])
-    assert trace.columns["s_k"][1] == 2.0
-    assert {type(cell) for col in trace.columns.values() for cell in col} \
-        == {float}
-    # read back as floats, the cells write as floats
-    trace.write_jsonl(tmp_path / "again.jsonl")
-    again = (tmp_path / "again.jsonl").read_text().splitlines()[1]
-    assert '"lam": 1.0, ' in again and '"eps": 0.0, ' in again
+    with pytest.raises(ParameterError) as err:
+        IterationTrace.read_jsonl(path)
+    assert str(err.value) == (
+        "trace line 2, column 'eps': 0 is not a float or null")
 
 
-def test_reader_accepts_a_float_step_number(tmp_path):
-    # the fast path takes a k column of ints only; "k": 1.0 is step 1 too
+@pytest.mark.parametrize("lines, message", [
+    ([META, b"", ROW],
+     "malformed trace line 2: Expecting value: line 2 column 1 (char 1)"),
+    ([META, ROW, b" "],
+     "malformed trace line 3: Expecting value: line 2 column 1 (char 2)"),
+    ([ROW], 'trace line 1 is not {"meta": {...}}'),
+    ([b'{"meta": {}, "seed": 1}', ROW],
+     'trace line 1 is not {"meta": {...}}'),
+    ([b'[{"meta": {}}]', ROW],
+     'trace line 1 is not {"meta": {...}}'),
+    ([], "malformed trace line 1: Expecting value: line 1 column 1 (char 0)"),
+    ([META, ROW[:-1] + b', "junk": 0.5}'],
+     "trace line 2 has unknown columns ['junk']"),
+    ([META, ROW.replace(b"0.5", b"NaN", 1)],
+     "malformed trace line 2: NaN is not JSON"),
+    ([META, ROW.replace(b"0.5", b"Infinity", 1)],
+     "malformed trace line 2: Infinity is not JSON"),
+    ([META, ROW.replace(b"0.5", b"-Infinity", 1)],
+     "malformed trace line 2: -Infinity is not JSON"),
+    ([META.replace(b"1", b"NaN"), ROW],
+     "malformed trace line 1: NaN is not JSON"),
+], ids=["blank_line", "blank_last_line", "no_meta_line", "key_beside_meta",
+        "meta_in_a_list", "empty_file", "extra_row_key", "nan_token",
+        "infinity_token", "minus_infinity_token", "nan_token_in_meta"])
+def test_reader_takes_only_what_the_writer_writes(tmp_path, lines, message):
+    # each of these but meta_in_a_list used to read: blank lines were
+    # skipped, a first row stood for no meta line, and json.loads took an
+    # extra key and the non-standard tokens
     path = tmp_path / "trace.jsonl"
-    row = json.loads(ROW)
-    path.write_text("\n".join([META.decode()] + [
-        json.dumps(dict(row, k=k)) for k in (1.0, 2)]) + "\n")
-    assert len(IterationTrace.read_jsonl(path)[0]) == 2
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    with pytest.raises(ParameterError) as err:
+        IterationTrace.read_jsonl(path)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kind", ["l1_composite", "box_constrained_quadratic"])
@@ -285,10 +325,12 @@ def test_a_solver_trace_reads_without_a_cell_by_cell_check(tmp_path, kind):
     state = instances.solve(
         prob, "tseng_fbf", p,
         stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
-    state.trace.write_jsonl(tmp_path / "a.jsonl")
-    with mock.patch.object(hpe_core, "_is_cell",
+    state.trace.write_jsonl(tmp_path / "a.jsonl", {})
+    with mock.patch.object(hpe_core, "_refuse",
                            side_effect=AssertionError("cell by cell")):
         again, _ = IterationTrace.read_jsonl(tmp_path / "a.jsonl")
     assert len(again) == len(state.trace) == 300
+    for name, column in again.columns.items():
+        np.testing.assert_array_equal(column, state.trace.columns[name])
     assert (prob.known_solution is None) == math.isnan(
         again.columns["dist_w"][0])
