@@ -9,6 +9,7 @@ import argparse
 import collections
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -266,10 +267,9 @@ def cmd_bench(args):
         raise ConfigError("bench needs a nonempty 'sweep' section")
     # each cell lists its overrides in grid order, the CSV's column order
     grid_names = [name for name in _CONFIG_FIELDS["sweep"] if sweep.get(name)]
-    cells = [{}]
-    for name in grid_names:
-        cells = [dict(c, **{name: v}) for c in cells for v in sweep[name]]
-    cells.sort(key=lambda c: tuple(sorted(c.items())))
+    cells = sorted((dict(zip(grid_names, values)) for values in
+                    itertools.product(*(sweep[name] for name in grid_names))),
+                   key=lambda c: tuple(sorted(c.items())))
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", newline="") as fh:

@@ -398,22 +398,24 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
     shape = z.shape
     # bound here, not at import, so that a wrapper installed on a module
     # function before the run (a profiler's) sees every call
-    add, subtract, multiply = np.add, np.subtract, np.multiply
+    add, subtract, multiply, matmul = (np.add, np.subtract, np.multiply,
+                                       np.matmul)
     error_ratio, isfinite, sqrt = _error_ratio, math.isfinite, math.sqrt
     tiny, huge = sys.float_info.min, sys.float_info.max
 
     # Every vector whose squared norm a step needs is written into one row
-    # of this array, so that the step takes all of them in one call.  The
+    # of this array, so that the step takes all of them in one stacked
+    # product; with a known solution, so are z_{k+1} - z* and w - z*.  The
     # step row z_k - z_{k-1} is also the next step's inertial direction; it
     # starts as z_0 - z_0 = 0.
-    rows = np.zeros((5,) + shape)
-    resid, dz, relax, step, v_row = rows
-    squared_norms = linalg.RowDots(rows, rows)
-    # z~, v (and z_k, w) of each step not yet recorded; scalars in steps
-    width = 2 if z_star is None else 4
+    rows = np.zeros((5 if z_star is None else 7,) + shape)
+    resid, dz, relax, step, v_row, *gaps = rows
+    gap, gap_w = gaps or (None, None)
+    # the operands of linalg.row_dots(rows, rows), laid out once
+    lhs, rhs = rows[:, None, :], rows[:, :, None]
+    # z~ and v of each step not yet recorded; its scalars in steps
     block = np.empty((max(1, min(stop.max_iters,
-                                 _BLOCK_FLOATS // (width * shape[0]))),
-                      width) + shape)
+                                 _BLOCK_FLOATS // (2 * shape[0]))), 2) + shape)
     steps = []
 
     trace = IterationTrace()
@@ -437,7 +439,11 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         subtract(z_next, w, relax)
         subtract(z_next, z, step)
         v_row[...] = v
-        resid_sq, dz_sq, relax_sq, step_sq, v_sq = squared_norms()
+        if z_star is not None:
+            subtract(z_next, z_star, gap)
+            subtract(w, z_star, gap_w)
+        squares = matmul(lhs, rhs).ravel().tolist()
+        resid_sq, dz_sq, relax_sq, _, v_sq = squares[:5]
 
         ratio = error_ratio(resid_sq, dz_sq, lam, eps, sigma, lambda_floor,
                             k=k)
@@ -452,40 +458,35 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
 
         held = block[len(steps)]
         held[0], held[1] = z_tilde, v
-        if z_star is not None:
-            held[2], held[3] = z_next, w
         norm_v = sqrt(v_sq)
-        steps.append((lam, eps, ratio, norm_v, step_sq, relax_sq, resid_sq,
-                      dz_sq))
+        steps.append((lam, eps, ratio, norm_v, squares))
 
         z = z_next
         if met(norm_v, eps):
             verdict = "solved"
             break
         if len(steps) == len(block):
-            _record(trace, erg, block, steps, params, z_star)
+            _record(trace, erg, block, steps, params)
     if steps:
-        _record(trace, erg, block, steps, params, z_star)
+        _record(trace, erg, block, steps, params)
 
     return SolverState(k=k, z_curr=z, verdict=verdict,
                        lambda_floor=lambda_floor, trace=trace)
 
 
-def _record(trace, erg, block, steps, params, z_star):
-    """Fold ``steps``, whose vectors the first rows of ``block`` hold, into
-    the trace and the ergodic state column by column, each certificate's
-    ``lam`` and ``eps`` as a float (a float as itself); empty ``steps``."""
-    (lam, eps, ratio, norm_v, step_sq, relax_sq, resid_sq,
-     dz_sq) = zip(*steps)
+def _record(trace, erg, block, steps, params):
+    """Fold ``steps``, whose ``z~`` and ``v`` the first rows of ``block``
+    hold, into the trace and the ergodic state column by column, each
+    certificate's ``lam`` and ``eps`` as a float (a float as itself); empty
+    ``steps``.  A step's squared norms are those of its work-array rows,
+    in row order."""
+    lam, eps, ratio, norm_v, squares = zip(*steps)
     lam, eps = list(map(float, lam)), list(map(float, eps))
-    held = block[:len(steps)]
-    total, v_avg_sq, eps_a = erg.fold(lam, eps, held[:, :2])
+    total, v_avg_sq, eps_a = erg.fold(lam, eps, block[:len(steps)])
+    resid_sq, dz_sq, relax_sq, step_sq, _, *dist_sq = zip(*squares)
     dz_sq = np.array(dz_sq)
-    if z_star is None:
-        dist = dist_w = (math.nan,) * len(steps)
-    else:
-        gaps = held[:, 2:] - z_star
-        dist, dist_w = np.sqrt(linalg.row_dots(gaps, gaps)).T.tolist()
+    dist, dist_w = (np.sqrt(dist_sq).tolist() if dist_sq
+                    else [(math.nan,) * len(steps)] * 2)
     trace.extend(
         norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
         step_norm=np.sqrt(step_sq).tolist(),

@@ -55,21 +55,6 @@ def row_dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-class RowDots:
-    """:func:`row_dots` of an ``(m, n)`` array ``a`` and another, or one
-    ``n``-vector, bound once: a caller that rewrites the arrays in place
-    calls the instance on each step."""
-
-    def __init__(self, a, b):
-        self._lhs = a[:, None, :]
-        self._rhs = b[..., :, None]
-
-    def __call__(self):
-        """``[<a[i], b[i]> for each row i]`` of the arrays' current
-        contents, as Python floats, in one call."""
-        return np.matmul(self._lhs, self._rhs).ravel().tolist()
-
-
 def inner(a, b):
     """Euclidean inner product ``<a, b>``."""
     a = np.asarray(a, dtype=float)

@@ -34,8 +34,8 @@ def certify(cert, w, sigma):
     hpe_core._check_shape(cert, np.shape(w))
     rows = np.empty((2,) + np.shape(w))
     hpe_core._criterion_terms(cert, w, *rows)
-    return hpe_core._error_ratio(*linalg.RowDots(rows, rows)(), cert.lam,
-                                 cert.eps, sigma, 0.0)
+    return hpe_core._error_ratio(*linalg.row_dots(rows, rows).tolist(),
+                                 cert.lam, cert.eps, sigma, 0.0)
 
 
 def transport(points, weights):

@@ -506,13 +506,10 @@ def test_run_refuses_a_certificate_of_another_dimension():
 
 # -- block boundaries --------------------------------------------------------
 
-# At n = 2500 a block holds 3 steps when the solution is known (four
-# vectors a step) and 6 when it is not (two).
+# At n = 2500 a block holds the z~ and v of 6 steps.  With a known
+# solution ("m4") a step's work array has 7 rows, without it ("m2") 5.
 BLOCK_N = 2500
-
-
-def block_steps(known):
-    return hpe_core._BLOCK_FLOATS // ((4 if known else 2) * BLOCK_N)
+BLOCK_STEPS = hpe_core._BLOCK_FLOATS // (2 * BLOCK_N)
 
 
 def stopping_at(solver, last):
@@ -533,8 +530,8 @@ def stopping_at(solver, last):
 @pytest.mark.parametrize("known", [True, False], ids=["m4", "m2"])
 def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
                                                         ending):
-    K = block_steps(known)
-    assert K == (3 if known else 6)
+    K = BLOCK_STEPS
+    assert K == 6
     prob = separable_box_problem(BLOCK_N, seed=13, known=known)
     p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     solver, floor = instances.make_inner_solver(prob, "forward_backward", p)
@@ -542,7 +539,7 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
     record = hpe_core._record
 
     def counted(trace, erg, block, steps, *rest):
-        recorded.append(len(steps))
+        recorded.append((len(steps), block.shape))
         return record(trace, erg, block, steps, *rest)
 
     monkeypatch.setattr(hpe_core, "_record", counted)
@@ -558,10 +555,12 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
         assert state.k == len(state.trace) == length
         assert state.verdict == ("solved" if ending == "stop"
                                  else "max_iters")
-        # whole blocks, then the rest; a cap under K shrinks the block
+        # whole blocks of z~ and v, then the rest; a cap under K shrinks
+        # the block
         size = K if ending == "stop" else min(K, length)
-        assert recorded == ([size] * (length // size)
-                            + [length % size] * (length % size > 0))
+        assert recorded == [
+            (held, (size, 2, BLOCK_N)) for held in [size] * (length // size)
+            + [length % size] * (length % size > 0)]
         assert_same_bits(state.trace,
                          replay(prob, steps(), p, stop))
 
@@ -575,7 +574,7 @@ def test_run_matches_its_replay_across_block_boundaries(monkeypatch, known,
 def test_a_step_that_fails_mid_block_ends_the_run_at_its_step(known, fault,
                                                               error):
     # no inner call follows a failed step, whatever the block holds
-    last = block_steps(known) + 2
+    last = BLOCK_STEPS + 2
     prob = separable_box_problem(BLOCK_N, seed=14, known=known)
     p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
     solver, floor = instances.make_inner_solver(prob, "forward_backward", p)

@@ -84,22 +84,17 @@ def test_as_vector_rejects_bad_shapes_and_nonfinite():
 def test_row_dots_are_dot_bit_for_bit(n):
     # each row is the cblas_ddot that dot calls, at every length the
     # kernel unrolls differently; rows of mixed scale, a row squared, a
-    # paired row and one vector broadcast to every row.  The products are
-    # bound once and read the arrays as they are at each call.
-    a, b, v = np.empty((7, n)), np.empty((7, n)), np.empty(n)
-    bound = [(b, b), (a, a), (v, [v] * 7)]
-    products = [linalg.RowDots(a, partner) for partner, _ in bound]
+    # paired row and one vector broadcast to every row
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        a[...] = rng.standard_normal((7, n)) * rng.uniform(1e-3, 1e3, (7, 1))
-        b[...] = rng.standard_normal((7, n))
-        v[...] = rng.standard_normal(n)
-        for take, (_, rows) in zip(products, bound):
-            got = take()
+        a = rng.standard_normal((7, n)) * rng.uniform(1e-3, 1e3, (7, 1))
+        b = rng.standard_normal((7, n))
+        v = rng.standard_normal(n)
+        for partner, rows in ((b, b), (a, a), (v, [v] * 7)):
+            got = linalg.row_dots(a, partner)
             expected = [linalg.dot(a[i], rows[i]) for i in range(7)]
-            assert all(type(x) is float for x in got)
-            assert (np.array(got).tobytes()
-                    == np.array(expected).tobytes()), (seed, n)
+            assert got.shape == (7,)
+            assert got.tobytes() == np.array(expected).tobytes(), (seed, n)
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 17, 2000])
