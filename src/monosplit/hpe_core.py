@@ -18,11 +18,13 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from . import linalg
 from .ergodic import ErgodicState
@@ -104,19 +106,19 @@ class IterationTrace:
 
         The bytes are those of ``json.dumps`` on each row dict of floats,
         except that NaN (no known solution) is written as null: strict
-        JSON.  Strict JSON has no infinity, so a column that holds one
-        raises :class:`ParameterError`, naming it, before the file is
-        opened.
+        JSON.  A cell of a float subclass is written as its float value; a
+        bool or int cell raises ``TypeError``.  Strict JSON has no
+        infinity, so a column that holds one raises
+        :class:`ParameterError`, naming it.  Both are raised before the
+        file is opened.
         """
-        for name, col in self.columns.items():
-            if not math.isfinite(sum(col)) and math.inf in map(abs, col):
-                raise ParameterError(f"an infinite {name!r} cell is not JSON")
+        columns = [_floats(name, col) for name, col in self.columns.items()]
         with open(path, "w") as fh:
             fh.write(json.dumps({"meta": meta}) + "\n")
             for lo in range(0, len(self), _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, len(self))
                 texts = [map(int.__repr__, range(lo + 1, hi + 1))]
-                texts += [_texts(col[lo:hi]) for col in self.columns.values()]
+                texts += [_texts(col[lo:hi]) for col in columns]
                 fh.write("".join(map(_JSON_ROW.__mod__, zip(*texts))))
 
     def write_csv(self, path):
@@ -137,11 +139,11 @@ class IterationTrace:
         Line 1 is ``{"meta": meta}`` alone, ``meta`` an object, and every
         later line one row: an object of exactly the :data:`TRACE_COLUMNS`,
         ``k`` the int step number and every other cell a float or null,
-        which reads as NaN.  Each line is decoded as strict UTF-8, then as
-        strict JSON by :data:`_DECODER`.  Anything else raises
+        which reads as NaN.  Each line is decoded as strict JSON in strict
+        UTF-8 by ``orjson.loads``.  Anything else raises
         :class:`ParameterError` naming its line, as does an unreadable file.
         """
-        trace, rows = cls(), []
+        trace, lines = cls(), []
         try:
             fh = open(path, "rb")  # each line is decoded on its own
         except OSError as exc:
@@ -151,15 +153,15 @@ class IterationTrace:
             if (type(head) is not dict or list(head) != ["meta"]
                     or type(head["meta"]) is not dict):
                 raise ParameterError('trace line 1 is not {"meta": {...}}')
-            for lineno, line in enumerate(fh, start=2):
-                rows.append(_decode(line, lineno))
-                if len(rows) == _CHUNK_ROWS:
-                    trace._extend_read(rows)
-        trace._extend_read(rows)
+            for line in fh:
+                lines.append(line)
+                if len(lines) == _CHUNK_ROWS:
+                    trace._extend_read(lines)
+        trace._extend_read(lines)
         return trace, head["meta"]
 
-    def _extend_read(self, rows):
-        """Move the decoded ``rows`` into the columns and empty ``rows``.
+    def _extend_read(self, lines):
+        """Decode the row ``lines`` into the columns and empty ``lines``.
 
         The rows are checked together, then each column's cells: every
         row must be an object of exactly the :data:`TRACE_COLUMNS`, ``k``
@@ -167,22 +169,31 @@ class IterationTrace:
         other cell a float or null.
         """
         first = len(self) + 1
+        rows = list(map(_decode, lines, itertools.count(first + 1)))
         try:
             columns = list(zip(*map(_ROW_VALUES, rows)))
         except (KeyError, TypeError):  # a row is not an object of them all
             _refuse(rows, first)
         if sum(map(len, rows)) != len(TRACE_COLUMNS) * len(rows):
             _refuse(rows, first)  # a row has a column more
-        steps = tuple(range(first, first + len(rows)))
-        for name, cells in zip(TRACE_COLUMNS, columns):
-            kinds = set(map(type, cells))
-            if not (kinds == _INT and cells == steps if name == "k"
-                    else kinds <= _FLOAT_OR_NULL):
-                _refuse(rows, first)
-            if name != "k":  # null reads as NaN
-                self.columns[name].extend(cells if kinds == _FLOAT else [
-                    math.nan if c is None else c for c in cells])
-        rows.clear()
+        kinds = [set(map(type, cells)) for cells in columns]
+        if kinds and not (
+                kinds[0] == _INT
+                and columns[0] == tuple(range(first, first + len(rows)))
+                and all(kind <= _FLOAT_OR_NULL for kind in kinds[1:])):
+            _refuse(rows, first)
+        # orjson reads an integer beyond 64 bits as a float, so the lines
+        # of a cell that large are read again as json does, keeping ints;
+        # the hypot of the cells bounds each of them
+        size = math.hypot(*filter(None, itertools.chain(*columns[1:])))
+        if size >= 2 ** 63:
+            _refuse(list(map(json.loads, lines)), first)
+        for name, cells, kind in zip(TRACE_COLUMNS[1:], columns[1:],
+                                     kinds[1:]):
+            # null reads as NaN
+            self.columns[name].extend(cells if kind == _FLOAT else [
+                math.nan if c is None else c for c in cells])
+        lines.clear()
 
 
 # Rows are written, or read into the columns, this many at a time.
@@ -192,32 +203,32 @@ _JSON_ROW = "{%s}\n" % ", ".join(f"{json.dumps(name)}: %s"
 # The trace column of each CSV column after k, in CSV order.
 _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
-_JSON_NON_FINITE = {"nan": "null"}
 _INT, _FLOAT = frozenset({int}), frozenset({float})
 _FLOAT_OR_NULL = frozenset({float, type(None)})
 _ROW_VALUES = operator.itemgetter(*TRACE_COLUMNS)
+# orjson writes a one-digit negative exponent with no leading zero
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d\b)")
 
-
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-# Strict JSON: the tokens NaN, Infinity and -Infinity are refused.
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+# The first orjson.loads allocates what orjson keeps for the life of the
+# process.  Made by the first certify of a run, after the large arrays of
+# a big problem, it would sit at the top of the heap and keep the C
+# allocator from returning their memory when they are freed; made here,
+# it sits below them.
+orjson.loads(b'{"meta": {}}')
 
 
 def _decode(line, lineno):
     """The JSON value of trace line ``lineno``, given as bytes."""
     try:
-        return _DECODER.decode(line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 too
+        return orjson.loads(line)
+    except orjson.JSONDecodeError as exc:  # bad UTF-8 too
         raise ParameterError(f"malformed trace line {lineno}: {exc}")
 
 
 def _refuse(rows, first):
     """Raise the :class:`ParameterError` of the first of the decoded
-    ``rows``, from step ``first`` on, that the writer does not write; row
-    ``k`` is trace line ``k + 1``."""
+    ``rows``, from step ``first`` on, that the writer does not write, if
+    one is; row ``k`` is trace line ``k + 1``."""
     for lineno, row in enumerate(rows, start=first + 1):
         if type(row) is not dict:
             raise ParameterError(f"trace line {lineno} is not a JSON object")
@@ -239,25 +250,52 @@ def _refuse(rows, first):
             else:
                 continue
             raise ParameterError(f"trace line {lineno}, column {name!r}: "
-                                 f"{json.dumps(cell)} is not {want}")
+                                 f"{_spelled(cell)} is not {want}")
+
+
+def _spelled(cell):
+    """The JSON text of a decoded cell, or what stands for it when it is
+    nested too deeply for ``json.dumps``."""
+    try:
+        return json.dumps(cell)
+    except RecursionError:
+        return "a value nested too deeply to print"
+
+
+def _floats(name, col):
+    """The cells of column ``name`` as exact floats, which orjson takes.
+
+    A float subclass (``np.float64``) gives its float value; a bool or int
+    cell raises ``TypeError``, as ``float.__repr__`` does.  A column with
+    an infinite cell raises :class:`ParameterError`.
+    """
+    if not set(map(type, col)) <= _FLOAT:
+        col = list(map(float.__float__, col))
+    # a finite sum means that every value is finite
+    if not math.isfinite(sum(col)) and math.inf in map(abs, col):
+        raise ParameterError(f"an infinite {name!r} cell is not JSON")
+    return col
 
 
 def _texts(values):
-    """JSON text of each float of a nonempty chunk: its ``repr``, with
-    nan respelled null by :data:`_JSON_NON_FINITE`.
+    """JSON text of each finite float or NaN of a nonempty chunk: its
+    ``float.__repr__``, with NaN spelled null.
 
-    A chunk whose cells are all one float object (a run's constant ``lam``,
-    or the ``0.0`` of an exact step's ``eps``) is formatted once.  The test
-    is identity, not equality, so that 0.0 and -0.0 keep their own text.
+    ``orjson.dumps`` writes the same shortest round-trip digits as repr,
+    and spells them alike but for the exponent form.  It writes 1e16 and
+    1e-7 for repr's 1e+16 and 1e-07, which the text respells, and 0.00001
+    for 1e-05: the cells of 1e-5 <= |x| < 1e-4 take their repr.
     """
-    first = values[0]
-    if all(map(operator.is_, values, itertools.repeat(first))):
-        text = float.__repr__(first)
-        return [_JSON_NON_FINITE.get(text, text)] * len(values)
-    texts = list(map(float.__repr__, values))
-    # a finite sum means that every value is finite
-    return texts if math.isfinite(sum(values)) else [
-        _JSON_NON_FINITE.get(text, text) for text in texts]
+    text = orjson.dumps(values).decode()
+    if "e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub(
+            "e-0", text.replace("e", "e+").replace("e+-", "e-"))
+    texts = text[1:-1].split(",")
+    if "0.0000" in text:
+        for i, x in enumerate(values):
+            if 1e-5 <= abs(x) < 1e-4:
+                texts[i] = float.__repr__(x)
+    return texts
 
 
 @dataclass

@@ -323,8 +323,10 @@ def test_certify_fails_non_finite_value(tmp_path, capsys, solved_box,
     captured = capsys.readouterr()
     out = captured.out
     if value == "NaN":  # not JSON: this token used to read as NaN
+        at = lines[5].index("NaN")
         assert out == "" and captured.err.splitlines() == [
-            "error: malformed trace line 6: NaN is not JSON"]
+            f"error: malformed trace line 6: unexpected character: "
+            f"line 1 column {at + 1} (char {at})"]
         return
     assert "[FAIL]" in out
     if column in NAMED_FAULTS:
@@ -359,8 +361,16 @@ def _set_cell(column, value):
     return edit
 
 
-FORM_FEED = ("malformed trace line 2: Expecting value: line 1 column 1 "
+def _spell_cell(column, text):
+    def edit(lines):
+        lines[5] = re.sub(f'"{column}": [^,}}]*', f'"{column}": {text}',
+                          lines[5])
+    return edit
+
+
+FORM_FEED = ("malformed trace line 2: unexpected character: line 1 column 1 "
              "(char 0)")
+INFINITE = "malformed trace line 6: number is infinity when parsed as double"
 NOT_A_META_LINE = 'trace line 1 is not {"meta": {...}}'
 
 
@@ -375,15 +385,16 @@ NOT_A_META_LINE = 'trace line 1 is not {"meta": {...}}'
      "trace line 6, column 'lam': [1, 2] is not a float or null"),
     (_set_cell("norm_v", True),
      "trace line 6, column 'norm_v': true is not a float or null"),
-    (_set_cell("s_k", 10 ** 400), "trace line 6, column 's_k': 1000"),
+    (_set_cell("s_k", 10 ** 400), INFINITE),
     # json.loads refuses an integer of more than 4300 digits
     (lambda lines: lines.__setitem__(5, lines[5].replace(
-        '"k": 5', '"k": 1' + "0" * 5000)),
-     "malformed trace line 6: Exceeds the limit"),
-    # deeper than json's recursion limit
+        '"k": 5', '"k": 1' + "0" * 5000)), INFINITE),
+    # deeper than json's recursion limit: orjson reads it, json.dumps
+    # cannot spell it
     (lambda lines: lines.__setitem__(5, lines[5].replace(
         '"k": 5', '"k": ' + "[" * 100000 + "]" * 100000)),
-     "malformed trace line 6: maximum recursion depth exceeded"),
+     "trace line 6, column 'k': a value nested too deeply to print is not "
+     "a number"),
     # form feed and vertical tab are not JSON whitespace: the reader used
     # to strip them, and each trace certified
     (lambda lines: lines.__setitem__(1, "\x0c" + lines[1]), FORM_FEED),
@@ -394,16 +405,22 @@ NOT_A_META_LINE = 'trace line 1 is not {"meta": {...}}'
     # meta line, which was refused for recording no config (exit 2)
     (_set_cell("junk", 0.5), "trace line 6 has unknown columns ['junk']"),
     (lambda lines: lines.insert(5, ""),
-     "malformed trace line 6: Expecting value: line 2 column 1 (char 1)"),
+     "malformed trace line 6: input data is empty: line 1 column 1 "
+     "(char 0)"),
     (_set_cell("k", 5.0), "trace line 6, column 'k': 5.0 is not step 5"),
     (lambda lines: lines.__setitem__(0, lines[0].replace(
         '{"meta"', '{"seed": 1, "meta"')), NOT_A_META_LINE),
     (lambda lines: lines.pop(0), NOT_A_META_LINE),
+    # json.loads read 1e400 as inf, and orjson reads this int as a float
+    (_spell_cell("eps_a", "1e400"), INFINITE),
+    (_spell_cell("lam", str(10 ** 20)),
+     f"trace line 6, column 'lam': {10 ** 20} is not a float or null"),
 ], ids=["bare_number_row", "meta_not_object", "string_cell", "list_cell",
         "bool_cell", "int_beyond_float_range", "int_beyond_str_limit",
         "nesting_beyond_recursion_limit", "form_feed", "vertical_tab",
         "form_feed_line", "extra_row_key", "blank_line", "float_step",
-        "key_beside_meta", "no_meta_line"])
+        "key_beside_meta", "no_meta_line", "float_beyond_range",
+        "int_beyond_64_bits"])
 def test_certify_reports_malformed_trace(tmp_path, capsys, solved_box, edit,
                                          message):
     # each of the first eight used to end certify in a traceback, exit 1

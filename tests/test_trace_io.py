@@ -1,13 +1,13 @@
 """Byte-for-byte checks of the trace writers against a row-by-row oracle,
-and of the reader against json's strict decoder.
+and of the reader against ``orjson.loads``.
 
 The oracle is the plain encoder: one ``json.dumps`` per row dict and one
 ``csv.writer`` row per trace row.  The JSONL writer formats a trace column
-by column, a chunk of rows at a time, and must produce exactly its bytes.
-The CSV writer goes through ``csv.writer``, its own oracle, so it is also
-pinned to recorded bytes.  The reader must read each line as json's
-decoder reads its UTF-8 text with NaN and Infinity refused, and take
-exactly what the JSONL writer writes.
+by column, a chunk of rows at a time, with ``orjson.dumps``, and must
+produce exactly its bytes.  The CSV writer goes through ``csv.writer``, its
+own oracle, so it is also pinned to recorded bytes.  The reader must read
+each line as ``orjson.loads`` reads its bytes, refuse every line json's
+decoder refuses, and take exactly what the JSONL writer writes.
 """
 
 import csv
@@ -17,6 +17,7 @@ import re
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 
 from monosplit import hpe_core, instances, operators, params
@@ -54,9 +55,13 @@ def oracle_csv(trace, path):
                 row["norm_v_a"], row["eps_a"]])
 
 
+# with where repr and orjson part: repr writes an exponent below 1e-4 and
+# from 1e16 on, orjson below 1e-5 and from 1e16 on, each in its own form
+_PARTING = (1e-4, math.nextafter(1e-4, 0.0), 1e-5, math.nextafter(1e-5, 0.0),
+            1e16, 9999999999999998.0)
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
-               0.1, 1.0, -1.0, 1e16, 1e-5)
+               0.1, 1.0, -1.0) + _PARTING + tuple(-x for x in _PARTING)
 reals = st.one_of(st.sampled_from(EDGE_FLOATS),
                   st.floats(allow_nan=False, allow_infinity=False))
 # no known solution gives all-NaN distance columns; a trace read back from
@@ -157,13 +162,50 @@ def test_csv_writer_writes_the_recorded_bytes(tmp_path):
 
 
 def test_writer_refuses_a_non_number(tmp_path):
+    # orjson.dumps would write true and 1
     trace = IterationTrace()
     for name in trace.columns:
         trace.columns[name] = [1.0]
-    trace.columns["lam"] = [True]
-    for write in (trace.write_csv, lambda path: trace.write_jsonl(path, {})):
-        with pytest.raises(TypeError, match="requires a 'float' object"):
-            write(tmp_path / "trace.out")
+    for cell in (True, 1):
+        trace.columns["lam"] = [cell]
+        for write in (trace.write_csv,
+                      lambda path: trace.write_jsonl(path, {})):
+            with pytest.raises(TypeError, match="requires a 'float' object"):
+                write(tmp_path / "trace.out")
+
+
+def test_writer_writes_a_float_subclass_as_its_float(tmp_path):
+    # float.__repr__ took an np.float64 cell, which orjson.dumps refuses
+    values = [0.1, -0.0, 1e-5, -2.5e-7, 1e16, math.nan]
+    trace, subclass = IterationTrace(), IterationTrace()
+    for name in trace.columns:
+        trace.columns[name] = values
+        subclass.columns[name] = [np.float64(x) for x in values]
+    trace.write_jsonl(tmp_path / "float.jsonl", {})
+    subclass.write_jsonl(tmp_path / "subclass.jsonl", {})
+    assert (tmp_path / "subclass.jsonl").read_bytes() == \
+        (tmp_path / "float.jsonl").read_bytes()
+    assert type(subclass.columns["lam"][0]) is np.float64
+
+
+def test_orjson_spells_and_reads_floats_as_repr_does():
+    # The writer takes orjson's digits and the reader its parse of repr's
+    # text.  A release of orjson that differs fails here instead of
+    # writing or reading other floats than float.__repr__ and float().
+    rng = np.random.default_rng(1812_02138)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    decades = 10.0 ** rng.uniform(-8.0, 18.0, size=20_000)
+    values = np.concatenate([bits.view(np.float64), decades, -decades,
+                             EDGE_FLOATS])
+    values = values[np.isfinite(values)].tolist() + [math.nan]
+    for lo in range(0, len(values), hpe_core._CHUNK_ROWS):
+        chunk = values[lo:lo + hpe_core._CHUNK_ROWS]
+        assert hpe_core._texts(chunk) == [
+            "null" if x != x else float.__repr__(x) for x in chunk]
+    finite = np.array(values[:-1])
+    read = np.array(list(map(orjson.loads, map(float.__repr__, values[:-1]))))
+    np.testing.assert_array_equal(read.view(np.uint64),
+                                  finite.view(np.uint64))
 
 
 @pytest.mark.parametrize("column", ["norm_v", "dist_to_solution", "eps_a"])
@@ -216,22 +258,24 @@ ROW = json.dumps({name: 1 if name == "k" else 0.5
     (b"\x0b" + ROW, False),
     (ROW + b"\x0c", False),
     (b"\x0c\n" + ROW, False),
+    # json's decoder reads these as inf and as a lone surrogate
+    (ROW.replace(b"0.5", b"1e400", 1), False),
+    (META[:-2] + b', "note": "\\ud800"}}', False),
 ], ids=["utf8_bom", "two_boms", "bad_utf8", "int_of_5001_digits",
         "lone_surrogate", "utf16_with_bom", "utf16_without_bom", "utf32",
         "odd_utf16", "bad_json", "utf8_beyond_ascii", "json_whitespace",
         "form_feed", "vertical_tab", "trailing_form_feed",
-        "form_feed_line"])
+        "form_feed_line", "float_beyond_range", "lone_surrogate_escape"])
 def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
-    # json's decoder of the line decoded as strict UTF-8 is the reference:
-    # the decoding's and the parser's error messages (json.loads adds its
-    # own to a line that starts with a byte-order mark, which the reader,
-    # like the decoder, refuses as an unexpected value)
+    # orjson.loads of the line's bytes is the reference, its error message
+    # included; json's decoder of the line decoded as strict UTF-8, which
+    # the reader used before, takes no line that it refuses
     lines = [line, ROW] if line.startswith(b'{"meta"') else [META, line]
     path = tmp_path / "trace.jsonl"
     path.write_bytes(b"".join(text + b"\n" for text in lines))
     try:
-        json.JSONDecoder().decode(line.decode("utf-8"))
-    except ValueError as exc:
+        orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
         assert not accepted
         with pytest.raises(ParameterError) as err:
             IterationTrace.read_jsonl(path)
@@ -239,6 +283,7 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
                                   f"{lines.index(line) + 1}: {exc}")
         return
     assert accepted
+    json.JSONDecoder().decode(line.decode("utf-8"))
     trace, meta = IterationTrace.read_jsonl(path)
     assert meta == json.loads(lines[0])["meta"]
     assert trace.columns == {name: [0.5] for name in TRACE_COLUMNS[1:]}
@@ -251,9 +296,12 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
     ((1, None), "trace line 3, column 'k': null is not step 2"),
     ((True,), "trace line 2, column 'k': true is not a number"),
     ((1, "x"), """trace line 3, column 'k': "x" is not a number"""),
-    ((1, 10 ** 400), f"trace line 3, column 'k': {10 ** 400} is not step 2"),
+    ((1, 10 ** 400), "malformed trace line 3: number is infinity when "
+                     "parsed as double: line 1 column 7 (char 6)"),
     # the writer writes the int 1; "k": 1.0 used to read as step 1
     ((1.0, 2), "trace line 2, column 'k': 1.0 is not step 1"),
+    # orjson reads an int beyond 64 bits as a float
+    ((1, 10 ** 20), "trace line 3, column 'k': 1e+20 is not step 2"),
 ])
 @pytest.mark.parametrize("chunk", [1, 128])
 def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
@@ -280,27 +328,57 @@ def test_reader_refuses_an_int_cell(tmp_path):
         "trace line 2, column 'eps': 0 is not a float or null")
 
 
+@pytest.mark.parametrize("text, cell", [
+    ("100000000000000000000", None), ("-9223372036854775809", None),
+    ("18446744073709551616", None), ("1e+20", 1e20),
+    ("100000000000000000000.0", 1e20), ("-9.223372036854776e+18", -2.0 ** 63),
+])
+@pytest.mark.parametrize("chunk", [1, 128])
+def test_reader_refuses_an_int_beyond_64_bits(tmp_path, text, cell, chunk):
+    # orjson reads these ints as floats; as floats, each is taken.  The
+    # keys go in reverse order, so that k is not the first key of a row
+    path = tmp_path / "trace.jsonl"
+    row = {name: 0.5 for name in reversed(TRACE_COLUMNS)}
+    lines = [json.dumps(dict(row, k=1)),
+             json.dumps(dict(row, k=2, lam=None)).replace("null", text)]
+    path.write_text("\n".join([META.decode()] + lines) + "\n")
+    with mock.patch.object(hpe_core, "_CHUNK_ROWS", chunk):
+        if cell is None:
+            with pytest.raises(ParameterError) as err:
+                IterationTrace.read_jsonl(path)
+            assert str(err.value) == (
+                f"trace line 3, column 'lam': {text} is not a float or null")
+        else:
+            trace, _ = IterationTrace.read_jsonl(path)
+            assert trace.columns["lam"] == [0.5, cell]
+
+
+EMPTY = "input data is empty: line 1 column 1 (char 0)"
+# the first 0.5 of ROW, in its norm_v cell
+CELL = "line 1 column 20 (char 19)"
+
+
 @pytest.mark.parametrize("lines, message", [
-    ([META, b"", ROW],
-     "malformed trace line 2: Expecting value: line 2 column 1 (char 1)"),
-    ([META, ROW, b" "],
-     "malformed trace line 3: Expecting value: line 2 column 1 (char 2)"),
+    ([META, b"", ROW], f"malformed trace line 2: {EMPTY}"),
+    ([META, ROW, b" "], f"malformed trace line 3: {EMPTY}"),
     ([ROW], 'trace line 1 is not {"meta": {...}}'),
     ([b'{"meta": {}, "seed": 1}', ROW],
      'trace line 1 is not {"meta": {...}}'),
     ([b'[{"meta": {}}]', ROW],
      'trace line 1 is not {"meta": {...}}'),
-    ([], "malformed trace line 1: Expecting value: line 1 column 1 (char 0)"),
+    ([], "malformed trace line 1: input length is 0: line 1 column 1 "
+         "(char 0)"),
     ([META, ROW[:-1] + b', "junk": 0.5}'],
      "trace line 2 has unknown columns ['junk']"),
     ([META, ROW.replace(b"0.5", b"NaN", 1)],
-     "malformed trace line 2: NaN is not JSON"),
+     f"malformed trace line 2: unexpected character: {CELL}"),
     ([META, ROW.replace(b"0.5", b"Infinity", 1)],
-     "malformed trace line 2: Infinity is not JSON"),
+     f"malformed trace line 2: unexpected character: {CELL}"),
     ([META, ROW.replace(b"0.5", b"-Infinity", 1)],
-     "malformed trace line 2: -Infinity is not JSON"),
+     f"malformed trace line 2: no digit after minus sign: {CELL}"),
     ([META.replace(b"1", b"NaN"), ROW],
-     "malformed trace line 1: NaN is not JSON"),
+     "malformed trace line 1: unexpected character: line 1 column 29 "
+     "(char 28)"),
 ], ids=["blank_line", "blank_last_line", "no_meta_line", "key_beside_meta",
         "meta_in_a_list", "empty_file", "extra_row_key", "nan_token",
         "infinity_token", "minus_infinity_token", "nan_token_in_meta"])
