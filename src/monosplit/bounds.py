@@ -227,13 +227,14 @@ def _first_failure(ok, what, passed):
 def _error_criterion(trace, inp):
     """The certificate law on every step, and the two columns the law
     fixes: the recorded ``error_ratio`` and ``aggregate_stepsize``."""
-    cols = trace.columns
-    dz_sq = (trace.column("norm_dz") ** 2).tolist()
+    # the law takes floats, as run passes them
+    resid_sq, dz_sq, lam, eps = (col.tolist() for col in (
+        trace.column("resid_sq"), trace.column("norm_dz") ** 2,
+        trace.column("lam"), trace.column("eps")))
     try:
         ratios = np.fromiter(
-            map(hpe_core._error_ratio, cols["resid_sq"], dz_sq, cols["lam"],
-                cols["eps"], repeat(inp.params.sigma),
-                repeat(inp.lambda_floor), count(1)),
+            map(hpe_core._error_ratio, resid_sq, dz_sq, lam, eps,
+                repeat(inp.params.sigma), repeat(inp.lambda_floor), count(1)),
             dtype=float, count=len(trace))
     except (CertificationError, ParameterError) as exc:
         return FAIL, str(exc)

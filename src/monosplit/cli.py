@@ -60,7 +60,7 @@ def _one_of(kinds):
 # memory or numpy's array limits: every zoo kind builds dense float64
 # matrices of order n or n/2, an affine build three at once (3 x 134 MB).
 _CONFIG_FIELDS = {
-    "config": {"schema_version": _REQUIRED, "problem": _REQUIRED,
+    "config": {"schema_version": _Field(True, _INTEGER), "problem": _REQUIRED,
                "instance": _REQUIRED, "params": _REQUIRED,
                "stopping": _Field(), "sweep": _Field()},
     "problem": {"kind": _one_of(operators.PROBLEM_KINDS),
@@ -255,8 +255,8 @@ def _bench_cell(cfg, overrides):
         return row + ["error", "", 0, "nan", "nan", "nan", failed]
     worst = next(c.utilization for c in checks if c.name == "rate_bounds")
     return row + ["ok", state.verdict, state.k,
-                  repr(state.trace.columns["norm_v"][-1]),
-                  repr(state.trace.columns["eps"][-1]),
+                  float.__repr__(state.trace.column("norm_v")[-1]),
+                  float.__repr__(state.trace.column("eps")[-1]),
                   repr(math.nan if worst is None else worst), ""]
 
 

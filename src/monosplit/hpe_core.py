@@ -78,26 +78,44 @@ CSV_COLUMNS = ("k", "norm_v", "eps", "lambda", "error_ratio", "step_norm",
 
 
 class IterationTrace:
-    """Columnar per-iteration record of a run."""
+    """Columnar per-iteration record of a run.
+
+    The columns after ``k`` are float64 arrays: the rows of one
+    C-contiguous store, grown by doubling.  ``columns[name]`` and
+    :meth:`column` are views of the first ``len(trace)`` cells of a row,
+    valid until the next :meth:`extend`.
+    """
 
     def __init__(self):
-        # in TRACE_COLUMNS order, the order in which the writer takes them
-        self.columns = {name: [] for name in TRACE_COLUMNS if name != "k"}
+        self._store = np.empty((len(TRACE_COLUMNS) - 1, 0))
+        self._len = 0
 
     def __len__(self):
-        return len(self.columns["norm_v"])
+        return self._len
+
+    @property
+    def columns(self):
+        """Each column after ``k``, in the order in which the writer takes
+        them, :data:`TRACE_COLUMNS` order."""
+        return dict(zip(TRACE_COLUMNS[1:], self._store[:, :self._len]))
 
     def extend(self, **columns):
-        """Append rows given column by column, one sequence per column."""
-        for name, col in self.columns.items():
-            col.extend(columns[name])
+        """Append rows given column by column, one sequence per column;
+        each cell is stored as its float, a None as NaN."""
+        first, end = self._len, self._len + len(columns["norm_v"])
+        if end > self._store.shape[1]:  # grow to twice the rows, or more
+            self._store = np.concatenate((self._store[:, :first], np.empty(
+                (len(self._store), max(end, 2 * first) - first))), axis=1)
+        for row, name in zip(self._store, TRACE_COLUMNS[1:]):
+            row[first:end] = columns[name]
+        self._len = end
 
     def append(self, **values):
         """Append one row: :meth:`extend` by a row of one value each."""
         self.extend(**{name: (value,) for name, value in values.items()})
 
     def column(self, name):
-        return np.asarray(self.columns[name], dtype=float)
+        return self._store[_ROW_OF[name], :self._len]
 
     # -- export / import --------------------------------------------------
 
@@ -106,25 +124,26 @@ class IterationTrace:
 
         The bytes are those of ``json.dumps`` on each row dict of floats,
         except that NaN (no known solution) is written as null: strict
-        JSON.  A cell of a float subclass is written as its float value; a
-        bool or int cell raises ``TypeError``.  Strict JSON has no
-        infinity, so a column that holds one raises
-        :class:`ParameterError`, naming it.  Both are raised before the
-        file is opened.
+        JSON.  Strict JSON has no infinity, so a column that holds one
+        raises :class:`ParameterError`, naming it, before the file is
+        opened.
         """
-        columns = [_floats(name, col) for name, col in self.columns.items()]
+        columns = self.columns
+        for name, col in columns.items():
+            if np.isinf(col).any():
+                raise ParameterError(f"an infinite {name!r} cell is not JSON")
         with open(path, "w") as fh:
             fh.write(json.dumps({"meta": meta}) + "\n")
             for lo in range(0, len(self), _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, len(self))
                 texts = [map(int.__repr__, range(lo + 1, hi + 1))]
-                texts += [_texts(col[lo:hi]) for col in columns]
+                texts += [_texts(col[lo:hi]) for col in columns.values()]
                 fh.write("".join(map(_JSON_ROW.__mod__, zip(*texts))))
 
     def write_csv(self, path):
         """Write the CSV columns through ``csv.writer``, each cell after
         ``k`` as ``float.__repr__`` spells it."""
-        cells = [map(float.__repr__, self.columns[name])
+        cells = [map(float.__repr__, self.column(name))
                  for name in _CSV_SOURCES]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -143,7 +162,7 @@ class IterationTrace:
         UTF-8 by ``orjson.loads``.  Anything else raises
         :class:`ParameterError` naming its line, as does an unreadable file.
         """
-        trace, lines = cls(), []
+        trace = cls()
         try:
             fh = open(path, "rb")  # each line is decoded on its own
         except OSError as exc:
@@ -153,20 +172,18 @@ class IterationTrace:
             if (type(head) is not dict or list(head) != ["meta"]
                     or type(head["meta"]) is not dict):
                 raise ParameterError('trace line 1 is not {"meta": {...}}')
-            for line in fh:
-                lines.append(line)
-                if len(lines) == _CHUNK_ROWS:
-                    trace._extend_read(lines)
-        trace._extend_read(lines)
+            for lines in iter(
+                    lambda: list(itertools.islice(fh, _CHUNK_ROWS)), []):
+                trace._extend_read(lines)
         return trace, head["meta"]
 
     def _extend_read(self, lines):
-        """Decode the row ``lines`` into the columns and empty ``lines``.
+        """Decode the row ``lines``, a nonempty list, into the columns.
 
         The rows are checked together, then each column's cells: every
         row must be an object of exactly the :data:`TRACE_COLUMNS`, ``k``
         the int step numbers, going on from the rows read so far, and every
-        other cell a float or null.
+        other cell a float or null, which reads as NaN.
         """
         first = len(self) + 1
         rows = list(map(_decode, lines, itertools.count(first + 1)))
@@ -177,8 +194,7 @@ class IterationTrace:
         if sum(map(len, rows)) != len(TRACE_COLUMNS) * len(rows):
             _refuse(rows, first)  # a row has a column more
         kinds = [set(map(type, cells)) for cells in columns]
-        if kinds and not (
-                kinds[0] == _INT
+        if not (kinds[0] == _INT
                 and columns[0] == tuple(range(first, first + len(rows)))
                 and all(kind <= _FLOAT_OR_NULL for kind in kinds[1:])):
             _refuse(rows, first)
@@ -188,12 +204,7 @@ class IterationTrace:
         size = math.hypot(*filter(None, itertools.chain(*columns[1:])))
         if size >= 2 ** 63:
             _refuse(list(map(json.loads, lines)), first)
-        for name, cells, kind in zip(TRACE_COLUMNS[1:], columns[1:],
-                                     kinds[1:]):
-            # null reads as NaN
-            self.columns[name].extend(cells if kind == _FLOAT else [
-                math.nan if c is None else c for c in cells])
-        lines.clear()
+        self.extend(**dict(zip(TRACE_COLUMNS[1:], columns[1:])))
 
 
 # Rows are written, or read into the columns, this many at a time.
@@ -203,9 +214,11 @@ _JSON_ROW = "{%s}\n" % ", ".join(f"{json.dumps(name)}: %s"
 # The trace column of each CSV column after k, in CSV order.
 _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
-_INT, _FLOAT = frozenset({int}), frozenset({float})
+_INT = frozenset({int})
 _FLOAT_OR_NULL = frozenset({float, type(None)})
 _ROW_VALUES = operator.itemgetter(*TRACE_COLUMNS)
+# the store row of each column after k
+_ROW_OF = {name: i for i, name in enumerate(TRACE_COLUMNS[1:])}
 # orjson writes a one-digit negative exponent with no leading zero
 _ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d\b)")
 
@@ -262,31 +275,17 @@ def _spelled(cell):
         return "a value nested too deeply to print"
 
 
-def _floats(name, col):
-    """The cells of column ``name`` as exact floats, which orjson takes.
-
-    A float subclass (``np.float64``) gives its float value; a bool or int
-    cell raises ``TypeError``, as ``float.__repr__`` does.  A column with
-    an infinite cell raises :class:`ParameterError`.
-    """
-    if not set(map(type, col)) <= _FLOAT:
-        col = list(map(float.__float__, col))
-    # a finite sum means that every value is finite
-    if not math.isfinite(sum(col)) and math.inf in map(abs, col):
-        raise ParameterError(f"an infinite {name!r} cell is not JSON")
-    return col
-
-
 def _texts(values):
-    """JSON text of each finite float or NaN of a nonempty chunk: its
-    ``float.__repr__``, with NaN spelled null.
+    """JSON text of each finite float or NaN of a nonempty chunk, a list
+    or a C-contiguous float64 array: its ``float.__repr__``, with NaN
+    spelled null.
 
     ``orjson.dumps`` writes the same shortest round-trip digits as repr,
     and spells them alike but for the exponent form.  It writes 1e16 and
     1e-7 for repr's 1e+16 and 1e-07, which the text respells, and 0.00001
     for 1e-05: the cells of 1e-5 <= |x| < 1e-4 take their repr.
     """
-    text = orjson.dumps(values).decode()
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     if "e" in text:
         text = _ONE_DIGIT_EXPONENT.sub(
             "e-0", text.replace("e", "e+").replace("e+-", "e-"))
@@ -497,7 +496,7 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         held = block[len(steps)]
         held[0], held[1] = z_tilde, v
         norm_v = sqrt(v_sq)
-        steps.append((lam, eps, ratio, norm_v, squares))
+        steps.append((lam, eps, ratio, norm_v, *squares))
 
         z = z_next
         if met(norm_v, eps):
@@ -514,23 +513,19 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
 
 def _record(trace, erg, block, steps, params):
     """Fold ``steps``, whose ``z~`` and ``v`` the first rows of ``block``
-    hold, into the trace and the ergodic state column by column, each
-    certificate's ``lam`` and ``eps`` as a float (a float as itself); empty
-    ``steps``.  A step's squared norms are those of its work-array rows,
-    in row order."""
-    lam, eps, ratio, norm_v, squares = zip(*steps)
-    lam, eps = list(map(float, lam)), list(map(float, eps))
+    hold, into the trace and the ergodic state column by column; empty
+    ``steps``.  A step is its certificate's ``lam`` and ``eps``, its ratio
+    and ``||v||``, then the squared norms of its work-array rows, in row
+    order."""
+    (lam, eps, ratio, norm_v, resid_sq, dz_sq, relax_sq, step_sq, _,
+     *dist_sq) = np.array(steps, dtype=float).T
     total, v_avg_sq, eps_a = erg.fold(lam, eps, block[:len(steps)])
-    resid_sq, dz_sq, relax_sq, step_sq, _, *dist_sq = zip(*squares)
-    dz_sq = np.array(dz_sq)
-    dist, dist_w = (np.sqrt(dist_sq).tolist() if dist_sq
-                    else [(math.nan,) * len(steps)] * 2)
+    dist, dist_w = (np.sqrt(dist_sq) if dist_sq
+                    else np.full((2, len(steps)), math.nan))
     trace.extend(
         norm_v=norm_v, eps=eps, lam=lam, error_ratio=ratio,
-        step_norm=np.sqrt(step_sq).tolist(),
-        s_k=_energy_term(np.array(relax_sq), dz_sq, params).tolist(),
-        dist_to_solution=dist, resid_sq=resid_sq,
-        norm_dz=np.sqrt(dz_sq).tolist(), dist_w=dist_w,
-        aggregate_stepsize=total.tolist(),
-        norm_v_a=np.sqrt(v_avg_sq).tolist(), eps_a=eps_a.tolist())
+        step_norm=np.sqrt(step_sq), s_k=_energy_term(relax_sq, dz_sq, params),
+        dist_to_solution=dist, resid_sq=resid_sq, norm_dz=np.sqrt(dz_sq),
+        dist_w=dist_w, aggregate_stepsize=total, norm_v_a=np.sqrt(v_avg_sq),
+        eps_a=eps_a)
     steps.clear()

@@ -689,10 +689,20 @@ def test_config_refuses_a_removed_field(tmp_path, capsys, section, field,
         assert sorted(tmp_path.iterdir()) == before
 
 
-def test_config_rejects_wrong_schema_version(tmp_path):
+@pytest.mark.parametrize("version, message", [
+    (99, "unsupported schema_version 99 (expected 1)"),
+    # each of these used to run as version 1, or to be refused as a 1
+    (True, "config.schema_version must be an integer, got true"),
+    (1.0, "config.schema_version must be an integer, got 1.0"),
+    ("1", 'config.schema_version must be an integer, got "1"'),
+], ids=["unsupported", "true", "float", "string"])
+def test_config_rejects_wrong_schema_version(tmp_path, capsys, version,
+                                             message):
     cfg = base_config()
-    cfg["schema_version"] = 99
+    cfg["schema_version"] = version
     assert solve_config(tmp_path, cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {message}"]
 
 
 def test_config_undecodable_reported(tmp_path, capsys):
@@ -769,7 +779,7 @@ def test_config_out_of_range_reported(tmp_path, capsys, section, field,
 
 def _config_with(section, key, value):
     cfg = base_config(sweep={"alpha": [0.0]})
-    cfg[section][key] = value
+    (cfg if section == "config" else cfg[section])[key] = value
     return cfg
 
 

@@ -29,10 +29,22 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
+CELLS = TRACE_COLUMNS[1:]
+
+
+def trace_of(columns):
+    """A trace of the ``columns``, given by name, one sequence each."""
+    trace = IterationTrace()
+    trace.extend(**columns)
+    return trace
+
+
 def rows(trace):
-    """Each row of ``trace``: its ``k``, then its cells in column order."""
-    for k, cells in enumerate(zip(*trace.columns.values()), start=1):
-        yield {"k": k, **dict(zip(trace.columns, cells))}
+    """Each row of ``trace``: its ``k``, then its cells in column order,
+    as Python floats."""
+    cells = zip(*(col.tolist() for col in trace.columns.values()))
+    for k, row in enumerate(cells, start=1):
+        yield {"k": k, **dict(zip(trace.columns, row))}
 
 
 def oracle_jsonl(trace, path, meta):
@@ -87,17 +99,16 @@ def alike_columns(n):
 def traces(draw):
     n = draw(st.integers(0, 12))
     all_nan = draw(st.booleans())
-    trace = IterationTrace()
-    for name in trace.columns:
+    columns = {}
+    for name in CELLS:
         if all_nan and name.startswith("dist"):
-            values = [math.nan] * n
+            columns[name] = [math.nan] * n
         else:
-            values = draw(st.one_of(
+            columns[name] = draw(st.one_of(
                 st.lists(COLUMN_VALUES.get(name, reals), min_size=n,
                          max_size=n),
                 alike_columns(n)))
-        trace.columns[name] = values
-    return trace
+    return trace_of(columns)
 
 
 def _written(writer, trace, path, *args):
@@ -147,10 +158,8 @@ def test_solver_trace_matches_the_oracle(tmp_path):
 def test_csv_writer_writes_the_recorded_bytes(tmp_path):
     # the bytes of the hand-built CSV template this writer replaced
     values = (0.0, -0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
-    trace = IterationTrace()
-    for i, name in enumerate(trace.columns):
-        trace.columns[name] = [values[(i + j) % len(values)]
-                               for j in range(4)]
+    trace = trace_of({name: [values[(i + j) % len(values)] for j in range(4)]
+                      for i, name in enumerate(CELLS)})
     trace.write_csv(tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (
         b"k,norm_v,eps,lambda,error_ratio,step_norm,s_k,dist_to_solution,"
@@ -161,31 +170,43 @@ def test_csv_writer_writes_the_recorded_bytes(tmp_path):
         b"4,1e+16,nan,inf,-inf,0.0,-0.0,5e-324,-inf,0.0,-0.0\r\n")
 
 
-def test_writer_refuses_a_non_number(tmp_path):
-    # orjson.dumps would write true and 1
+@pytest.mark.parametrize("block", [1, 127, 128, 129])
+def test_the_store_holds_float64_views_grown_by_doubling(block):
+    # 600 rows cross several doublings of the store, from the first
+    # block's rows on; random bit patterns include NaNs with payloads
+    rng = np.random.default_rng(block)
+    values = rng.integers(0, 2 ** 64, size=(len(CELLS), 600),
+                          dtype=np.uint64).view(np.float64)
+    whole = trace_of(dict(zip(CELLS, values)))
     trace = IterationTrace()
-    for name in trace.columns:
-        trace.columns[name] = [1.0]
-    for cell in (True, 1):
-        trace.columns["lam"] = [cell]
-        for write in (trace.write_csv,
-                      lambda path: trace.write_jsonl(path, {})):
-            with pytest.raises(TypeError, match="requires a 'float' object"):
-                write(tmp_path / "trace.out")
+    for lo in range(0, values.shape[1], block):
+        trace.extend(**dict(zip(CELLS, values[:, lo:lo + block])))
+        store = trace.column("lam").base
+        assert store.nbytes <= 2 * 8 * len(CELLS) * len(trace)
+    assert len(trace) == len(whole) == values.shape[1]
+    for name, col in trace.columns.items():
+        assert col.dtype == np.float64 and col.flags.c_contiguous
+        assert col.shape == (len(trace),) and col.base is store
+        assert trace.column(name).base is store
+        assert col.tobytes() == whole.column(name).tobytes()
 
 
-def test_writer_writes_a_float_subclass_as_its_float(tmp_path):
-    # float.__repr__ took an np.float64 cell, which orjson.dumps refuses
-    values = [0.1, -0.0, 1e-5, -2.5e-7, 1e16, math.nan]
-    trace, subclass = IterationTrace(), IterationTrace()
-    for name in trace.columns:
-        trace.columns[name] = values
-        subclass.columns[name] = [np.float64(x) for x in values]
-    trace.write_jsonl(tmp_path / "float.jsonl", {})
-    subclass.write_jsonl(tmp_path / "subclass.jsonl", {})
-    assert (tmp_path / "subclass.jsonl").read_bytes() == \
+@pytest.mark.parametrize("lam", [True, 1, np.float64(0.1)],
+                         ids=["bool", "int", "float64"])
+def test_a_cell_is_stored_and_written_as_its_float(tmp_path, lam):
+    # a library step may give an int or numpy lam; the trace holds floats
+    trace = trace_of({name: [0.5] for name in CELLS} | {"lam": [lam]})
+    float_trace = trace_of({name: [0.5] for name in CELLS}
+                           | {"lam": [float(lam)]})
+    assert trace.column("lam").tolist() == [float(lam)]
+    trace.write_jsonl(tmp_path / "cell.jsonl", {})
+    float_trace.write_jsonl(tmp_path / "float.jsonl", {})
+    assert (tmp_path / "cell.jsonl").read_bytes() == \
         (tmp_path / "float.jsonl").read_bytes()
-    assert type(subclass.columns["lam"][0]) is np.float64
+    trace.write_csv(tmp_path / "cell.csv")
+    float_trace.write_csv(tmp_path / "float.csv")
+    assert (tmp_path / "cell.csv").read_bytes() == \
+        (tmp_path / "float.csv").read_bytes()
 
 
 def test_orjson_spells_and_reads_floats_as_repr_does():
@@ -197,11 +218,15 @@ def test_orjson_spells_and_reads_floats_as_repr_does():
     decades = 10.0 ** rng.uniform(-8.0, 18.0, size=20_000)
     values = np.concatenate([bits.view(np.float64), decades, -decades,
                              EDGE_FLOATS])
-    values = values[np.isfinite(values)].tolist() + [math.nan]
+    column = np.append(values[np.isfinite(values)], math.nan)
+    values = column.tolist()
     for lo in range(0, len(values), hpe_core._CHUNK_ROWS):
         chunk = values[lo:lo + hpe_core._CHUNK_ROWS]
-        assert hpe_core._texts(chunk) == [
+        texts = hpe_core._texts(chunk)
+        assert texts == [
             "null" if x != x else float.__repr__(x) for x in chunk]
+        # the writer's own input: a slice of a float64 column
+        assert hpe_core._texts(column[lo:lo + hpe_core._CHUNK_ROWS]) == texts
     finite = np.array(values[:-1])
     read = np.array(list(map(orjson.loads, map(float.__repr__, values[:-1]))))
     np.testing.assert_array_equal(read.view(np.uint64),
@@ -212,9 +237,7 @@ def test_orjson_spells_and_reads_floats_as_repr_does():
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
 def test_writer_refuses_an_infinite_cell(tmp_path, column, value):
     # JSON has no infinity: the writer used to write Infinity and -Infinity
-    trace = IterationTrace()
-    for name in trace.columns:
-        trace.columns[name] = [0.5, math.nan, 1e308]
+    trace = trace_of({name: [0.5, math.nan, 1e308] for name in CELLS})
     trace.columns[column][1] = value
     path = tmp_path / "trace.jsonl"
     with pytest.raises(ParameterError, match=re.escape(
@@ -230,8 +253,8 @@ def test_reader_keeps_column_order(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     trace, meta = IterationTrace.read_jsonl(path)
     assert meta == {}
-    assert list(trace.columns) == list(TRACE_COLUMNS[1:])
-    assert trace.columns["norm_v"] == [row["norm_v"]] * 2
+    assert list(trace.columns) == list(CELLS)
+    assert trace.columns["norm_v"].tolist() == [row["norm_v"]] * 2
 
 
 META = b'{"meta": {"schema_version": 1}}'
@@ -286,7 +309,8 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
     json.JSONDecoder().decode(line.decode("utf-8"))
     trace, meta = IterationTrace.read_jsonl(path)
     assert meta == json.loads(lines[0])["meta"]
-    assert trace.columns == {name: [0.5] for name in TRACE_COLUMNS[1:]}
+    assert {name: col.tolist() for name, col in trace.columns.items()} == {
+        name: [0.5] for name in CELLS}
 
 
 @pytest.mark.parametrize("ks, message", [
@@ -350,7 +374,7 @@ def test_reader_refuses_an_int_beyond_64_bits(tmp_path, text, cell, chunk):
                 f"trace line 3, column 'lam': {text} is not a float or null")
         else:
             trace, _ = IterationTrace.read_jsonl(path)
-            assert trace.columns["lam"] == [0.5, cell]
+            assert trace.columns["lam"].tolist() == [0.5, cell]
 
 
 EMPTY = "input data is empty: line 1 column 1 (char 0)"
