@@ -31,6 +31,9 @@ DESCENT_RTOL = 1e-12     # descent slack per unit of squared distance
 ENERGY_TERM_RTOL = 1e-9  # recorded s_k against its definition
 ERROR_RATIO_RTOL = 1e-12  # recorded error_ratio against its recomputation
 
+# Trace rows the error criterion turns into Python floats at a time.
+_AUDIT_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -227,15 +230,18 @@ def _first_failure(ok, what, passed):
 def _error_criterion(trace, inp):
     """The certificate law on every step, and the two columns the law
     fixes: the recorded ``error_ratio`` and ``aggregate_stepsize``."""
-    # the law takes floats, as run passes them
-    resid_sq, dz_sq, lam, eps = (col.tolist() for col in (
-        trace.column("resid_sq"), trace.column("norm_dz") ** 2,
-        trace.column("lam"), trace.column("eps")))
+    columns = (trace.column("resid_sq"), trace.column("norm_dz") ** 2,
+               trace.column("lam"), trace.column("eps"))
+    ratios = np.empty(len(trace))
     try:
-        ratios = np.fromiter(
-            map(hpe_core._error_ratio, resid_sq, dz_sq, lam, eps,
-                repeat(inp.params.sigma), repeat(inp.lambda_floor), count(1)),
-            dtype=float, count=len(trace))
+        for lo in range(0, len(trace), _AUDIT_ROWS):
+            # the law takes floats, as run passes them; converted a chunk
+            # at a time, so a long trace is not held as Python floats
+            rows = [col[lo:lo + _AUDIT_ROWS].tolist() for col in columns]
+            ratios[lo:lo + len(rows[0])] = np.fromiter(
+                map(hpe_core._error_ratio, *rows, repeat(inp.params.sigma),
+                    repeat(inp.lambda_floor), count(lo + 1)),
+                dtype=float, count=len(rows[0]))
     except (CertificationError, ParameterError) as exc:
         return FAIL, str(exc)
     recorded_ok = (np.abs(trace.column("error_ratio") - ratios)

@@ -58,7 +58,7 @@ def _one_of(kinds):
 
 # Every field of every config section.  A dimension above 4096 exhausts
 # memory or numpy's array limits: every zoo kind builds dense float64
-# matrices of order n or n/2, an affine build three at once (3 x 134 MB).
+# matrices of order n or n/2, an affine or box build two at once (2 x 134 MB).
 _CONFIG_FIELDS = {
     "config": {"schema_version": _Field(True, _INTEGER), "problem": _REQUIRED,
                "instance": _REQUIRED, "params": _REQUIRED,

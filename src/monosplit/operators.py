@@ -480,26 +480,59 @@ class TestProblem:
         return linalg.norm(self.known_solution)
 
 
+# Rows of the skew part (K - K^T) / 2 formed at a time, so a build holds
+# one such block beyond its two n x n arrays.
+_SKEW_ROWS = 32
+
+
 def _gram(rng, n):
-    """``G G^T / n`` of a standard normal ``G``; ``G`` is freed on return."""
+    """``(G G^T / n, G)`` of a standard normal ``G``.
+
+    ``G``'s buffer is handed back for the caller to draw into or drop.
+    The product's array is allocated before ``G`` on purpose, so that the
+    kept matrix lies below ``G`` in the heap; keep that order.  Once glibc
+    has freed one n x n array at n = 2000 (30.5 MiB), it serves later ones
+    from the heap.  The LAPACK copies made after the build
+    (``np.linalg.solve`` in :meth:`AffineOperator.zero_point`,
+    ``eigvalsh``, ``lu_factor``) are a little larger than one such array:
+    freed memory above the kept matrix joins the top of the heap, which
+    they grow into, but a hole left below it is too small for them, so a
+    ``G`` allocated first costs its whole size in peak memory once more.
+    ``np.matmul(..., out=)`` still takes numpy's symmetric-product path,
+    so the bits are those of ``G @ G.T``.
+    """
+    S = np.empty((n, n))
     G = rng.standard_normal((n, n))
-    S = G @ G.T
+    np.matmul(G, G.T, out=S)
     S /= n
-    return S
+    return S, G
 
 
 def _psd_plus_skew(rng, n, ridge):
-    """``G G^T / n + (K - K^T) / 2 + ridge I``, built in three n x n arrays.
+    """``G G^T / n + (K - K^T) / 2 + ridge I``, built in two n x n arrays.
+
+    ``K`` is drawn into ``G``'s buffer, which takes the same numbers from
+    the stream as a fresh ``(n, n)`` draw, and its skew part is added
+    :data:`_SKEW_ROWS` rows at a time, with the elementwise arithmetic of
+    one whole ``(K - K.T) * 0.5``.  The kept matrix comes from :func:`_gram`, which
+    allocates it first; see there why that order matters.
 
     The ridge goes on the diagonal only: off it, adding the identity's
     zeros would change only a -0.0, and a sum of products of normal draws
     is never -0.0.
     """
-    A = _gram(rng, n)
-    K = rng.standard_normal((n, n))
-    skew = np.subtract(K, K.T)
-    skew *= 0.5
-    A += skew
+    A, K = _gram(rng, n)
+    rng.standard_normal(out=K)
+    block = np.empty((min(_SKEW_ROWS, n), n))
+    for lo in range(0, n, _SKEW_ROWS):
+        rows = K[lo:lo + _SKEW_ROWS]
+        skew = block[:len(rows)]
+        # copied first: a ufunc reading the strided rows of K.T would
+        # allocate a buffer for them
+        np.copyto(skew, K[:, lo:lo + _SKEW_ROWS].T)
+        np.subtract(rows, skew, out=skew)
+        skew *= 0.5
+        A[lo:lo + _SKEW_ROWS] += skew
     A.flat[::n + 1] += ridge
     return A
 
@@ -522,7 +555,7 @@ def make_problem(kind, dimension, seed):
             data={"matrix": A, "offset": b})
 
     if kind == "box_constrained_quadratic":
-        Q = _gram(rng, dimension)
+        Q = _gram(rng, dimension)[0]  # G is freed before eigvalsh copies Q
         Q.flat[::dimension + 1] += 0.3
         c = rng.standard_normal(dimension)
         lower = np.zeros(dimension)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -227,6 +228,46 @@ def test_audit_detects_negative_eps_a(certified_run):
     checks = {c.name: c for c in bounds.audit(trace, inp)}
     check = checks["aggregated_error_nonneg"]
     assert (check.status, check.detail) == (bounds.FAIL, "eps_a < 0 at k=6")
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    # the long bilinear Tseng run, its stopping rule never met: 50 000 rows
+    prob = operators.make_problem("bilinear_saddle", 8, seed=1)
+    p = params.HpeParams(alpha=0.2, sigma=0.5, beta=0.4)
+    state = instances.solve(prob, "tseng_fbf", p, stop=hpe_core.StoppingRule(
+        rho=1e-300, eps_hat=1e-300, max_iters=50_000))
+    return state, BoundInputs(d0=prob.d0(), lambda_floor=state.lambda_floor,
+                              params=p)
+
+
+def test_audit_of_a_long_trace_holds_a_few_columns(long_run):
+    # the certificate law takes Python floats, 32 bytes a cell in a list;
+    # converting whole columns for it held four such lists (19 columns of
+    # float64 in all), converting a chunk of rows at a time holds a few
+    state, inp = long_run
+    rows = len(state.trace)
+    assert rows == 50_000
+    tracemalloc.start()
+    try:
+        checks = bounds.audit(state.trace, inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {c.status for c in checks} == {bounds.PASS}
+    assert peak <= 10 * 8 * rows
+
+
+def test_audit_names_a_faulty_step_beyond_the_first_chunk(long_run):
+    state, inp = long_run
+    trace = hpe_core.IterationTrace()
+    trace.extend(**state.trace.columns)
+    k = 3 * bounds._AUDIT_ROWS + 7
+    trace.columns["eps"][k - 1] = -1.0
+    checks = {c.name: c for c in bounds.audit(trace, inp)}
+    check = checks["error_criterion"]
+    assert (check.status, check.detail) == (
+        bounds.FAIL, f"negative eps -1.0 at k={k}")
 
 
 def test_assert_bounds_empty_trace_vacuous():

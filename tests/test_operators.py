@@ -393,6 +393,49 @@ def test_dense_build_is_the_direct_expression_bit_for_bit(kind, n):
         assert bits(problem.known_solution) == bits(known)
 
 
+def three_array_problem(kind, n, seed):
+    """``(matrix, offset, L, z*)`` of an affine or box zoo problem, built
+    as the three-array construction did: the product of a fresh ``G``,
+    then a fresh ``K`` and the whole skew part ``K - K^T`` at once."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    A = G @ G.T
+    A /= n
+    del G
+    if kind == "affine_inclusion":
+        K = rng.standard_normal((n, n))
+        skew = np.subtract(K, K.T)
+        skew *= 0.5
+        A += skew
+        A.flat[::n + 1] += 0.5
+        b = rng.standard_normal(n)
+        return A, b, None, np.linalg.solve(A, -b)
+    A.flat[::n + 1] += 0.3
+    c = rng.standard_normal(n)
+    L = float(np.linalg.eigvalsh(A)[-1])
+    known = (solve_box_qp_bruteforce(A, c, np.zeros(n), np.ones(n))
+             if n <= 12 else None)
+    return A, c, L, known
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, operators._SKEW_ROWS - 1,
+                               operators._SKEW_ROWS, operators._SKEW_ROWS + 1,
+                               300])
+@pytest.mark.parametrize("kind", ["affine_inclusion",
+                                  "box_constrained_quadratic"])
+def test_two_array_build_is_the_three_array_build_bit_for_bit(kind, n):
+    # the product computed into a buffer allocated first, K drawn into G's
+    # buffer and the skew part added a block of rows at a time change no bit
+    for seed in range(5):
+        problem = make_problem(kind, n, seed)
+        A, b, L, known = three_array_problem(kind, n, seed)
+        assert bits(problem.data["matrix"]) == bits(A)
+        assert bits(problem.data["offset"]) == bits(b)
+        F = problem.forward
+        assert bits(None if F is None else F.lipschitz_L) == bits(L)
+        assert bits(problem.known_solution) == bits(known)
+
+
 def check_resolvent_bits(problem, lam, points):
     A, b = problem.data["matrix"], problem.data["offset"]
     for w in points:  # the first point factors, the rest reuse the factor
