@@ -243,8 +243,8 @@ def long_run():
 
 def test_audit_of_a_long_trace_holds_a_few_columns(long_run):
     # the certificate law takes Python floats, 32 bytes a cell in a list;
-    # converting whole columns for it held four such lists (19 columns of
-    # float64 in all), converting a chunk of rows at a time holds a few
+    # with four whole columns converted for it the audit peaked at 19
+    # float64 columns' worth, with a chunk of rows at a time at about 8
     state, inp = long_run
     rows = len(state.trace)
     assert rows == 50_000
