@@ -17,7 +17,7 @@ import csv
 import itertools
 import json
 import math
-import operator
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -128,17 +128,14 @@ class IterationTrace:
         raises :class:`ParameterError`, naming it, before the file is
         opened.
         """
-        columns = self.columns
-        for name, col in columns.items():
+        store = self._store[:, :len(self)]
+        for name, col in zip(TRACE_COLUMNS[1:], store):
             if np.isinf(col).any():
                 raise ParameterError(f"an infinite {name!r} cell is not JSON")
         with open(path, "w") as fh:
             fh.write(json.dumps({"meta": meta}) + "\n")
             for lo in range(0, len(self), _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, len(self))
-                texts = [map(int.__repr__, range(lo + 1, hi + 1))]
-                texts += [_texts(col[lo:hi]) for col in columns.values()]
-                fh.write("".join(map(_JSON_ROW.__mod__, zip(*texts))))
+                fh.write(_row_texts(lo + 1, store[:, lo:lo + _CHUNK_ROWS]))
 
     def write_csv(self, path):
         """Write the CSV columns through ``csv.writer``, each cell after
@@ -156,11 +153,14 @@ class IterationTrace:
         ``(trace, meta)``.
 
         Line 1 is ``{"meta": meta}`` alone, ``meta`` an object, and every
-        later line one row: an object of exactly the :data:`TRACE_COLUMNS`,
-        ``k`` the int step number and every other cell a float or null,
-        which reads as NaN.  Each line is decoded as strict JSON in strict
-        UTF-8 by ``orjson.loads``.  Anything else raises
-        :class:`ParameterError` naming its line, as does an unreadable file.
+        later line, its newline included, is byte for byte the row that
+        :meth:`write_jsonl` writes for the values it holds.  Each line is
+        decoded as strict JSON in strict UTF-8 by ``orjson.loads``, and
+        ``meta`` is line 1's value as ``json.loads`` reads it, which keeps
+        an int beyond 64 bits an int.  Anything else raises
+        :class:`ParameterError` naming its line, and for a row the column
+        at which its bytes part from the writer's, as does an unreadable
+        file.
         """
         trace = cls()
         try:
@@ -168,7 +168,9 @@ class IterationTrace:
         except OSError as exc:
             raise ParameterError(f"cannot read trace {path}: {exc}")
         with fh:
-            head = _decode(next(fh, b""), 1)
+            line = next(fh, b"")
+            _decode(line, 1)
+            head = _decode(line, 1, json.loads)
             if (type(head) is not dict or list(head) != ["meta"]
                     or type(head["meta"]) is not dict):
                 raise ParameterError('trace line 1 is not {"meta": {...}}')
@@ -178,45 +180,30 @@ class IterationTrace:
         return trace, head["meta"]
 
     def _extend_read(self, lines):
-        """Decode the row ``lines``, a nonempty list, into the columns.
-
-        The rows are checked together, then each column's cells: every
-        row must be an object of exactly the :data:`TRACE_COLUMNS`, ``k``
-        the int step numbers, going on from the rows read so far, and every
-        other cell a float or null, which reads as NaN.
-        """
+        """Decode the row ``lines``, a nonempty list of bytes, into the
+        columns if they are the writer's text of the values they hold."""
         first = len(self) + 1
-        rows = list(map(_decode, lines, itertools.count(first + 1)))
-        try:
-            columns = list(zip(*map(_ROW_VALUES, rows)))
-        except (KeyError, TypeError):  # a row is not an object of them all
-            _refuse(rows, first)
-        if sum(map(len, rows)) != len(TRACE_COLUMNS) * len(rows):
-            _refuse(rows, first)  # a row has a column more
-        kinds = [set(map(type, cells)) for cells in columns]
-        if not (kinds[0] == _INT
-                and columns[0] == tuple(range(first, first + len(rows)))
-                and all(kind <= _FLOAT_OR_NULL for kind in kinds[1:])):
-            _refuse(rows, first)
-        # orjson reads an integer beyond 64 bits as a float, so the lines
-        # of a cell that large are read again as json does, keeping ints;
-        # the hypot of the cells bounds each of them
-        size = math.hypot(*filter(None, itertools.chain(*columns[1:])))
-        if size >= 2 ** 63:
-            _refuse(list(map(json.loads, lines)), first)
-        self.extend(**dict(zip(TRACE_COLUMNS[1:], columns[1:])))
+        rows = map(_decode, lines, itertools.count(first + 1))
+        columns = list(zip(*map(_cells, rows)))
+        text, data = _row_texts(first, columns).encode(), b"".join(lines)
+        if text != data:  # name the line and column where they part
+            at = len(os.path.commonprefix([text, data]))
+            start = text.rfind(b"\n", 0, at) + 1
+            lineno = first + 1 + text.count(b"\n", 0, start)
+            raise ParameterError(
+                f"trace line {lineno} differs from the writer's row at "
+                f"column {TRACE_COLUMNS[text.count(b', ', start, at)]!r}")
+        self.extend(**dict(zip(TRACE_COLUMNS[1:], columns)))
 
 
 # Rows are written, or read into the columns, this many at a time.
 _CHUNK_ROWS = 128
-_JSON_ROW = "{%s}\n" % ", ".join(f"{json.dumps(name)}: %s"
-                                 for name in TRACE_COLUMNS)
+# The text of a row before each of its cells
+_ROW_SEPARATORS = [f'{", " if i else "{"}{json.dumps(name)}: '
+                   for i, name in enumerate(TRACE_COLUMNS)]
 # The trace column of each CSV column after k, in CSV order.
 _CSV_SOURCES = ("norm_v", "eps", "lam", "error_ratio", "step_norm", "s_k",
                 "dist_to_solution", "aggregate_stepsize", "norm_v_a", "eps_a")
-_INT = frozenset({int})
-_FLOAT_OR_NULL = frozenset({float, type(None)})
-_ROW_VALUES = operator.itemgetter(*TRACE_COLUMNS)
 # the store row of each column after k
 _ROW_OF = {name: i for i, name in enumerate(TRACE_COLUMNS[1:])}
 # orjson writes a one-digit negative exponent with no leading zero
@@ -230,55 +217,46 @@ _ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d\b)")
 orjson.loads(b'{"meta": {}}')
 
 
-def _decode(line, lineno):
-    """The JSON value of trace line ``lineno``, given as bytes."""
+def _decode(line, lineno, loads=orjson.loads):
+    """The JSON value of trace line ``lineno``, given as bytes, as
+    ``loads`` reads it: ``orjson.loads``, strict JSON in strict UTF-8, or
+    ``json.loads`` of a line that orjson takes, which keeps an int beyond
+    64 bits an int and recurses as deep as the line nests."""
     try:
-        return orjson.loads(line)
-    except orjson.JSONDecodeError as exc:  # bad UTF-8 too
+        return loads(line)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 too
         raise ParameterError(f"malformed trace line {lineno}: {exc}")
 
 
-def _refuse(rows, first):
-    """Raise the :class:`ParameterError` of the first of the decoded
-    ``rows``, from step ``first`` on, that the writer does not write, if
-    one is; row ``k`` is trace line ``k + 1``."""
-    for lineno, row in enumerate(rows, start=first + 1):
-        if type(row) is not dict:
-            raise ParameterError(f"trace line {lineno} is not a JSON object")
-        if "meta" in row:
-            raise ParameterError(
-                f"trace line {lineno}: a meta line after the first line")
-        missing = [c for c in TRACE_COLUMNS if c not in row]
-        unknown = sorted(row.keys() - set(TRACE_COLUMNS))
-        if missing or unknown:
-            raise ParameterError(f"trace line {lineno} " + (
-                f"missing columns {missing}" if missing else
-                f"has unknown columns {unknown}"))
-        for name, cell in zip(TRACE_COLUMNS, _ROW_VALUES(row)):
-            if name == "k" and not (type(cell) is int and cell == lineno - 1):
-                want = ("a number" if type(cell) in (bool, str, list, dict)
-                        else f"step {lineno - 1}")
-            elif name != "k" and type(cell) not in _FLOAT_OR_NULL:
-                want = "a float or null"
-            else:
-                continue
-            raise ParameterError(f"trace line {lineno}, column {name!r}: "
-                                 f"{_spelled(cell)} is not {want}")
+def _cells(row):
+    """The cells after ``k`` of a decoded row: each float cell itself and
+    any other cell NaN, which the writer spells null.  A null cell thus
+    reads as NaN, and any other is not spelled as its line; a row that is
+    not an object is all NaN."""
+    get = row.get if type(row) is dict else {}.get
+    return [cell if type(cell) is float else math.nan
+            for cell in map(get, TRACE_COLUMNS[1:])]
 
 
-def _spelled(cell):
-    """The JSON text of a decoded cell, or what stands for it when it is
-    nested too deeply for ``json.dumps``."""
-    try:
-        return json.dumps(cell)
-    except RecursionError:
-        return "a value nested too deeply to print"
+def _row_texts(first, columns):
+    """The writer's text of the rows from step ``first`` on, a line per
+    row: ``columns`` are the cells after ``k`` in :data:`TRACE_COLUMNS`
+    order, one nonempty chunk of one length per column, each as
+    :func:`_texts` takes it.  The writer writes this text, and the reader
+    takes no other."""
+    texts = [map(int.__repr__, range(first, first + len(columns[0])))]
+    texts += map(_texts, columns)
+    parts = []
+    for separator, cells in zip(_ROW_SEPARATORS, texts):
+        parts += itertools.repeat(separator), cells
+    parts.append(itertools.repeat("}\n"))
+    return "".join(itertools.chain.from_iterable(zip(*parts)))
 
 
 def _texts(values):
     """JSON text of each finite float or NaN of a nonempty chunk, a list
-    or a C-contiguous float64 array: its ``float.__repr__``, with NaN
-    spelled null.
+    or tuple of floats or a C-contiguous float64 array: its
+    ``float.__repr__``, with NaN spelled null.
 
     ``orjson.dumps`` writes the same shortest round-trip digits as repr,
     and spells them alike but for the exponent form.  It writes 1e16 and

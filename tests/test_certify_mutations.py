@@ -2,13 +2,13 @@
 documented exit code and one kind of report, never with a traceback.
 
 A trace is taken or refused by its format alone: the README's trace
-format, which :func:`in_format` states with ``orjson.loads`` for the JSON
-and ``json.loads`` for the type of each number (an int beyond 64 bits
-stays an int there, where orjson reads a float).  A trace in the format is
-then refused for its meta line or its length (exit 2 and one ``config
-error:`` line), or audited (the checks on stdout, exit 3 iff one fails).
-A trace out of the format is refused with exit 3 and one ``error:`` line
-naming a trace line.
+format, which :func:`in_format` states with ``orjson.loads`` for the JSON,
+``json.loads`` for the type of each number (an int beyond 64 bits stays
+an int there, where orjson reads a float) and ``json.dumps`` for the bytes
+of each row line.  A trace in the format is then refused for its meta line
+or its length (exit 2 and one ``config error:`` line), or audited (the
+checks on stdout, exit 3 iff one fails).  A trace out of the format is
+refused with exit 3 and one ``error:`` line naming a trace line.
 """
 
 import contextlib
@@ -86,23 +86,26 @@ def in_format(data):
     """Whether ``data`` is a trace in the writer's format: line 1 the meta
     object alone, then one row a line, each an object of exactly the
     trace columns, ``k`` the int step number and every other cell a float
-    or null."""
-    lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
+    or null, the keys in the order of the trace columns, and each line the
+    ``json.dumps`` text of its row, ended by a newline."""
+    if not data.endswith(b"\n"):
+        return False
+    lines = data[:-1].split(b"\n")
     try:
         head = orjson.loads(lines[0])
         list(map(orjson.loads, lines[1:]))
-    except (IndexError, orjson.JSONDecodeError):
+    except orjson.JSONDecodeError:
         return False
     if not (type(head) is dict and list(head) == ["meta"]
             and type(head["meta"]) is dict):
         return False
-    for k, row in enumerate(map(json.loads, lines[1:]), start=1):
-        if not (type(row) is dict and sorted(row) == sorted(TRACE_COLUMNS)
+    for k, line in enumerate(lines[1:], start=1):
+        row = json.loads(line)
+        if not (type(row) is dict and list(row) == list(TRACE_COLUMNS)
                 and type(row["k"]) is int and row["k"] == k
                 and all(type(row[name]) in (float, type(None))
-                        for name in TRACE_COLUMNS[1:])):
+                        for name in TRACE_COLUMNS[1:])
+                and json.dumps(row).encode() == line):
             return False
     return True
 
@@ -184,5 +187,7 @@ def test_certify_answers_every_mutation_as_documented(solved, variant, data):
     if not in_format(mutated):
         assert rc == 3 and err, "a trace out of the format was read"
         assert err[0].startswith("error: ") and "trace line" in err[0]
+    elif err:
+        assert rc == 2, "a trace in the format was refused as unreadable"
     if mutated == original:
         assert rc == 0

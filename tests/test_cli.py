@@ -221,6 +221,11 @@ def test_certify_applies_the_certificate_law(tmp_path, capsys, cfg,
     assert re.fullmatch(r"\[FAIL\] error_criterion: " + message, failed[0])
 
 
+# the reader's message on trace line 6, the row of step 5, when it is not
+# the writer's bytes
+ROW_6_DIFFERS = "trace line 6 differs from the writer's row at column {!r}"
+
+
 def _nudged(column, step):
     def edit(row):
         assert row[column] > 0.0
@@ -236,7 +241,7 @@ def _nudged(column, step):
      "[FAIL] error_criterion: aggregate_stepsize is not the running sum of "
      "lam at k=5"),
     (_nudged("k", lambda v: v + 1),
-     "error: trace line 6, column 'k': 6 is not step 5"),
+     "error: " + ROW_6_DIFFERS.format("k")),
 ], ids=["error_ratio", "aggregate_stepsize", "k"])
 @pytest.mark.parametrize("cfg", LAW_CONFIGS,
                          ids=[c["problem"]["kind"] for c in LAW_CONFIGS])
@@ -250,9 +255,9 @@ def test_certify_audits_every_recorded_column(tmp_path, capsys, cfg, edit,
 
 
 # box, n=5, seed 1, Tseng: a trace that passes every check
-OVERFLOW_CONFIG = base_config(kind="box_constrained_quadratic",
-                              instance="tseng_fbf", dim=5, seed=1, alpha=0.2,
-                              sigma=0.5, beta=0.4)
+BOX_TSENG = dict(kind="box_constrained_quadratic", instance="tseng_fbf",
+                 dim=5, seed=1, alpha=0.2, sigma=0.5, beta=0.4)
+OVERFLOW_CONFIG = base_config(**BOX_TSENG)
 OVERFLOW_CONFIG["stopping"].update(rho=1e-6, eps_hat=1e-9, max_iters=200)
 
 
@@ -350,7 +355,8 @@ def test_certify_refuses_int_cells(tmp_path, capsys):
     assert cli.main(["certify", "--trace", str(ints), "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
-        "error: trace line 2, column 'eps': 0 is not a float or null"]
+        "error: trace line 2 differs from the writer's row at column "
+        "'eps'"]
 
 
 def _set_cell(column, value):
@@ -376,25 +382,20 @@ NOT_A_META_LINE = 'trace line 1 is not {"meta": {...}}'
 
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: lines.__setitem__(5, "5"),
-     "trace line 6 is not a JSON object"),
+     ROW_6_DIFFERS.format("k")),
     (lambda lines: lines.__setitem__(0, '{"meta": 5}'),
      NOT_A_META_LINE),
-    (_set_cell("eps", "abc"),
-     """trace line 6, column 'eps': "abc" is not a float or null"""),
-    (_set_cell("lam", [1, 2]),
-     "trace line 6, column 'lam': [1, 2] is not a float or null"),
-    (_set_cell("norm_v", True),
-     "trace line 6, column 'norm_v': true is not a float or null"),
+    (_set_cell("eps", "abc"), ROW_6_DIFFERS.format("eps")),
+    (_set_cell("lam", [1, 2]), ROW_6_DIFFERS.format("lam")),
+    (_set_cell("norm_v", True), ROW_6_DIFFERS.format("norm_v")),
     (_set_cell("s_k", 10 ** 400), INFINITE),
     # json.loads refuses an integer of more than 4300 digits
     (lambda lines: lines.__setitem__(5, lines[5].replace(
         '"k": 5', '"k": 1' + "0" * 5000)), INFINITE),
-    # deeper than json's recursion limit: orjson reads it, json.dumps
-    # cannot spell it
+    # deeper than json's recursion limit: orjson reads it
     (lambda lines: lines.__setitem__(5, lines[5].replace(
         '"k": 5', '"k": ' + "[" * 100000 + "]" * 100000)),
-     "trace line 6, column 'k': a value nested too deeply to print is not "
-     "a number"),
+     ROW_6_DIFFERS.format("k")),
     # form feed and vertical tab are not JSON whitespace: the reader used
     # to strip them, and each trace certified
     (lambda lines: lines.__setitem__(1, "\x0c" + lines[1]), FORM_FEED),
@@ -403,18 +404,17 @@ NOT_A_META_LINE = 'trace line 1 is not {"meta": {...}}'
     # not what solve writes, yet the reader used to take each of these (it
     # skipped a blank line): each trace certified, but for the one with no
     # meta line, which was refused for recording no config (exit 2)
-    (_set_cell("junk", 0.5), "trace line 6 has unknown columns ['junk']"),
+    (_set_cell("junk", 0.5), ROW_6_DIFFERS.format("eps_a")),
     (lambda lines: lines.insert(5, ""),
      "malformed trace line 6: input data is empty: line 1 column 1 "
      "(char 0)"),
-    (_set_cell("k", 5.0), "trace line 6, column 'k': 5.0 is not step 5"),
+    (_set_cell("k", 5.0), ROW_6_DIFFERS.format("k")),
     (lambda lines: lines.__setitem__(0, lines[0].replace(
         '{"meta"', '{"seed": 1, "meta"')), NOT_A_META_LINE),
     (lambda lines: lines.pop(0), NOT_A_META_LINE),
     # json.loads read 1e400 as inf, and orjson reads this int as a float
     (_spell_cell("eps_a", "1e400"), INFINITE),
-    (_spell_cell("lam", str(10 ** 20)),
-     f"trace line 6, column 'lam': {10 ** 20} is not a float or null"),
+    (_spell_cell("lam", str(10 ** 20)), ROW_6_DIFFERS.format("lam")),
 ], ids=["bare_number_row", "meta_not_object", "string_cell", "list_cell",
         "bool_cell", "int_beyond_float_range", "int_beyond_str_limit",
         "nesting_beyond_recursion_limit", "form_feed", "vertical_tab",
@@ -544,7 +544,8 @@ def test_certify_refuses_a_meta_line_after_the_first(tmp_path, capsys,
     rc, captured, _ = certify_lines(tmp_path, capsys, path, edited)
     assert rc == 3 and captured.out == ""
     assert captured.err.splitlines() == [
-        "error: trace line 52: a meta line after the first line"]
+        "error: trace line 52 differs from the writer's row at column "
+        "'k'"]
 
 
 def test_certify_refuses_a_trace_that_records_no_config(tmp_path, capsys,
@@ -590,6 +591,29 @@ def test_certify_refuses_an_edited_meta_line(tmp_path, capsys, key, edit):
     assert captured.err.splitlines() == [
         f"config error: the meta line of trace {trace} differs from the "
         f"one a run of its config writes in ['{key}']"]
+
+
+def _with(cfg, section, **fields):
+    cfg[section].update(fields)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    _with(base_config(**BOX_TSENG), "problem", seed=2 ** 64 + 1),
+    _with(base_config(**BOX_TSENG), "problem", seed=2 ** 70),
+    # affine ppm solves at k=21
+    _with(base_config(), "stopping", max_iters=2 ** 70 + 1),
+    _with(base_config(**BOX_TSENG), "stopping", rho=10 ** 30),
+], ids=["seed_2_64_plus_1", "seed_2_70", "max_iters", "int_rho"])
+def test_certify_takes_a_config_with_an_int_beyond_64_bits(tmp_path, capsys,
+                                                           cfg):
+    # the reader took the meta line's values from orjson, which reads such
+    # an int as a float: certify refused each trace for another config
+    rc = solve_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert cli.main(["certify", "--trace", str(tmp_path / "o" / "trace.jsonl"),
+                     "--config", str(tmp_path / "cfg.json")]) == rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_the_meta_line_is_the_one_solve_writes(tmp_path):

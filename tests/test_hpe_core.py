@@ -366,7 +366,8 @@ def test_trace_read_reports_missing_columns(tmp_path):
     path = tmp_path / "short.jsonl"
     path.write_text('{"meta": {}}\n' + json.dumps({"k": 1, "norm_v": 0.1})
                     + "\n")
-    with pytest.raises(ParameterError, match="line 2 missing columns"):
+    with pytest.raises(ParameterError, match="line 2 differs from the "
+                       "writer's row at column 'norm_v'"):
         IterationTrace.read_jsonl(path)
 
 

@@ -62,10 +62,12 @@ def load_tool():
 
 @pytest.mark.parametrize("old, new, differs", [
     ('"final_norm_v", "final_eps"', '"final_norm", "final_eps"',
-     ["job000.csv: differs", "job001.csv: differs"]),
+     ["job000.csv: differs from line 1", "job001.csv: differs from line 1"]),
+    ("state.verdict, state.k,", "state.verdict, state.k + 1,",
+     ["job000.csv: differs from line 2", "job001.csv: differs from line 2"]),
     ('f"wrote {len(cells)} rows', 'f"wrote {len(cells)} cells',
      ["job000 bench: stdout differs: ", "job001 bench: stdout differs: "]),
-], ids=["bench_csv_header", "bench_stdout"])
+], ids=["bench_csv_header", "bench_csv_rows", "bench_stdout"])
 def test_a_changed_output_is_named(tmp_path, capsys, monkeypatch, old, new,
                                    differs):
     # the copy stands for the parent tree: one output of it is changed
@@ -82,5 +84,7 @@ def test_a_changed_output_is_named(tmp_path, capsys, monkeypatch, old, new,
     assert lines[-1] == ("sweep_exact seed 1: 2 jobs, 2 commands, 2 files: "
                          "2 differences")
     assert len(lines) == 3
-    for line, start in zip(lines, differs):
-        assert line.startswith(start), lines
+    for line, expected in zip(lines, differs):
+        # a file's line is given whole, a command's up to its outputs
+        assert line == expected or (expected.endswith(": ")
+                                    and line.startswith(expected)), lines

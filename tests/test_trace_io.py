@@ -246,20 +246,15 @@ def test_writer_refuses_an_infinite_cell(tmp_path, column, value):
     assert not path.exists()
 
 
-def test_reader_keeps_column_order(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    row = {name: float(i) for i, name in enumerate(reversed(TRACE_COLUMNS))}
-    lines = ['{"meta": {}}'] + [json.dumps(dict(row, k=k)) for k in (1, 2)]
-    path.write_text("\n".join(lines) + "\n")
-    trace, meta = IterationTrace.read_jsonl(path)
-    assert meta == {}
-    assert list(trace.columns) == list(CELLS)
-    assert trace.columns["norm_v"].tolist() == [row["norm_v"]] * 2
-
-
 META = b'{"meta": {"schema_version": 1}}'
 ROW = json.dumps({name: 1 if name == "k" else 0.5
                   for name in TRACE_COLUMNS}).encode()
+
+
+def differs(lineno, column):
+    """The reader's message on a row that is not the writer's bytes."""
+    return (f"trace line {lineno} differs from the writer's row at column "
+            f"{column!r}")
 
 
 @pytest.mark.parametrize("line, accepted", [
@@ -275,8 +270,9 @@ ROW = json.dumps({name: 1 if name == "k" else 0.5
     (b"{]", False),
     # a row holds no string, so the text beyond ASCII is a meta line's
     (META[:-2] + ', "note": "\u00e9\U0001f600"}}'.encode(), True),
-    # JSON's whitespace is space, tab, CR and LF; not form feed or VT
-    (b" \t\r" + ROW + b" \t\r", True),
+    # JSON's whitespace is space, tab, CR and LF; not form feed or VT.
+    # It is not what the writer writes either
+    (b" \t\r" + ROW + b" \t\r", False),
     (b"\x0c" + ROW, False),
     (b"\x0b" + ROW, False),
     (ROW + b"\x0c", False),
@@ -305,8 +301,12 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
         assert str(err.value) == (f"malformed trace line "
                                   f"{lines.index(line) + 1}: {exc}")
         return
-    assert accepted
     json.JSONDecoder().decode(line.decode("utf-8"))
+    if not accepted:  # JSON, but not the writer's bytes
+        with pytest.raises(ParameterError) as err:
+            IterationTrace.read_jsonl(path)
+        assert str(err.value) == differs(2, "k")
+        return
     trace, meta = IterationTrace.read_jsonl(path)
     assert meta == json.loads(lines[0])["meta"]
     assert {name: col.tolist() for name, col in trace.columns.items()} == {
@@ -314,18 +314,18 @@ def test_reader_reads_each_line_as_json_loads_does(tmp_path, line, accepted):
 
 
 @pytest.mark.parametrize("ks, message", [
-    ((2,), "trace line 2, column 'k': 2 is not step 1"),
-    ((1, 1), "trace line 3, column 'k': 1 is not step 2"),
-    ((1, 3), "trace line 3, column 'k': 3 is not step 2"),
-    ((1, None), "trace line 3, column 'k': null is not step 2"),
-    ((True,), "trace line 2, column 'k': true is not a number"),
-    ((1, "x"), """trace line 3, column 'k': "x" is not a number"""),
+    ((2,), differs(2, "k")),
+    ((1, 1), differs(3, "k")),
+    ((1, 3), differs(3, "k")),
+    ((1, None), differs(3, "k")),
+    ((True,), differs(2, "k")),
+    ((1, "x"), differs(3, "k")),
     ((1, 10 ** 400), "malformed trace line 3: number is infinity when "
                      "parsed as double: line 1 column 7 (char 6)"),
     # the writer writes the int 1; "k": 1.0 used to read as step 1
-    ((1.0, 2), "trace line 2, column 'k': 1.0 is not step 1"),
+    ((1.0, 2), differs(2, "k")),
     # orjson reads an int beyond 64 bits as a float
-    ((1, 10 ** 20), "trace line 3, column 'k': 1e+20 is not step 2"),
+    ((1, 10 ** 20), differs(3, "k")),
 ])
 @pytest.mark.parametrize("chunk", [1, 128])
 def test_reader_refuses_k_out_of_step(tmp_path, ks, message, chunk):
@@ -348,21 +348,20 @@ def test_reader_refuses_an_int_cell(tmp_path):
     path.write_text("\n".join([META.decode()] + lines) + "\n")
     with pytest.raises(ParameterError) as err:
         IterationTrace.read_jsonl(path)
-    assert str(err.value) == (
-        "trace line 2, column 'eps': 0 is not a float or null")
+    assert str(err.value) == differs(2, "eps")
 
 
 @pytest.mark.parametrize("text, cell", [
     ("100000000000000000000", None), ("-9223372036854775809", None),
     ("18446744073709551616", None), ("1e+20", 1e20),
-    ("100000000000000000000.0", 1e20), ("-9.223372036854776e+18", -2.0 ** 63),
+    ("100000000000000000000.0", None), ("-9.223372036854776e+18", -2.0 ** 63),
 ])
 @pytest.mark.parametrize("chunk", [1, 128])
 def test_reader_refuses_an_int_beyond_64_bits(tmp_path, text, cell, chunk):
-    # orjson reads these ints as floats; as floats, each is taken.  The
-    # keys go in reverse order, so that k is not the first key of a row
+    # orjson reads these ints as floats.  Of the floats, only the writer's
+    # own spellings are taken: 1e+20, not 100000000000000000000.0
     path = tmp_path / "trace.jsonl"
-    row = {name: 0.5 for name in reversed(TRACE_COLUMNS)}
+    row = json.loads(ROW)
     lines = [json.dumps(dict(row, k=1)),
              json.dumps(dict(row, k=2, lam=None)).replace("null", text)]
     path.write_text("\n".join([META.decode()] + lines) + "\n")
@@ -370,8 +369,7 @@ def test_reader_refuses_an_int_beyond_64_bits(tmp_path, text, cell, chunk):
         if cell is None:
             with pytest.raises(ParameterError) as err:
                 IterationTrace.read_jsonl(path)
-            assert str(err.value) == (
-                f"trace line 3, column 'lam': {text} is not a float or null")
+            assert str(err.value) == differs(3, "lam")
         else:
             trace, _ = IterationTrace.read_jsonl(path)
             assert trace.columns["lam"].tolist() == [0.5, cell]
@@ -392,8 +390,14 @@ CELL = "line 1 column 20 (char 19)"
      'trace line 1 is not {"meta": {...}}'),
     ([], "malformed trace line 1: input length is 0: line 1 column 1 "
          "(char 0)"),
-    ([META, ROW[:-1] + b', "junk": 0.5}'],
-     "trace line 2 has unknown columns ['junk']"),
+    ([META, ROW[:-1] + b', "junk": 0.5}'], differs(2, "eps_a")),
+    # the writer writes the columns in TRACE_COLUMNS order
+    ([META, json.dumps(dict(reversed(json.loads(ROW).items()))).encode()],
+     differs(2, "k")),
+    # json reads line 1 again, which keeps an int beyond 64 bits an int
+    ([b'{"meta": {"a": ' + b"[" * 5000 + b"]" * 5000 + b"}}", ROW],
+     "malformed trace line 1: maximum recursion depth exceeded while "
+     "decoding a JSON array from a unicode string"),
     ([META, ROW.replace(b"0.5", b"NaN", 1)],
      f"malformed trace line 2: unexpected character: {CELL}"),
     ([META, ROW.replace(b"0.5", b"Infinity", 1)],
@@ -404,12 +408,14 @@ CELL = "line 1 column 20 (char 19)"
      "malformed trace line 1: unexpected character: line 1 column 29 "
      "(char 28)"),
 ], ids=["blank_line", "blank_last_line", "no_meta_line", "key_beside_meta",
-        "meta_in_a_list", "empty_file", "extra_row_key", "nan_token",
+        "meta_in_a_list", "empty_file", "extra_row_key", "reversed_keys",
+        "meta_nested_beyond_recursion_limit", "nan_token",
         "infinity_token", "minus_infinity_token", "nan_token_in_meta"])
 def test_reader_takes_only_what_the_writer_writes(tmp_path, lines, message):
     # each of these but meta_in_a_list used to read: blank lines were
     # skipped, a first row stood for no meta line, and json.loads took an
-    # extra key and the non-standard tokens
+    # extra key and the non-standard tokens.  The reader took keys in any
+    # order until it took only the writer's bytes
     path = tmp_path / "trace.jsonl"
     path.write_bytes(b"".join(line + b"\n" for line in lines))
     with pytest.raises(ParameterError) as err:
@@ -417,8 +423,9 @@ def test_reader_takes_only_what_the_writer_writes(tmp_path, lines, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("chunk", [1, 128])
 @pytest.mark.parametrize("kind", ["l1_composite", "box_constrained_quadratic"])
-def test_a_solver_trace_reads_without_a_cell_by_cell_check(tmp_path, kind):
+def test_a_solver_trace_reads_back_bit_for_bit(tmp_path, kind, chunk):
     # l1 at n = 5 has a known solution; box at n = 13 has none, so its
     # distance columns are all null
     dim = 5 if kind == "l1_composite" else 13
@@ -427,12 +434,19 @@ def test_a_solver_trace_reads_without_a_cell_by_cell_check(tmp_path, kind):
     state = instances.solve(
         prob, "tseng_fbf", p,
         stop=hpe_core.StoppingRule(rho=0.0, max_iters=300))
-    state.trace.write_jsonl(tmp_path / "a.jsonl", {})
-    with mock.patch.object(hpe_core, "_refuse",
-                           side_effect=AssertionError("cell by cell")):
-        again, _ = IterationTrace.read_jsonl(tmp_path / "a.jsonl")
-    assert len(again) == len(state.trace) == 300
-    for name, column in again.columns.items():
-        np.testing.assert_array_equal(column, state.trace.columns[name])
-    assert (prob.known_solution is None) == math.isnan(
-        again.columns["dist_w"][0])
+    path = tmp_path / "a.jsonl"
+    state.trace.write_jsonl(path, {"seed": 3})
+    with mock.patch.object(hpe_core, "_CHUNK_ROWS", chunk):
+        again, meta = IterationTrace.read_jsonl(path)
+        assert len(again) == len(state.trace) == 300
+        for name, column in again.columns.items():
+            assert column.tobytes() == state.trace.columns[name].tobytes()
+        assert (prob.known_solution is None) == math.isnan(
+            again.columns["dist_w"][0])
+        again.write_jsonl(tmp_path / "again.jsonl", meta)
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+        # the writer ends every row with a newline, the last one too
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ParameterError) as err:
+            IterationTrace.read_jsonl(path)
+    assert str(err.value) == differs(301, "eps_a")

@@ -17,8 +17,9 @@ with ``REV``'s, each tree in its own subprocess.  The two runs are compared
 file by file (every ``trace.jsonl``, ``summary.json`` and bench CSV) and
 command by command (exit code, standard output and standard error, with each
 run's output directory masked).  Each difference is named on standard
-output, then one count line per workload and seed; the exit code is 1 on any
-difference and 0 when everything matches.
+output, a file's with the first line at which it differs, then one count
+line per workload and seed; the exit code is 1 on any difference and 0 when
+everything matches.
 """
 
 import argparse
@@ -126,8 +127,15 @@ def differences(jobs, mine, theirs, out_mine, out_theirs):
         elif name not in files_mine:
             lines.append(f"{name}: written only by the parent tree")
         elif files_mine[name] != files_theirs[name]:
-            lines.append(f"{name}: differs")
+            lineno = first_line_apart(files_mine[name], files_theirs[name])
+            lines.append(f"{name}: differs from line {lineno}")
     return lines, len(files_mine)
+
+
+def first_line_apart(a, b):
+    """The number of the first line at which the bytes ``a`` and ``b``
+    differ."""
+    return a.count(b"\n", 0, len(os.path.commonprefix([a, b]))) + 1
 
 
 def main(argv=None):
