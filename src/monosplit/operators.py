@@ -23,6 +23,20 @@ from .errors import OracleError, ParameterError
 # dimension; refuse beyond this.
 _BRUTE_FORCE_DIM_CAP = 20
 
+# A forward product that reads at least this many matrix entries runs as
+# two products into disjoint slices of its output, at once (see
+# linalg.run_pair).  On two cores with one BLAS thread a handoff to the
+# worker costs about 30 us, which half of a product outweighs from about
+# 2^20 entries on; below, and so at every desk size, a product is one call
+# and no thread is started.
+_SPLIT_ENTRIES = 2 ** 20
+# The row split of ``A d`` falls on a multiple of this many rows.  BLAS's
+# gemv kernel takes the rows in groups, and a row summed in another
+# position of its group can get other bits; a split between whole groups
+# keeps the one-call product's bits (one after 7, 13, 999 or 1001 rows
+# does not).
+_ROW_GROUP = 64
+
 
 class AffineOperator:
     """Single-valued affine map ``z -> A z + b``.
@@ -44,8 +58,25 @@ class AffineOperator:
         return self.offset.shape[0]
 
     def linear(self, d):
-        """The linear part ``d -> A d``."""
-        return self.matrix @ d
+        """The linear part ``d -> A d``.
+
+        A matrix of at least :data:`_SPLIT_ENTRIES` entries is applied as
+        two blocks of rows at once, split at the multiple of
+        :data:`_ROW_GROUP` nearest the middle, so that each row is summed
+        in the position of its gemv row group that the one-call product
+        gives it, and the bits are that product's with one BLAS thread.
+        The worker thread runs the numpy product only, never a
+        ``monosplit`` function, whose span the benchmark's tracer would
+        take for one of this thread.
+        """
+        A = self.matrix
+        if A.size < _SPLIT_ENTRIES:
+            return A @ d
+        k = _ROW_GROUP * round(self.dim / (2 * _ROW_GROUP))
+        out = np.empty(self.dim)
+        linalg.run_pair(functools.partial(np.matmul, A[:k], d, out=out[:k]),
+                        functools.partial(np.matmul, A[k:], d, out=out[k:]))
+        return out
 
     def __call__(self, z):
         return self.linear(z) + self.offset
@@ -63,8 +94,7 @@ class SaddleOperator:
 
     Its matrix ``S = [[0, K], [-K^T, 0]]`` is half zeros, so products read
     only the blocks ``K`` and ``-K^T``, stacked into one ``(2, h, h)``
-    array and applied to the swapped halves in one batched product; the
-    dense ``S`` is never built.
+    array; the dense ``S`` is never built.
     """
 
     def __init__(self, coupling, offset):
@@ -79,8 +109,27 @@ class SaddleOperator:
                 f"dimension {self.dim}")
 
     def linear(self, d):
-        swapped = d.reshape(2, self.half, 1)[::-1]  # (y, x)
-        return np.matmul(self.blocks, swapped).reshape(-1)
+        """The linear part ``(x, y) -> (K y, -K^T x)``.
+
+        Blocks of fewer than :data:`_SPLIT_ENTRIES` entries in all are
+        applied to the swapped halves in one batched product.  Larger
+        ones are applied as two products into the two halves of one
+        output, at once: these are the two gemv calls that the batched
+        product makes, so the bits are its own with any BLAS, and no row
+        split, which would have to fall on a multiple of
+        :data:`_ROW_GROUP` rows, is needed.  The worker thread runs the
+        numpy product only, never a ``monosplit`` function, whose span the
+        benchmark's tracer would take for one of this thread.
+        """
+        h = self.half
+        if self.blocks.size < _SPLIT_ENTRIES:
+            swapped = d.reshape(2, h, 1)[::-1]  # (y, x)
+            return np.matmul(self.blocks, swapped).reshape(-1)
+        out = np.empty(self.dim)
+        linalg.run_pair(
+            functools.partial(np.matmul, self.blocks[0], d[h:], out=out[:h]),
+            functools.partial(np.matmul, self.blocks[1], d[:h], out=out[h:]))
+        return out
 
     def __call__(self, z):
         return self.linear(z) + self.offset

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -110,3 +112,27 @@ def test_stacked_row_dots_are_dot_bit_for_bit(n):
         [linalg.dot(z, v) for z, v in block]).tobytes())
     assert (against.tobytes() == np.array(
         [[linalg.dot(row, v) for row in (z, v)] for z, v in block]).tobytes())
+
+
+def test_run_pair_runs_first_on_the_worker_thread():
+    where = {}
+    linalg.run_pair(lambda: where.update(first=threading.get_ident()),
+                    lambda: where.update(second=threading.get_ident()))
+    assert where["first"] != where["second"] == threading.get_ident()
+
+
+def test_run_pair_reraises_the_worker_exception():
+    def first():
+        raise KeyError("worker")
+    with pytest.raises(KeyError, match="worker"):
+        linalg.run_pair(first, lambda: None)
+
+
+def test_run_pair_raises_the_callers_exception_once_the_worker_is_done():
+    done = []
+
+    def second():
+        raise KeyError("caller")
+    with pytest.raises(KeyError, match="caller"):
+        linalg.run_pair(lambda: (time.sleep(0.05), done.append(1)), second)
+    assert done == [1]

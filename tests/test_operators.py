@@ -1,10 +1,19 @@
+import contextlib
+import io
 import itertools
+import json
+import os
+import subprocess
+import sys
+import threading
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from monosplit import linalg, operators
+from monosplit import cli, linalg, operators
 from monosplit.errors import OracleError, ParameterError
 from monosplit.operators import (AffineOperator, AffineResolvent,
                                  BoxResolvent, L1Resolvent, ZeroResolvent,
@@ -464,3 +473,184 @@ def test_affine_resolvent_of_a_signed_zero_matrix_is_bit_for_bit():
     points = np.array(list(itertools.product((0.0, -0.0, 1.0), repeat=3)))
     for lam in (1, 0.25):
         check_resolvent_bits(problem, lam, points)
+
+
+# -- forward products split across two threads ------------------------------
+
+TESTS = Path(__file__).resolve().parent
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# both sides of the 2^20-entry constant, and row counts that are not
+# multiples of the row group
+SPLIT_SIZES = [2, 8, 130, 258, 778, 1500, 2000, 2002, 2050]
+SPLIT_SCALES = 10.0 ** np.arange(-8, 9, 2)
+
+
+def random_operator(kind, n, rng):
+    if kind == "bilinear_saddle":
+        return operators.SaddleOperator(
+            rng.standard_normal((n // 2, n // 2)), np.zeros(n))
+    return AffineOperator(rng.standard_normal((n, n)), np.zeros(n))
+
+
+def split_mismatches(kind, sizes):
+    """``(n, scale)`` of every direction whose product by a random
+    ``kind`` operator differs in any bit between the split path and the
+    one-call path, each forced by setting the constant."""
+    saved = operators._SPLIT_ENTRIES
+    bad = []
+    try:
+        for n in sizes:
+            rng = np.random.default_rng(n)
+            T = random_operator(kind, n, rng)
+            for scale in SPLIT_SCALES:
+                d = scale * rng.standard_normal(n)
+                operators._SPLIT_ENTRIES = 0
+                split = T.linear(d)
+                operators._SPLIT_ENTRIES = np.inf
+                if bits(split) != bits(T.linear(d)):
+                    bad.append((n, float(scale)))
+    finally:
+        operators._SPLIT_ENTRIES = saved
+    return bad
+
+
+def in_one_blas_thread(code):
+    """Standard output of ``code``, run with this module imported as ``t``
+    by a new interpreter whose BLAS has one thread, as the benchmark and
+    tools/same_outputs.py run the program."""
+    path = os.pathsep.join(filter(None, [str(TESTS.parent / "src"),
+                                         str(TESTS),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD)
+    run = subprocess.run([sys.executable, "-c",
+                          "import test_operators as t\n" + code],
+                         env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_saddle_split_product_is_the_batched_product_bit_for_bit():
+    # the halves are the gemv calls that the batched product makes, so
+    # this holds at any number of BLAS threads, here with the BLAS as set
+    assert split_mismatches("bilinear_saddle", SPLIT_SIZES) == []
+    assert linalg._worker is not None
+
+
+def test_affine_split_product_is_the_one_call_product_bit_for_bit():
+    # a multi-threaded BLAS divides one product's rows among its threads at
+    # points set by their number, so the one-call product's bits change
+    # with it (at n = 777, 2002 and 2050, one thread against two); the row
+    # split keeps them at one BLAS thread
+    out = in_one_blas_thread(
+        f"print(t.split_mismatches('box_constrained_quadratic', "
+        f"{SPLIT_SIZES + [257, 777, 2001]}))")
+    assert out == "[]\n"
+
+
+def trace_bytes(tmp_path, kind, instance, split):
+    """``trace.jsonl`` of a 40-step n = 2000 ``solve``, with the split
+    products on or forced off."""
+    cfg = {"schema_version": 1,
+           "problem": {"kind": kind, "dimension": 2000, "seed": 3},
+           "instance": {"kind": instance},
+           "params": {"alpha": 0.2, "sigma": 0.5, "beta": 0.4},
+           "stopping": {"rho": 1e-6, "eps_hat": 1e-9, "max_iters": 40}}
+    name = f"{kind}-{split}"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    saved = operators._SPLIT_ENTRIES
+    if not split:
+        operators._SPLIT_ENTRIES = np.inf
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["solve", "--config", str(path),
+                             "--out", str(tmp_path / name)]) == 1
+    finally:
+        operators._SPLIT_ENTRIES = saved
+    return (tmp_path / name / "trace.jsonl").read_bytes()
+
+
+def test_large_solves_write_the_one_call_trace_bit_for_bit(tmp_path):
+    out = in_one_blas_thread(f"""
+from pathlib import Path
+out = Path({str(tmp_path)!r})
+for kind, instance in [("bilinear_saddle", "tseng_fbf"),
+                       ("box_constrained_quadratic", "forward_backward")]:
+    on = t.trace_bytes(out, kind, instance, True)
+    assert on.count(b"\\n") == 41
+    print(on == t.trace_bytes(out, kind, instance, False))
+""")
+    assert out == "True\nTrue\n"
+
+
+def test_desk_scale_runs_start_no_thread(tmp_path, monkeypatch, capsys):
+    # every desk_zoo solve and sweep_exact bench; their products stay
+    # below the constant, so the worker is never started
+    monkeypatch.setattr(linalg, "_worker", None)
+    threads = threading.active_count()
+    desk = [("bilinear_saddle", 8, "tseng_fbf"),
+            ("affine_inclusion", 8, "ppm"),
+            ("box_constrained_quadratic", 5, "forward_backward"),
+            ("box_constrained_quadratic", 5, "tseng_fbf"),
+            ("l1_composite", 5, "forward_backward"),
+            ("l1_composite", 5, "tseng_fbf")]
+    sweep = [("l1_composite", 9, "forward_backward"),
+             ("box_constrained_quadratic", 6, "forward_backward")]
+    for i, (kind, n, instance) in enumerate(desk + sweep):
+        cfg = {"schema_version": 1,
+               "problem": {"kind": kind, "dimension": n, "seed": i},
+               "instance": {"kind": instance},
+               "params": {"alpha": 0.2, "beta": 0.4,
+                          "sigma": 0.0 if instance == "ppm" else 0.5},
+               "stopping": {"rho": 1e-6, "eps_hat": 1e-9, "max_iters": 40}}
+        command = ["solve", "--out", str(tmp_path / f"run{i}")]
+        if i >= len(desk):
+            cfg["sweep"] = {"alpha": [0.0, 0.2], "sigma": [0.5, 0.7]}
+            command = ["bench", "--out", str(tmp_path / f"run{i}.csv")]
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(command + ["--config", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert threading.active_count() == threads
+    assert linalg._worker is None
+
+
+# the smallest operator of each kind whose products split
+SPLIT_OPERATORS = [("bilinear_saddle", 1450),
+                   ("box_constrained_quadratic", 1024)]
+
+
+def matrix_of(T):
+    return T.blocks if isinstance(T, operators.SaddleOperator) else T.matrix
+
+
+@pytest.mark.parametrize("kind, n", SPLIT_OPERATORS)
+def test_a_split_product_keeps_no_operand_alive(kind, n):
+    rng = np.random.default_rng(n)
+    T = random_operator(kind, n, rng)
+    assert matrix_of(T).size >= operators._SPLIT_ENTRIES
+    T.linear(rng.standard_normal(n))
+    matrix = weakref.ref(matrix_of(T))
+    del T
+    assert matrix() is None
+
+
+@pytest.mark.parametrize("kind, n", SPLIT_OPERATORS)
+def test_a_split_product_of_a_wrong_length_vector_raises(monkeypatch, kind,
+                                                         n):
+    rng = np.random.default_rng(n)
+    T = random_operator(kind, n, rng)
+    assert matrix_of(T).size >= operators._SPLIT_ENTRIES
+    d = rng.standard_normal(n)
+    before = T.linear(d)
+    for wrong in (rng.standard_normal(n - 2), rng.standard_normal(n + 2)):
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_SPLIT_ENTRIES", np.inf)
+            with pytest.raises(Exception) as one_call:
+                T.linear(wrong)
+        with pytest.raises(one_call.type):
+            T.linear(wrong)
+        # the worker is free again: the next product is the same
+        assert bits(T.linear(d)) == bits(before)
