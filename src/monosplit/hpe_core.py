@@ -269,9 +269,9 @@ def _texts(values):
             "e-0", text.replace("e", "e+").replace("e+-", "e-"))
     texts = text[1:-1].split(",")
     if "0.0000" in text:
-        for i, x in enumerate(values):
-            if 1e-5 <= abs(x) < 1e-4:
-                texts[i] = float.__repr__(x)
+        size = np.abs(values)  # NaN fails both comparisons
+        for i in np.flatnonzero((size >= 1e-5) & (size < 1e-4)):
+            texts[i] = float.__repr__(values[i])
     return texts
 
 

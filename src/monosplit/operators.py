@@ -12,6 +12,7 @@ and Tseng) call ``point``; the proximal step, which needs ``v``, calls
 
 import functools
 import math
+import os
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +39,33 @@ _SPLIT_ENTRIES = 2 ** 20
 _ROW_GROUP = 64
 
 
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """The number of threads OpenBLAS starts at load: the first positive
+    value of the variables it reads, and otherwise one per usable core."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _usable_cores()
+
+
+# A split pays only with one BLAS thread and a second core for the worker:
+# beside BLAS's own pool the two halves are slower than one call (at
+# n = 2000 with two BLAS threads, 356 against 302 us for the bilinear map).
+_SPLIT_PAYS = _blas_threads() == 1 and _usable_cores() >= 2
+
+
 class AffineOperator:
     """Single-valued affine map ``z -> A z + b``.
 
@@ -60,17 +88,18 @@ class AffineOperator:
     def linear(self, d):
         """The linear part ``d -> A d``.
 
-        A matrix of at least :data:`_SPLIT_ENTRIES` entries is applied as
-        two blocks of rows at once, split at the multiple of
-        :data:`_ROW_GROUP` nearest the middle, so that each row is summed
-        in the position of its gemv row group that the one-call product
-        gives it, and the bits are that product's with one BLAS thread.
+        Where a split pays (:data:`_SPLIT_PAYS`), a matrix of at least
+        :data:`_SPLIT_ENTRIES` entries is applied as two blocks of rows at
+        once, split at the multiple of :data:`_ROW_GROUP` nearest the
+        middle, so that each row is summed in the position of its gemv row
+        group that the one-call product gives it, and the bits are that
+        product's with one BLAS thread.
         The worker thread runs the numpy product only, never a
         ``monosplit`` function, whose span the benchmark's tracer would
         take for one of this thread.
         """
         A = self.matrix
-        if A.size < _SPLIT_ENTRIES:
+        if A.size < _SPLIT_ENTRIES or not _SPLIT_PAYS:
             return A @ d
         k = _ROW_GROUP * round(self.dim / (2 * _ROW_GROUP))
         out = np.empty(self.dim)
@@ -111,7 +140,8 @@ class SaddleOperator:
     def linear(self, d):
         """The linear part ``(x, y) -> (K y, -K^T x)``.
 
-        Blocks of fewer than :data:`_SPLIT_ENTRIES` entries in all are
+        Blocks of fewer than :data:`_SPLIT_ENTRIES` entries in all, or
+        any blocks where a split does not pay (:data:`_SPLIT_PAYS`), are
         applied to the swapped halves in one batched product.  Larger
         ones are applied as two products into the two halves of one
         output, at once: these are the two gemv calls that the batched
@@ -122,7 +152,7 @@ class SaddleOperator:
         benchmark's tracer would take for one of this thread.
         """
         h = self.half
-        if self.blocks.size < _SPLIT_ENTRIES:
+        if self.blocks.size < _SPLIT_ENTRIES or not _SPLIT_PAYS:
             swapped = d.reshape(2, h, 1)[::-1]  # (y, x)
             return np.matmul(self.blocks, swapped).reshape(-1)
         out = np.empty(self.dim)
@@ -189,12 +219,18 @@ class AffineResolvent:
             M = np.multiply(lam, self.operator.matrix, order="F")
             M += 0.0
             M.flat[::self.dim + 1] += 1.0
+            # a NaN carries through both reductions, which allocate
+            # nothing; lu_factor's own check would make an n x n mask
+            if not (math.isfinite(M.min()) and math.isfinite(M.max())):
+                raise OracleError("resolvent factorization failed: "
+                                  "array must not contain infs or NaNs")
             try:
-                self._lu = scipy.linalg.lu_factor(M, overwrite_a=True)
+                self._lu = scipy.linalg.lu_factor(M, overwrite_a=True,
+                                                  check_finite=False)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise OracleError(f"resolvent factorization failed: {exc}")
             self._lam = key
-        # lu_factor checked the matrix, and the driver refuses a
+        # the factored matrix was checked, and the driver refuses a
         # non-finite iterate; the right-hand side is a fresh array
         lu, piv = self._lu
         z, info = _getrs(lu, piv, w - lam * self.operator.offset,

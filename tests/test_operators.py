@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -382,6 +383,57 @@ def test_affine_zero_point_singular_raises():
         T.zero_point()
 
 
+REFUSED = "resolvent factorization failed"
+
+
+def test_affine_resolvent_refuses_a_nan_entry():
+    B = AffineResolvent(AffineOperator([[1.0, np.nan], [0.0, 1.0]],
+                                       np.zeros(2)))
+    with pytest.raises(OracleError, match=REFUSED):
+        B.point(0.5, np.ones(2))
+
+
+def test_affine_resolvent_refuses_an_overflowing_stepsize():
+    # lam A overflows to infinity; the driver runs the step with overflow
+    # ignored, and this suite makes a warning an error
+    A = np.array([[1e300, -1e300], [1e300, 1e300]])
+    B = AffineResolvent(AffineOperator(A, np.zeros(2)))
+    w = np.array([1.0, 2.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(OracleError, match=REFUSED):
+            B.point(1e10, w)
+    # the refused stepsize left no factor behind
+    np.testing.assert_allclose(B.point(1.0, w),
+                               np.linalg.solve(A + np.eye(2), w))
+
+
+def traced_peak(call):
+    """``(call(), the peak of memory traced during it)``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_builds_and_first_factorization_hold_their_arrays():
+    # the two-array builds and the one-array factor; lu_factor's own
+    # finiteness check made an n x n bool mask beside the factor (1.13
+    # arrays in all)
+    n = 512
+    array, row = 8 * n * n, 8 * n
+    problem, peak = traced_peak(
+        lambda: make_problem("affine_inclusion", n, 1))
+    assert peak <= 2 * array + (operators._SKEW_ROWS + 8) * row
+    _, peak = traced_peak(
+        lambda: make_problem("box_constrained_quadratic", n, 1))
+    assert peak <= 2 * array + 8 * row
+    # forming lam A in column order passes through a ufunc buffer of 8192
+    # floats, 16 rows here
+    _, peak = traced_peak(lambda: problem.resolvent.point(0.7, np.ones(n)))
+    assert peak <= array + 24 * row
+
+
 # -- dense builds in place, bit for bit ---------------------------------------
 
 DENSE_SIZES = [1, 2, 5, 8, 64, 300]
@@ -478,8 +530,9 @@ def test_affine_resolvent_of_a_signed_zero_matrix_is_bit_for_bit():
 # -- forward products split across two threads ------------------------------
 
 TESTS = Path(__file__).resolve().parent
-ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS",
-                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# what OpenBLAS, an OpenMP runtime and MKL read for their thread counts
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # both sides of the 2^20-entry constant, and row counts that are not
 # multiples of the row group
 SPLIT_SIZES = [2, 8, 130, 258, 778, 1500, 2000, 2002, 2050]
@@ -496,8 +549,8 @@ def random_operator(kind, n, rng):
 def split_mismatches(kind, sizes):
     """``(n, scale)`` of every direction whose product by a random
     ``kind`` operator differs in any bit between the split path and the
-    one-call path, each forced by setting the constant."""
-    saved = operators._SPLIT_ENTRIES
+    one-call path, each forced by setting the constant and the gate."""
+    saved = operators._SPLIT_ENTRIES, operators._SPLIT_PAYS
     bad = []
     try:
         for n in sizes:
@@ -505,24 +558,29 @@ def split_mismatches(kind, sizes):
             T = random_operator(kind, n, rng)
             for scale in SPLIT_SCALES:
                 d = scale * rng.standard_normal(n)
-                operators._SPLIT_ENTRIES = 0
+                operators._SPLIT_ENTRIES, operators._SPLIT_PAYS = 0, True
                 split = T.linear(d)
-                operators._SPLIT_ENTRIES = np.inf
+                operators._SPLIT_ENTRIES, operators._SPLIT_PAYS = np.inf, False
                 if bits(split) != bits(T.linear(d)):
                     bad.append((n, float(scale)))
     finally:
-        operators._SPLIT_ENTRIES = saved
+        operators._SPLIT_ENTRIES, operators._SPLIT_PAYS = saved
     return bad
 
 
-def in_one_blas_thread(code):
+def in_child(code, threads="1"):
     """Standard output of ``code``, run with this module imported as ``t``
-    by a new interpreter whose BLAS has one thread, as the benchmark and
+    by a new interpreter whose BLAS thread variables are all ``threads``,
+    or all unset for None.  One thread is how the benchmark and
     tools/same_outputs.py run the program."""
     path = os.pathsep.join(filter(None, [str(TESTS.parent / "src"),
                                          str(TESTS),
                                          os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **ONE_BLAS_THREAD)
+    env = {var: value for var, value in os.environ.items()
+           if var not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = path
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
     run = subprocess.run([sys.executable, "-c",
                           "import test_operators as t\n" + code],
                          env=env, capture_output=True, text=True,
@@ -543,7 +601,7 @@ def test_affine_split_product_is_the_one_call_product_bit_for_bit():
     # points set by their number, so the one-call product's bits change
     # with it (at n = 777, 2002 and 2050, one thread against two); the row
     # split keeps them at one BLAS thread
-    out = in_one_blas_thread(
+    out = in_child(
         f"print(t.split_mismatches('box_constrained_quadratic', "
         f"{SPLIT_SIZES + [257, 777, 2001]}))")
     assert out == "[]\n"
@@ -551,7 +609,8 @@ def test_affine_split_product_is_the_one_call_product_bit_for_bit():
 
 def trace_bytes(tmp_path, kind, instance, split):
     """``trace.jsonl`` of a 40-step n = 2000 ``solve``, with the split
-    products on or forced off."""
+    products forced on (True) or off (False), or as the gate has them
+    (None)."""
     cfg = {"schema_version": 1,
            "problem": {"kind": kind, "dimension": 2000, "seed": 3},
            "instance": {"kind": instance},
@@ -560,20 +619,20 @@ def trace_bytes(tmp_path, kind, instance, split):
     name = f"{kind}-{split}"
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
-    saved = operators._SPLIT_ENTRIES
-    if not split:
-        operators._SPLIT_ENTRIES = np.inf
+    saved = operators._SPLIT_PAYS
+    if split is not None:
+        operators._SPLIT_PAYS = split
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["solve", "--config", str(path),
                              "--out", str(tmp_path / name)]) == 1
     finally:
-        operators._SPLIT_ENTRIES = saved
+        operators._SPLIT_PAYS = saved
     return (tmp_path / name / "trace.jsonl").read_bytes()
 
 
 def test_large_solves_write_the_one_call_trace_bit_for_bit(tmp_path):
-    out = in_one_blas_thread(f"""
+    out = in_child(f"""
 from pathlib import Path
 out = Path({str(tmp_path)!r})
 for kind, instance in [("bilinear_saddle", "tseng_fbf"),
@@ -585,10 +644,30 @@ for kind, instance in [("bilinear_saddle", "tseng_fbf"),
     assert out == "True\nTrue\n"
 
 
+@pytest.mark.parametrize("threads", [None, "2", "1"])
+def test_a_large_solve_splits_only_at_one_blas_thread(tmp_path, threads):
+    # beside a pool of BLAS threads the halves are slower than one call,
+    # so only a one-thread BLAS with a second core starts the worker
+    split = threads == "1"
+    if split and operators._usable_cores() < 2:
+        pytest.skip("a split needs a second usable core")
+    out = in_child(f"""
+import threading
+from pathlib import Path
+out = Path({str(tmp_path)!r})
+trace = t.trace_bytes(out, "bilinear_saddle", "tseng_fbf", None)
+print(any(th.name == "monosplit-linalg" for th in threading.enumerate()))
+print(trace == t.trace_bytes(out, "bilinear_saddle", "tseng_fbf", False))
+""", threads)
+    assert out == f"{split}\nTrue\n"
+
+
 def test_desk_scale_runs_start_no_thread(tmp_path, monkeypatch, capsys):
     # every desk_zoo solve and sweep_exact bench; their products stay
-    # below the constant, so the worker is never started
+    # below the constant, so the worker is never started, even where a
+    # split pays
     monkeypatch.setattr(linalg, "_worker", None)
+    monkeypatch.setattr(operators, "_SPLIT_PAYS", True)
     threads = threading.active_count()
     desk = [("bilinear_saddle", 8, "tseng_fbf"),
             ("affine_inclusion", 8, "ppm"),
@@ -627,7 +706,8 @@ def matrix_of(T):
 
 
 @pytest.mark.parametrize("kind, n", SPLIT_OPERATORS)
-def test_a_split_product_keeps_no_operand_alive(kind, n):
+def test_a_split_product_keeps_no_operand_alive(monkeypatch, kind, n):
+    monkeypatch.setattr(operators, "_SPLIT_PAYS", True)
     rng = np.random.default_rng(n)
     T = random_operator(kind, n, rng)
     assert matrix_of(T).size >= operators._SPLIT_ENTRIES
@@ -640,6 +720,7 @@ def test_a_split_product_keeps_no_operand_alive(kind, n):
 @pytest.mark.parametrize("kind, n", SPLIT_OPERATORS)
 def test_a_split_product_of_a_wrong_length_vector_raises(monkeypatch, kind,
                                                          n):
+    monkeypatch.setattr(operators, "_SPLIT_PAYS", True)
     rng = np.random.default_rng(n)
     T = random_operator(kind, n, rng)
     assert matrix_of(T).size >= operators._SPLIT_ENTRIES
