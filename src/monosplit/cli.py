@@ -178,11 +178,6 @@ def cmd_params(args):
 # solve subcommand
 # ---------------------------------------------------------------------------
 
-def _run_config(cfg):
-    return instances.solve(cfg["problem"], cfg["instance"], cfg["params"],
-                           stop=cfg["stop"])
-
-
 def _line(check):
     return f"[{check.status.upper()}] {check.name}: {check.detail}"
 
@@ -204,7 +199,8 @@ def cmd_solve(args):
     cfg = load_config(args.config)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    state = _run_config(cfg)
+    state = instances.solve(cfg["problem"], cfg["instance"], cfg["params"],
+                            stop=cfg["stop"])
 
     state.trace.write_jsonl(os.path.join(out_dir, "trace.jsonl"),
                             trace_meta(cfg, state.verdict))
@@ -246,7 +242,8 @@ def _bench_cell(cfg, overrides):
     try:
         cell = dict(cfg, params=params_mod.HpeParams.from_dict(
             dict(cfg["raw"]["params"], **overrides)))
-        state = _run_config(cell)
+        state = instances.solve(cfg["problem"], cfg["instance"],
+                                cell["params"], stop=cfg["stop"])
         checks = certify_trace(state.trace, cell)
     except MonosplitError as exc:
         return row + ["error", "", 0, "nan", "nan", "nan", str(exc)]

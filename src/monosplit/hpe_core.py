@@ -290,15 +290,6 @@ class SolverState:
 # Single-step operations
 # ---------------------------------------------------------------------------
 
-def _check_shape(cert, shape, k=None):
-    """Refuse, with :class:`DimensionMismatch` naming step ``k`` when
-    given, a certificate whose ``z~`` or ``v`` is not of ``shape``."""
-    if cert.z_tilde.shape != shape or cert.v.shape != shape:
-        raise DimensionMismatch(
-            f"certificate{_at(k)} has z~ of shape {cert.z_tilde.shape} "
-            f"and v of shape {cert.v.shape}, expected {shape}")
-
-
 def _criterion_terms(cert, w, resid, dz):
     """Write ``lam v + z~ - w`` into ``resid`` and ``z~ - w`` into ``dz``,
     the two rows whose squared norms the criterion compares.
@@ -446,7 +437,9 @@ def run(problem, inner_solver, params, stop=None, *, lambda_floor):
         cert = inner_solver(w)
         z_tilde, v, eps, lam = cert
         if z_tilde.shape != shape or v.shape != shape:
-            _check_shape(cert, shape, k)
+            raise DimensionMismatch(
+                f"certificate at k={k} has z~ of shape {z_tilde.shape} "
+                f"and v of shape {v.shape}, expected {shape}")
         _criterion_terms(cert, w, resid, dz)
         # z_next = w - tau lam v
         z_next = multiply(tau * lam, v)

@@ -12,7 +12,6 @@ and Tseng) call ``point``; the proximal step, which needs ``v``, calls
 
 import functools
 import math
-import os
 
 import numpy as np
 import scipy.linalg
@@ -23,47 +22,6 @@ from .errors import OracleError, ParameterError
 # Brute-force oracles (grid / sign enumeration) are exponential in the
 # dimension; refuse beyond this.
 _BRUTE_FORCE_DIM_CAP = 20
-
-# A forward product that reads at least this many matrix entries runs as
-# two products into disjoint slices of its output, at once (see
-# linalg.run_pair).  On two cores with one BLAS thread a handoff to the
-# worker costs about 30 us, which half of a product outweighs from about
-# 2^20 entries on; below, and so at every desk size, a product is one call
-# and no thread is started.
-_SPLIT_ENTRIES = 2 ** 20
-# The row split of ``A d`` falls on a multiple of this many rows.  BLAS's
-# gemv kernel takes the rows in groups, and a row summed in another
-# position of its group can get other bits; a split between whole groups
-# keeps the one-call product's bits (one after 7, 13, 999 or 1001 rows
-# does not).
-_ROW_GROUP = 64
-
-
-def _usable_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _blas_threads():
-    """The number of threads OpenBLAS starts at load: the first positive
-    value of the variables it reads, and otherwise one per usable core."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return _usable_cores()
-
-
-# A split pays only with one BLAS thread and a second core for the worker:
-# beside BLAS's own pool the two halves are slower than one call (at
-# n = 2000 with two BLAS threads, 356 against 302 us for the bilinear map).
-_SPLIT_PAYS = _blas_threads() == 1 and _usable_cores() >= 2
 
 
 class AffineOperator:
@@ -86,26 +44,8 @@ class AffineOperator:
         return self.offset.shape[0]
 
     def linear(self, d):
-        """The linear part ``d -> A d``.
-
-        Where a split pays (:data:`_SPLIT_PAYS`), a matrix of at least
-        :data:`_SPLIT_ENTRIES` entries is applied as two blocks of rows at
-        once, split at the multiple of :data:`_ROW_GROUP` nearest the
-        middle, so that each row is summed in the position of its gemv row
-        group that the one-call product gives it, and the bits are that
-        product's with one BLAS thread.
-        The worker thread runs the numpy product only, never a
-        ``monosplit`` function, whose span the benchmark's tracer would
-        take for one of this thread.
-        """
-        A = self.matrix
-        if A.size < _SPLIT_ENTRIES or not _SPLIT_PAYS:
-            return A @ d
-        k = _ROW_GROUP * round(self.dim / (2 * _ROW_GROUP))
-        out = np.empty(self.dim)
-        linalg.run_pair(functools.partial(np.matmul, A[:k], d, out=out[:k]),
-                        functools.partial(np.matmul, A[k:], d, out=out[k:]))
-        return out
+        """The linear part ``d -> A d`` (see :func:`linalg.matvec`)."""
+        return linalg.matvec(self.matrix, d)
 
     def __call__(self, z):
         return self.linear(z) + self.offset
@@ -138,28 +78,11 @@ class SaddleOperator:
                 f"dimension {self.dim}")
 
     def linear(self, d):
-        """The linear part ``(x, y) -> (K y, -K^T x)``.
-
-        Blocks of fewer than :data:`_SPLIT_ENTRIES` entries in all, or
-        any blocks where a split does not pay (:data:`_SPLIT_PAYS`), are
-        applied to the swapped halves in one batched product.  Larger
-        ones are applied as two products into the two halves of one
-        output, at once: these are the two gemv calls that the batched
-        product makes, so the bits are its own with any BLAS, and no row
-        split, which would have to fall on a multiple of
-        :data:`_ROW_GROUP` rows, is needed.  The worker thread runs the
-        numpy product only, never a ``monosplit`` function, whose span the
-        benchmark's tracer would take for one of this thread.
+        """The linear part ``(x, y) -> (K y, -K^T x)``: the blocks applied
+        to the swapped halves ``(y, x)`` (see :func:`linalg.stacked_matvec`).
         """
-        h = self.half
-        if self.blocks.size < _SPLIT_ENTRIES or not _SPLIT_PAYS:
-            swapped = d.reshape(2, h, 1)[::-1]  # (y, x)
-            return np.matmul(self.blocks, swapped).reshape(-1)
-        out = np.empty(self.dim)
-        linalg.run_pair(
-            functools.partial(np.matmul, self.blocks[0], d[h:], out=out[:h]),
-            functools.partial(np.matmul, self.blocks[1], d[:h], out=out[h:]))
-        return out
+        return linalg.stacked_matvec(self.blocks,
+                                     d.reshape(2, self.half)[::-1])
 
     def __call__(self, z):
         return self.linear(z) + self.offset

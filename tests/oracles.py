@@ -5,7 +5,7 @@ import numpy as np
 import scipy.linalg
 
 from monosplit import hpe_core, linalg
-from monosplit.errors import ParameterError
+from monosplit.errors import DimensionMismatch, ParameterError
 from monosplit.operators import (AffineResolvent, BoxResolvent, ZeroResolvent,
                                  solve_box_qp_bruteforce)
 from monosplit.params import check_sigma
@@ -31,8 +31,12 @@ def certify(cert, w, sigma):
     0/0 counts as 0; a ``z~`` or ``v`` not of the shape of ``w`` raises
     :class:`DimensionMismatch`."""
     check_sigma(sigma)
-    hpe_core._check_shape(cert, np.shape(w))
-    rows = np.empty((2,) + np.shape(w))
+    shape = np.shape(w)
+    if cert.z_tilde.shape != shape or cert.v.shape != shape:
+        raise DimensionMismatch(
+            f"certificate has z~ of shape {cert.z_tilde.shape} "
+            f"and v of shape {cert.v.shape}, expected {shape}")
+    rows = np.empty((2,) + shape)
     hpe_core._criterion_terms(cert, w, *rows)
     return hpe_core._error_ratio(*linalg.row_dots(rows, rows).tolist(),
                                  cert.lam, cert.eps, sigma, 0.0)

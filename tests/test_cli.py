@@ -71,7 +71,9 @@ def test_solve_certify_roundtrip(tmp_path, capsys, cfg):
     # trace.jsonl is the one record; write_csv converts it on demand
     assert sorted(p.name for p in run.iterdir()) == [
         "summary.json", "trace.jsonl"]
-    state = cli._run_config(cli.load_config(str(tmp_path / "cfg.json")))
+    loaded = cli.load_config(str(tmp_path / "cfg.json"))
+    state = instances.solve(loaded["problem"], loaded["instance"],
+                            loaded["params"], stop=loaded["stop"])
     state.trace.write_csv(tmp_path / "memory.csv")
     trace, _ = hpe_core.IterationTrace.read_jsonl(run / "trace.jsonl")
     trace.write_csv(tmp_path / "read.csv")

@@ -114,25 +114,84 @@ def test_stacked_row_dots_are_dot_bit_for_bit(n):
         [[linalg.dot(row, v) for row in (z, v)] for z, v in block]).tobytes())
 
 
-def test_run_pair_runs_first_on_the_worker_thread():
-    where = {}
-    linalg.run_pair(lambda: where.update(first=threading.get_ident()),
-                    lambda: where.update(second=threading.get_ident()))
-    assert where["first"] != where["second"] == threading.get_ident()
+# what OpenBLAS reads for its thread count, in the order it reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
 
 
-def test_run_pair_reraises_the_worker_exception():
-    def first():
-        raise KeyError("worker")
+def test_blas_threads_is_the_first_positive_variable_openblas_reads(
+        monkeypatch):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert linalg._blas_threads() == linalg._usable_cores()
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert linalg._blas_threads() == 1
+    monkeypatch.setenv("GOTO_NUM_THREADS", "3")
+    assert linalg._blas_threads() == 3
+    # one OpenMP thread beside two OpenBLAS threads is no one-thread BLAS,
+    # so no product would split
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert linalg._blas_threads() == 2
+    for skipped in ("x", "0", "-1", ""):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", skipped)
+        assert linalg._blas_threads() == 3
+        monkeypatch.setenv("GOTO_NUM_THREADS", skipped)
+        assert linalg._blas_threads() == 1
+        monkeypatch.setenv("GOTO_NUM_THREADS", "3")
+
+
+def probe(matrix, on_product):
+    """``matrix`` as an array whose every product first calls
+    ``on_product`` with the name of the thread that runs it."""
+    class Probe(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            on_product(threading.current_thread().name)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+    return matrix.view(Probe)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every product splits, as from 2^20 entries on at one BLAS thread."""
+    monkeypatch.setattr(linalg, "_SPLIT_ENTRIES", 0)
+
+
+def test_a_split_product_runs_one_half_on_the_worker_thread(split):
+    rng = np.random.default_rng(0)
+    blocks = rng.standard_normal((2, 130, 7))
+    xs = rng.standard_normal((2, 7))
+    names = []
+    products = [
+        (linalg.matvec(probe(blocks[0], names.append), xs[0]),
+         blocks[0] @ xs[0]),
+        (linalg.stacked_matvec(probe(blocks, names.append), xs),
+         np.concatenate([blocks[0] @ xs[0], blocks[1] @ xs[1]]))]
+    assert sorted(names) == sorted(
+        ["monosplit-linalg", threading.current_thread().name] * 2)
+    for split_product, one_call in products:
+        assert split_product.tobytes() == one_call.tobytes()
+
+
+def test_a_split_product_reraises_the_workers_exception(split):
+    def on_product(name):
+        if name == "monosplit-linalg":
+            raise KeyError("worker")
     with pytest.raises(KeyError, match="worker"):
-        linalg.run_pair(first, lambda: None)
+        linalg.matvec(probe(np.ones((128, 3)), on_product), np.ones(3))
+    # the worker is free for the next product
+    assert linalg.matvec(np.ones((128, 3)), np.ones(3)).tolist() == [3.0] * 128
 
 
-def test_run_pair_raises_the_callers_exception_once_the_worker_is_done():
+def test_a_split_product_raises_the_callers_exception_once_the_worker_is_done(
+        split):
     done = []
 
-    def second():
-        raise KeyError("caller")
+    def on_product(name):
+        if name != "monosplit-linalg":
+            raise KeyError("caller")
+        time.sleep(0.05)
+        done.append(name)
     with pytest.raises(KeyError, match="caller"):
-        linalg.run_pair(lambda: (time.sleep(0.05), done.append(1)), second)
-    assert done == [1]
+        linalg.stacked_matvec(probe(np.ones((2, 64, 3)), on_product),
+                              np.ones((2, 3)))
+    assert done == ["monosplit-linalg"]

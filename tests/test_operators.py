@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -533,6 +534,8 @@ TESTS = Path(__file__).resolve().parent
 # what OpenBLAS, an OpenMP runtime and MKL read for their thread counts
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# linalg._SPLIT_ENTRIES where a split pays: one BLAS thread, two cores
+SPLIT_PAYS = 2 ** 20
 # both sides of the 2^20-entry constant, and row counts that are not
 # multiples of the row group
 SPLIT_SIZES = [2, 8, 130, 258, 778, 1500, 2000, 2002, 2050]
@@ -549,8 +552,8 @@ def random_operator(kind, n, rng):
 def split_mismatches(kind, sizes):
     """``(n, scale)`` of every direction whose product by a random
     ``kind`` operator differs in any bit between the split path and the
-    one-call path, each forced by setting the constant and the gate."""
-    saved = operators._SPLIT_ENTRIES, operators._SPLIT_PAYS
+    one-call path, each forced by setting the switch."""
+    saved = linalg._SPLIT_ENTRIES
     bad = []
     try:
         for n in sizes:
@@ -558,13 +561,13 @@ def split_mismatches(kind, sizes):
             T = random_operator(kind, n, rng)
             for scale in SPLIT_SCALES:
                 d = scale * rng.standard_normal(n)
-                operators._SPLIT_ENTRIES, operators._SPLIT_PAYS = 0, True
+                linalg._SPLIT_ENTRIES = 0
                 split = T.linear(d)
-                operators._SPLIT_ENTRIES, operators._SPLIT_PAYS = np.inf, False
+                linalg._SPLIT_ENTRIES = math.inf
                 if bits(split) != bits(T.linear(d)):
                     bad.append((n, float(scale)))
     finally:
-        operators._SPLIT_ENTRIES, operators._SPLIT_PAYS = saved
+        linalg._SPLIT_ENTRIES = saved
     return bad
 
 
@@ -609,8 +612,8 @@ def test_affine_split_product_is_the_one_call_product_bit_for_bit():
 
 def trace_bytes(tmp_path, kind, instance, split):
     """``trace.jsonl`` of a 40-step n = 2000 ``solve``, with the split
-    products forced on (True) or off (False), or as the gate has them
-    (None)."""
+    products forced on (True) or off (False), or as the switch
+    ``linalg._SPLIT_ENTRIES`` has them (None)."""
     cfg = {"schema_version": 1,
            "problem": {"kind": kind, "dimension": 2000, "seed": 3},
            "instance": {"kind": instance},
@@ -619,15 +622,15 @@ def trace_bytes(tmp_path, kind, instance, split):
     name = f"{kind}-{split}"
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
-    saved = operators._SPLIT_PAYS
+    saved = linalg._SPLIT_ENTRIES
     if split is not None:
-        operators._SPLIT_PAYS = split
+        linalg._SPLIT_ENTRIES = SPLIT_PAYS if split else math.inf
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["solve", "--config", str(path),
                              "--out", str(tmp_path / name)]) == 1
     finally:
-        operators._SPLIT_PAYS = saved
+        linalg._SPLIT_ENTRIES = saved
     return (tmp_path / name / "trace.jsonl").read_bytes()
 
 
@@ -649,7 +652,7 @@ def test_a_large_solve_splits_only_at_one_blas_thread(tmp_path, threads):
     # beside a pool of BLAS threads the halves are slower than one call,
     # so only a one-thread BLAS with a second core starts the worker
     split = threads == "1"
-    if split and operators._usable_cores() < 2:
+    if split and linalg._usable_cores() < 2:
         pytest.skip("a split needs a second usable core")
     out = in_child(f"""
 import threading
@@ -667,7 +670,7 @@ def test_desk_scale_runs_start_no_thread(tmp_path, monkeypatch, capsys):
     # below the constant, so the worker is never started, even where a
     # split pays
     monkeypatch.setattr(linalg, "_worker", None)
-    monkeypatch.setattr(operators, "_SPLIT_PAYS", True)
+    monkeypatch.setattr(linalg, "_SPLIT_ENTRIES", SPLIT_PAYS)
     threads = threading.active_count()
     desk = [("bilinear_saddle", 8, "tseng_fbf"),
             ("affine_inclusion", 8, "ppm"),
@@ -707,10 +710,10 @@ def matrix_of(T):
 
 @pytest.mark.parametrize("kind, n", SPLIT_OPERATORS)
 def test_a_split_product_keeps_no_operand_alive(monkeypatch, kind, n):
-    monkeypatch.setattr(operators, "_SPLIT_PAYS", True)
+    monkeypatch.setattr(linalg, "_SPLIT_ENTRIES", SPLIT_PAYS)
     rng = np.random.default_rng(n)
     T = random_operator(kind, n, rng)
-    assert matrix_of(T).size >= operators._SPLIT_ENTRIES
+    assert matrix_of(T).size >= SPLIT_PAYS
     T.linear(rng.standard_normal(n))
     matrix = weakref.ref(matrix_of(T))
     del T
@@ -720,15 +723,15 @@ def test_a_split_product_keeps_no_operand_alive(monkeypatch, kind, n):
 @pytest.mark.parametrize("kind, n", SPLIT_OPERATORS)
 def test_a_split_product_of_a_wrong_length_vector_raises(monkeypatch, kind,
                                                          n):
-    monkeypatch.setattr(operators, "_SPLIT_PAYS", True)
+    monkeypatch.setattr(linalg, "_SPLIT_ENTRIES", SPLIT_PAYS)
     rng = np.random.default_rng(n)
     T = random_operator(kind, n, rng)
-    assert matrix_of(T).size >= operators._SPLIT_ENTRIES
+    assert matrix_of(T).size >= SPLIT_PAYS
     d = rng.standard_normal(n)
     before = T.linear(d)
     for wrong in (rng.standard_normal(n - 2), rng.standard_normal(n + 2)):
         with monkeypatch.context() as m:
-            m.setattr(operators, "_SPLIT_ENTRIES", np.inf)
+            m.setattr(linalg, "_SPLIT_ENTRIES", math.inf)
             with pytest.raises(Exception) as one_call:
                 T.linear(wrong)
         with pytest.raises(one_call.type):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from monosplit import cli
+from monosplit import cli, instances
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -59,7 +59,8 @@ def test_readme_csv_recipe_writes_the_runs_csv(tmp_path, capsys):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, *argv[1:]], cwd=tmp_path, check=True,
                    env=dict(os.environ, PYTHONPATH=path))
-    cli._run_config(cli.load_config(str(config))).trace.write_csv(
-        tmp_path / "expected.csv")
+    cfg = cli.load_config(str(config))
+    instances.solve(cfg["problem"], cfg["instance"], cfg["params"],
+                    stop=cfg["stop"]).trace.write_csv(tmp_path / "expected.csv")
     assert ((tmp_path / "run" / "trace.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
