@@ -242,8 +242,8 @@ def _bench_cell(cfg, overrides):
     try:
         cell = dict(cfg, params=params_mod.HpeParams.from_dict(
             dict(cfg["raw"]["params"], **overrides)))
-        state = instances.solve(cfg["problem"], cfg["instance"],
-                                cell["params"], stop=cfg["stop"])
+        state = instances.solve(cell["problem"], cell["instance"],
+                                cell["params"], stop=cell["stop"])
         checks = certify_trace(state.trace, cell)
     except MonosplitError as exc:
         return row + ["error", "", 0, "nan", "nan", "nan", str(exc)]

@@ -29,7 +29,9 @@ def certify(cert, w, sigma):
     """The lhs/rhs ratio of one certificate at ``w`` by the driver's law,
     :func:`monosplit.hpe_core._error_ratio`, with no floor beyond lam > 0.
     0/0 counts as 0; a ``z~`` or ``v`` not of the shape of ``w`` raises
-    :class:`DimensionMismatch`."""
+    :class:`DimensionMismatch`.  The shape check is the oracle's own, a
+    reference for the one in :func:`monosplit.hpe_core.run`; the tests pin
+    both messages in full."""
     check_sigma(sigma)
     shape = np.shape(w)
     if cert.z_tilde.shape != shape or cert.v.shape != shape:

@@ -494,15 +494,19 @@ def test_run_refuses_a_certificate_of_another_dimension():
         return Certificate(z_tilde=np.ones(1), v=-np.ones(1), eps=0.0,
                            lam=1.0)
 
-    with pytest.raises(DimensionMismatch, match="k=1"):
+    with pytest.raises(DimensionMismatch) as exc:
         run(prob, short, PLAIN, lambda_floor=1.0)
+    assert str(exc.value) == ("certificate at k=1 has z~ of shape (1,) and "
+                              "v of shape (1,), expected (4,)")
 
     def short_v(w):
         z, v = prob.resolvent.resolve(1.0, w)
         return Certificate(z_tilde=z, v=v[:1], eps=0.0, lam=1.0)
 
-    with pytest.raises(DimensionMismatch, match="k=1"):
+    with pytest.raises(DimensionMismatch) as exc:
         run(prob, short_v, PLAIN, lambda_floor=1.0)
+    assert str(exc.value) == ("certificate at k=1 has z~ of shape (4,) and "
+                              "v of shape (1,), expected (4,)")
 
 
 # -- block boundaries --------------------------------------------------------

@@ -650,7 +650,9 @@ for kind, instance in [("bilinear_saddle", "tseng_fbf"),
 @pytest.mark.parametrize("threads", [None, "2", "1"])
 def test_a_large_solve_splits_only_at_one_blas_thread(tmp_path, threads):
     # beside a pool of BLAS threads the halves are slower than one call,
-    # so only a one-thread BLAS with a second core starts the worker
+    # so only a one-thread BLAS with a second core starts the worker; the
+    # switch it reads there is SPLIT_PAYS, the value that the in-process
+    # tests set to stand for it
     split = threads == "1"
     if split and linalg._usable_cores() < 2:
         pytest.skip("a split needs a second usable core")
@@ -658,11 +660,13 @@ def test_a_large_solve_splits_only_at_one_blas_thread(tmp_path, threads):
 import threading
 from pathlib import Path
 out = Path({str(tmp_path)!r})
+print(t.linalg._SPLIT_ENTRIES)
 trace = t.trace_bytes(out, "bilinear_saddle", "tseng_fbf", None)
 print(any(th.name == "monosplit-linalg" for th in threading.enumerate()))
 print(trace == t.trace_bytes(out, "bilinear_saddle", "tseng_fbf", False))
 """, threads)
-    assert out == f"{split}\nTrue\n"
+    switch = SPLIT_PAYS if split else math.inf
+    assert out == f"{switch}\n{split}\nTrue\n"
 
 
 def test_desk_scale_runs_start_no_thread(tmp_path, monkeypatch, capsys):
